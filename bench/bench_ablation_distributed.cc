@@ -6,7 +6,8 @@
 #include <cstdio>
 
 #include "common.h"
-#include "dist/distributed_mce.h"
+#include "exec/cluster_executor.h"
+#include "exec/executor.h"
 
 int main() {
   using namespace mce;
@@ -32,27 +33,27 @@ int main() {
       dist::ClusterConfig cluster;
       cluster.num_workers = workers;
       cluster.strategy = strategy;
-      dist::DistributedResult r =
-          dist::RunDistributedMce(dataset.graph, options, cluster);
-      uint64_t bytes = 0;
+      exec::SimulatedClusterExecutor executor(cluster,
+                                              exec::MakeExecutor(options));
+      executor.Run(dataset.graph, options,
+                   [](std::span<const NodeId>, uint32_t) {});
+      const exec::ClusterSummary summary = executor.Summary();
       // Skew of the dominant phase (the level with the most compute);
       // trailing levels with one tiny block would report a meaningless
       // max/mean of the worker count.
       double skew = 1.0;
       double dominant_compute = -1.0;
-      for (const dist::DistributedLevel& level : r.levels) {
+      for (const exec::LevelSimulation& level : executor.levels()) {
         if (level.simulation.total_compute_seconds > dominant_compute) {
           dominant_compute = level.simulation.total_compute_seconds;
           skew = level.simulation.Skew();
         }
-        for (const auto& w : level.simulation.workers) {
-          bytes += w.bytes_received;
-        }
       }
       std::printf("%8d %-12s %12s %10.2f %8.2f %14llu\n", workers,
-                  ToString(strategy), FormatSeconds(r.TotalSeconds()).c_str(),
-                  r.AnalysisComputeSpeedup(), skew,
-                  static_cast<unsigned long long>(bytes));
+                  ToString(strategy),
+                  FormatSeconds(summary.makespan_seconds).c_str(),
+                  summary.compute_speedup, skew,
+                  static_cast<unsigned long long>(summary.bytes_shipped));
     }
   }
   PrintRule();

@@ -10,7 +10,6 @@
 #include "baseline/truncated_mce.h"
 #include "common.h"
 #include "core/run_stats.h"
-#include "decomp/find_max_cliques.h"
 
 int main() {
   using namespace mce;
@@ -32,10 +31,7 @@ int main() {
               std::max(max_lost, result.cliques.cliques()[i].size());
         }
       }
-      decomp::FindMaxCliquesResult r;
-      r.cliques = std::move(result.cliques);
-      r.origin_level = std::move(result.origin_level);
-      double top_share = HubShareOfLargestCliques(r, 200);
+      const double top_share = HubShareOfLargestCliques(result, 200);
       std::printf("%-10s %5.1f %10llu %10llu %7.2f%% %10zu %11.1f%%\n",
                   d.name.c_str(), ratio,
                   static_cast<unsigned long long>(result.stats.total_cliques),

@@ -11,7 +11,6 @@
 
 #include "common.h"
 #include "core/run_stats.h"
-#include "decomp/find_max_cliques.h"
 
 int main() {
   using namespace mce;
@@ -25,12 +24,8 @@ int main() {
   for (const NamedGraph& d : Datasets()) {
     std::printf("%-10s", d.name.c_str());
     for (double ratio : Ratios()) {
-      // Rebuild a FindMaxCliquesResult-shaped view for the share helper.
-      FindResult result = RunPipeline(d.graph, ratio);
-      decomp::FindMaxCliquesResult r;
-      r.cliques = std::move(result.cliques);
-      r.origin_level = std::move(result.origin_level);
-      double share = HubShareOfLargestCliques(r, 200);
+      const double share =
+          HubShareOfLargestCliques(RunPipeline(d.graph, ratio), 200);
       std::printf("   %6.1f%%", 100.0 * share);
     }
     std::printf("\n");

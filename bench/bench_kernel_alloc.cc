@@ -1,9 +1,9 @@
 // Kernel allocation ablation: the allocation-free pooled MCE kernels
 // (mce/pivoter.h) against verbatim copies of the pre-workspace kernels
 // (pass-by-value P/X sets, per-node child vectors, erase/insert candidate
-// shuffle). Reports ns/clique, allocations per enumeration, and peak RSS,
-// serially on the dense block and threaded over a block decomposition
-// (per-worker workspaces vs a transient workspace per block).
+// shuffle). Reports ns/clique, allocations per enumeration, and peak RSS
+// on the dense block. Per-worker workspace reuse across blocks belongs to
+// the pooled executor and is covered by its tests and by perfbench/.
 //
 // Unlike the google-benchmark microbenches this is a plain harness: it
 // replaces global operator new to count allocator traffic, which must not
@@ -24,15 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "decomp/blocks.h"
-#include "decomp/cut.h"
-#include "decomp/parallel_analysis.h"
 #include "gen/generators.h"
-#include "gen/special.h"
+#include "mce/clique.h"
 #include "mce/pivoter.h"
-#include "mce/workspace.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -374,42 +369,6 @@ SerialRow BenchSerial(const Graph& g, StorageKind kind) {
   return row;
 }
 
-struct ThreadedRow {
-  const char* backend;
-  size_t threads;
-  Measurement transient;   // fresh workspace per block
-  Measurement per_worker;  // one reused workspace per pool worker
-};
-
-/// Threaded leg: a block decomposition fanned out on a pool, comparing a
-/// transient workspace per block against per-worker reused workspaces.
-ThreadedRow BenchThreaded(const std::vector<decomp::Block>& blocks,
-                          StorageKind kind, size_t threads) {
-  decomp::BlockAnalysisOptions aoptions;
-  aoptions.fixed = {Algorithm::kTomita, kind};
-  constexpr double kBudget = 1.0;
-
-  ThreadedRow row;
-  row.backend = ToString(kind);
-  row.threads = threads;
-  ThreadPool pool(threads);
-  auto total_cliques = [](const std::vector<decomp::BlockRun>& runs) {
-    uint64_t total = 0;
-    for (const decomp::BlockRun& run : runs) total += run.result.num_cliques;
-    return total;
-  };
-  row.transient = MeasureBest(kBudget, [&] {
-    return total_cliques(
-        decomp::AnalyzeBlocksToBuffers(blocks, aoptions, &pool));
-  });
-  std::vector<BlockWorkspace> workspaces;
-  row.per_worker = MeasureBest(kBudget, [&] {
-    return total_cliques(
-        decomp::AnalyzeBlocksToBuffers(blocks, aoptions, &pool, &workspaces));
-  });
-  return row;
-}
-
 double Speedup(const Measurement& base, const Measurement& opt) {
   return opt.ns_per_clique == 0 ? 0
                                 : base.ns_per_clique / opt.ns_per_clique;
@@ -446,34 +405,6 @@ int main(int argc, char** argv) {
     serial.push_back(row);
   }
 
-  // Threaded leg over a scale-free decomposition.
-  Rng rng(7);
-  Graph big = gen::BarabasiAlbert(3000, 6, &rng);
-  big = gen::OverlayRandomCliques(big, 20, 6, 12, true, &rng);
-  const uint32_t m = 60;
-  const decomp::CutResult cut = decomp::Cut(big, m);
-  decomp::BlocksOptions boptions;
-  boptions.max_block_size = m;
-  const std::vector<decomp::Block> blocks =
-      decomp::BuildBlocks(big, cut.feasible, boptions);
-  std::printf("\nthreaded: %zu blocks of <=%u nodes\n", blocks.size(), m);
-  std::printf("%-8s %7s %16s %16s %9s\n", "backend", "threads",
-              "transient ns/clq", "workspace ns/clq", "speedup");
-
-  std::vector<ThreadedRow> threaded;
-  for (StorageKind kind :
-       {StorageKind::kAdjacencyList, StorageKind::kMatrix,
-        StorageKind::kBitset}) {
-    for (size_t threads : {1u, 4u}) {
-      ThreadedRow row = BenchThreaded(blocks, kind, threads);
-      std::printf("%-8s %7zu %16.1f %16.1f %8.2fx\n", row.backend,
-                  row.threads, row.transient.ns_per_clique,
-                  row.per_worker.ns_per_clique,
-                  Speedup(row.transient, row.per_worker));
-      threaded.push_back(row);
-    }
-  }
-
   const uint64_t rss_kb = PeakRssKb();
   std::printf("\npeak RSS: %llu kB\n", static_cast<unsigned long long>(rss_kb));
 
@@ -502,24 +433,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(r.legacy.allocs_per_run),
           static_cast<unsigned long long>(r.pooled.allocs_per_run),
           i + 1 < serial.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"threaded\": [\n");
-    for (size_t i = 0; i < threaded.size(); ++i) {
-      const ThreadedRow& r = threaded[i];
-      std::fprintf(
-          f,
-          "    {\"backend\": \"%s\", \"threads\": %zu, \"cliques\": %llu, "
-          "\"transient_ns_per_clique\": %.1f, "
-          "\"workspace_ns_per_clique\": %.1f, \"speedup\": %.2f, "
-          "\"transient_allocs_per_run\": %llu, "
-          "\"workspace_allocs_per_run\": %llu}%s\n",
-          r.backend, r.threads,
-          static_cast<unsigned long long>(r.per_worker.cliques),
-          r.transient.ns_per_clique, r.per_worker.ns_per_clique,
-          Speedup(r.transient, r.per_worker),
-          static_cast<unsigned long long>(r.transient.allocs_per_run),
-          static_cast<unsigned long long>(r.per_worker.allocs_per_run),
-          i + 1 < threaded.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"peak_rss_kb\": %llu\n}\n",
                  static_cast<unsigned long long>(rss_kb));

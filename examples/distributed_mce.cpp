@@ -8,9 +8,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
-#include "core/max_clique_finder.h"
-#include "dist/distributed_mce.h"
+#include "exec/cluster_executor.h"
+#include "exec/executor.h"
 #include "gen/social.h"
 
 int main(int argc, char** argv) {
@@ -31,22 +32,26 @@ int main(int argc, char** argv) {
     mce::dist::ClusterConfig cluster;
     cluster.num_workers = workers;
     cluster.strategy = strategy;
-    mce::dist::DistributedResult result =
-        mce::dist::RunDistributedMce(graph, options, cluster);
+    mce::exec::SimulatedClusterExecutor executor(
+        cluster, mce::exec::MakeExecutor(options));
+    const mce::decomp::StreamingStats stats = executor.Run(
+        graph, options, [](std::span<const mce::NodeId>, uint32_t) {});
 
     std::printf("\nstrategy: %s\n", ToString(strategy));
-    std::printf("  cliques: %zu (identical for every strategy)\n",
-                result.algorithm.cliques.size());
-    for (size_t l = 0; l < result.levels.size(); ++l) {
-      const auto& level = result.levels[l];
+    std::printf("  cliques: %llu (identical for every strategy)\n",
+                static_cast<unsigned long long>(stats.cliques_emitted));
+    for (size_t l = 0; l < executor.levels().size(); ++l) {
+      const auto& level = executor.levels()[l];
       std::printf(
           "  level %zu: decompose %.4fs, analysis makespan %.4fs, "
           "skew %.2f\n",
           l, level.decompose_seconds, level.simulation.makespan_seconds,
           level.simulation.Skew());
     }
-    std::printf("  total %.4fs, analysis speedup %.2fx\n",
-                result.TotalSeconds(), result.AnalysisSpeedup());
+    const mce::exec::ClusterSummary summary = executor.Summary();
+    std::printf("  total %.4fs, analysis speedup %.2fx, %llu bytes shipped\n",
+                summary.makespan_seconds, summary.analysis_speedup,
+                static_cast<unsigned long long>(summary.bytes_shipped));
   }
   return 0;
 }

@@ -27,7 +27,7 @@ int main() {
   // Configure the finder: blocks of at most 5 nodes, so node 6 (degree 6)
   // and node 2 (degree 6) become hubs and go through the recursion.
   mce::MaxCliqueFinder::Options options;
-  options.block_size = 5;
+  options.max_block_size = 5;
   mce::MaxCliqueFinder finder(options);
 
   mce::Result<mce::FindResult> result = finder.Find(graph);

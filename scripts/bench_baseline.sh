@@ -3,8 +3,8 @@
 #   BENCH_kernel.json   — kernel allocation/throughput micro-benchmark:
 #                         per storage backend, ns/clique for the legacy
 #                         (per-call allocating) and pooled (workspace-
-#                         reusing) kernels, allocation counts, the threaded
-#                         block-stream comparison, and peak RSS.
+#                         reusing) kernels on a dense block, allocation
+#                         counts, and peak RSS.
 #   BENCH_pipeline.json — execution-engine benchmark: wall seconds, worker
 #                         utilization, and cross-level decompose/analyze
 #                         overlap for the serial engine and the pooled

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer
 # pass over the concurrency-bearing subset (the thread pool, the parallel
-# decomposition pipeline, and the task-graph execution engines).
+# decomposition pipeline, and the task-graph execution engines), an
+# AddressSanitizer pass, CLI trace/heartbeat/profile validation, and a
+# build + selftest of the benchmark of record (perfbench/).
 #
 # Usage: scripts/tier1.sh [build-dir]
 #   MCE_SKIP_TSAN=1   skip the TSan leg (e.g. when the toolchain lacks
@@ -185,5 +187,16 @@ if [[ "$software_hw" != "enabled sw" ]]; then
   exit 1
 fi
 echo "software-clock fallback degrades cleanly: ok"
+
+# Perfbench leg: the benchmark of record (perfbench/) is its own CMake
+# package built from src/, so a library API change that breaks it would
+# otherwise surface only when the benchmark runs. Build it as the
+# benchmark does (Release) and run its selftest: digests, the Eppstein
+# oracle, and the outside-in walk on small inputs.
+perf_build="$build-perfbench"
+echo "=== tier-1: perfbench build + selftest ($perf_build) ==="
+cmake -B "$perf_build" -S "$repo/perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$perf_build" -j "$(nproc)" --target mce_bench
+"$perf_build/mce_bench" selftest --dir "$trace_dir/perfbench"
 
 echo "=== tier-1: OK ==="

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
+#include "exec/executor.h"
 #include "util/timer.h"
 
 namespace mce {
@@ -12,10 +14,10 @@ MaxCliqueFinder::MaxCliqueFinder(Options options)
     : options_(std::move(options)), paper_tree_(decision::PaperDecisionTree()) {}
 
 Result<uint32_t> MaxCliqueFinder::ResolveBlockSize(const Graph& g) const {
-  if (options_.block_size > 0) return options_.block_size;
+  if (options_.max_block_size > 0) return options_.max_block_size;
   if (!(options_.block_size_ratio > 0.0) || options_.block_size_ratio > 1.0) {
     return Status::InvalidArgument(
-        "block_size_ratio must be in (0, 1] when block_size is 0");
+        "block_size_ratio must be in (0, 1] when max_block_size is 0");
   }
   const uint32_t d = g.MaxDegree();
   const uint32_t m = static_cast<uint32_t>(
@@ -28,64 +30,33 @@ Result<FindResult> MaxCliqueFinder::Find(const Graph& g) const {
   if (options_.min_adjacency == 0) {
     return Status::InvalidArgument("min_adjacency must be >= 1");
   }
-  if (options_.simulate_cluster && options_.cluster.num_workers < 1) {
-    return Status::InvalidArgument("cluster.num_workers must be >= 1");
+  if (options_.simulate_cluster) {
+    const Status valid = dist::ValidateClusterConfig(options_.cluster);
+    if (!valid.ok()) return valid;
   }
 
-  decomp::FindMaxCliquesOptions pipeline;
+  decomp::FindMaxCliquesOptions pipeline = options_;
   pipeline.max_block_size = m;
-  pipeline.min_adjacency = options_.min_adjacency;
-  pipeline.seed_policy = options_.seed_policy;
-  pipeline.num_threads = options_.num_threads;
-  pipeline.executor = options_.executor;
-  pipeline.reduce = options_.reduce;
-  pipeline.split_blocks = options_.split_blocks;
-  pipeline.max_block_cost = options_.max_block_cost;
-  pipeline.memory_budget_bytes = options_.memory_budget_bytes;
-  pipeline.spill_threshold_bytes = options_.spill_threshold_bytes;
-  pipeline.spill_dir = options_.spill_dir;
-  pipeline.trace = options_.trace;
-  pipeline.metrics = options_.metrics;
-  pipeline.progress = options_.progress;
-  pipeline.profile = options_.profile;
-  if (options_.use_decision_tree) {
-    pipeline.tree =
-        options_.custom_tree != nullptr ? options_.custom_tree : &paper_tree_;
-  } else {
-    pipeline.fixed = options_.fixed_combo;
+  if (!options_.use_decision_tree) {
+    pipeline.tree = nullptr;
+  } else if (pipeline.tree == nullptr) {
+    pipeline.tree = &paper_tree_;
   }
 
   FindResult out;
   out.effective_block_size = m;
   const Timer wall;
-
+  std::unique_ptr<exec::Executor> executor = exec::MakeExecutor(pipeline);
+  decomp::FindMaxCliquesResult& collected = out;
   if (options_.simulate_cluster) {
-    dist::DistributedResult dist_result =
-        dist::RunDistributedMce(g, std::move(pipeline), options_.cluster);
-    ClusterSummary summary;
-    summary.workers = options_.cluster.num_workers;
-    summary.makespan_seconds = dist_result.TotalSeconds();
-    summary.analysis_speedup = dist_result.AnalysisSpeedup();
-    summary.compute_speedup = dist_result.AnalysisComputeSpeedup();
-    for (const dist::DistributedLevel& level : dist_result.levels) {
-      summary.max_level_skew =
-          std::max(summary.max_level_skew, level.simulation.Skew());
-      for (const dist::WorkerTimeline& w : level.simulation.workers) {
-        summary.bytes_shipped += w.bytes_received;
-      }
-    }
-    out.cluster = summary;
-    out.stats = ComputeRunStats(dist_result.algorithm);
-    out.levels = std::move(dist_result.algorithm.levels);
-    out.origin_level = std::move(dist_result.algorithm.origin_level);
-    out.cliques = std::move(dist_result.algorithm.cliques);
+    exec::SimulatedClusterExecutor cluster(options_.cluster,
+                                           std::move(executor));
+    collected = exec::CollectToResult(cluster, g, pipeline);
+    out.cluster = cluster.Summary();
   } else {
-    decomp::FindMaxCliquesResult result = decomp::FindMaxCliques(g, pipeline);
-    out.stats = ComputeRunStats(result);
-    out.levels = std::move(result.levels);
-    out.origin_level = std::move(result.origin_level);
-    out.cliques = std::move(result.cliques);
+    collected = exec::CollectToResult(*executor, g, pipeline);
   }
+  out.stats = ComputeRunStats(out);
   out.stats.wall_seconds = wall.ElapsedSeconds();
   return out;
 }

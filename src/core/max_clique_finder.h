@@ -16,116 +16,46 @@
 #define MCE_CORE_MAX_CLIQUE_FINDER_H_
 
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "core/run_stats.h"
 #include "decision/decision_tree.h"
 #include "decomp/find_max_cliques.h"
-#include "dist/distributed_mce.h"
+#include "dist/cluster.h"
+#include "exec/cluster_executor.h"
 #include "graph/graph.h"
 #include "util/status.h"
 
 namespace mce {
 
-/// Summary of the simulated distributed execution, present when
-/// Options::simulate_cluster is set.
-struct ClusterSummary {
-  int workers = 0;
-  double makespan_seconds = 0;  // end-to-end simulated wall time
-  /// Analysis-phase speedup including communication (may dip below 1 on
-  /// workloads whose tasks are tiny relative to the network latency).
-  double analysis_speedup = 0;
-  /// Placement-quality speedup (compute only), in [1, workers].
-  double compute_speedup = 1.0;
-  double max_level_skew = 1.0;
-  uint64_t bytes_shipped = 0;
-};
-
-struct FindResult {
-  /// All maximal cliques of the input graph.
-  CliqueSet cliques;
-  /// Parallel to cliques.cliques(): the recursion level that produced each
-  /// clique (0 = contains a feasible node; >= 1 = hub-only).
-  std::vector<uint32_t> origin_level;
+/// The pipeline result (cliques, origin levels, per-level and run stats)
+/// plus what the facade derives from it.
+struct FindResult : decomp::FindMaxCliquesResult {
   RunStats stats;
-  std::vector<decomp::LevelStats> levels;
   /// The block bound m that was actually used.
   uint32_t effective_block_size = 0;
-  std::optional<ClusterSummary> cluster;
+  /// Present when Options::simulate_cluster is set.
+  std::optional<exec::ClusterSummary> cluster;
 };
 
 class MaxCliqueFinder {
  public:
-  struct Options {
-    /// Block bound m, in nodes. 0 means "derive from block_size_ratio".
-    uint32_t block_size = 0;
-    /// When block_size == 0: m = max(2, ratio * max_degree(G)) — the m/d
-    /// parameterization of Section 6. Must be in (0, 1] then.
+  /// The pipeline's own options plus the facade's. Two inherited fields
+  /// read differently here: max_block_size defaults to 0, meaning "derive
+  /// m from block_size_ratio", and `tree` (not owned; must outlive the
+  /// finder) overrides the built-in Figure 3 tree.
+  struct Options : decomp::FindMaxCliquesOptions {
+    Options() { max_block_size = 0; }
+
+    /// When max_block_size == 0: m = max(2, ratio * max_degree(G)) — the
+    /// m/d parameterization of Section 6. Must be in (0, 1] then.
     double block_size_ratio = 0.5;
-    /// Choose the per-block enumerator with the Figure 3 decision tree
-    /// (default) or with `fixed_combo`.
+    /// Choose the per-block enumerator with the decision tree (default) or
+    /// with `fixed`.
     bool use_decision_tree = true;
-    /// Override the built-in tree with a custom (e.g. freshly trained) one.
-    /// Not owned; must outlive the finder. Only read when
-    /// use_decision_tree is true.
-    const decision::DecisionTree* custom_tree = nullptr;
-    MceOptions fixed_combo = {Algorithm::kTomita,
-                              StorageKind::kAdjacencyList};
-    /// Second-level decomposition knobs (Algorithm 3).
-    uint32_t min_adjacency = 1;
-    decomp::SeedPolicy seed_policy = decomp::SeedPolicy::kLowestDegree;
-    /// Worker threads for the block-analysis and Lemma-1 filter phases.
-    /// 1 = serial, 0 = one per hardware thread. The clique set and origin
-    /// levels are identical for every thread count.
-    uint32_t num_threads = 1;
-    /// Which execution engine runs the pipeline (serial, pooled, or auto
-    /// by thread count); every engine yields identical cliques.
-    decomp::ExecutorKind executor = decomp::ExecutorKind::kAuto;
-    /// Graph-reduction prepass: strip simplicial/degree-0/degree-1
-    /// vertices and compress true twins before the pipeline runs, then
-    /// re-expand cliques on emission. The clique set is identical with or
-    /// without it. CLI: --reduce / --no-reduce.
-    bool reduce = false;
-    /// Cost-guided BlockTask splitting on the pooled executor: blocks
-    /// whose predicted analysis cost exceeds max_block_cost run as
-    /// kernel-range shards (see decomp::FindMaxCliquesOptions). The
-    /// emitted cliques are identical either way. CLI: --no-split /
-    /// --max-block-cost.
-    bool split_blocks = true;
-    double max_block_cost = decomp::kDefaultMaxBlockCost;
-    /// Soft ceiling, in bytes, on the executor's tracked resident state
-    /// (graphs, materialized blocks, analysis workspaces, clique-sink
-    /// buffers). 0 = unlimited. Under a budget the pooled executor holds
-    /// back ready BlockTasks past the first and sink buffers spill to
-    /// disk. The clique output is identical either way. CLI:
-    /// --memory-budget.
-    uint64_t memory_budget_bytes = 0;
-    /// Per-level clique-buffer bytes above which sinks spill sorted chunks
-    /// to temp files; 0 derives budget/8 from memory_budget_bytes (so no
-    /// spilling at all without a budget). CLI: --spill-threshold.
-    uint64_t spill_threshold_bytes = 0;
-    /// Directory for spill files; empty = $TMPDIR, else /tmp. CLI:
-    /// --spill-dir.
-    std::string spill_dir;
     /// Run the block-analysis phase on the simulated cluster and attach a
     /// ClusterSummary to the result.
     bool simulate_cluster = false;
     dist::ClusterConfig cluster;
-    /// Observability sinks passed through to the pipeline (src/obs). Not
-    /// owned; nullptr falls back to the process-wide installed instances.
-    obs::TraceRecorder* trace = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
-    /// Live progress estimator passed through to the executors; attach a
-    /// TelemetrySampler to the same instance for heartbeat output. No
-    /// installed-instance fallback (progress is run-scoped). Not owned.
-    obs::ProgressEstimator* progress = nullptr;
-    /// Per-task hardware-counter profiling (perf_event_open when
-    /// available, software task clock otherwise): every pipeline task
-    /// reads cycle/instruction/miss deltas, surfaced as
-    /// RunStats::profile and as counter args on trace spans. CLI:
-    /// --perf-counters.
-    bool profile = false;
   };
 
   MaxCliqueFinder() : MaxCliqueFinder(Options()) {}

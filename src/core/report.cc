@@ -153,7 +153,7 @@ std::string RunReportJson(const FindResult& result) {
   }
   os << "]";
   if (result.cluster.has_value()) {
-    const ClusterSummary& c = *result.cluster;
+    const exec::ClusterSummary& c = *result.cluster;
     os << ",\"cluster\":{\"workers\":" << c.workers
        << ",\"makespan_seconds\":" << Double(c.makespan_seconds)
        << ",\"analysis_speedup\":" << Double(c.analysis_speedup)

@@ -37,15 +37,21 @@ class MetricsRegistry;
 
 namespace mce::decomp {
 
-/// Telemetry for one analyzed block; consumed by the distributed-execution
-/// simulator (src/dist) to schedule and cost block tasks.
+/// One analyzed block: what FindMaxCliquesOptions::block_observer receives
+/// and what the simulated cluster (src/dist) schedules and costs.
 struct BlockTaskRecord {
   uint32_t level = 0;
+  /// Block index within its level (emission order).
+  uint64_t index = 0;
   uint64_t nodes = 0;
   uint64_t edges = 0;
   uint64_t bytes = 0;    // estimated shipping size
   uint64_t cliques = 0;
+  /// Pre-execution cost estimate: the decision::EstimateBlockCost score
+  /// every executor computes at block emission.
+  double estimated_cost = 0;
   double seconds = 0;    // measured analysis wall time
+  /// The data-structure/algorithm combination that actually ran.
   MceOptions used;
 };
 
@@ -71,6 +77,11 @@ enum class ExecutorKind : uint8_t {
 /// off the common path.
 inline constexpr double kDefaultMaxBlockCost = 8000.0;
 
+/// Combination used by the degenerate fallback (whole-graph MCE of the
+/// m-core).
+inline constexpr MceOptions kFallbackMce = {Algorithm::kEppstein,
+                                            StorageKind::kAdjacencyList};
+
 struct FindMaxCliquesOptions {
   /// Block bound m. Completeness requires nothing; termination without the
   /// fallback requires m > degeneracy(G).
@@ -81,8 +92,6 @@ struct FindMaxCliquesOptions {
   /// bestfit: decision tree if non-null, else the fixed combination.
   const decision::DecisionTree* tree = nullptr;
   MceOptions fixed = {Algorithm::kTomita, StorageKind::kAdjacencyList};
-  /// Combination used by the degenerate fallback (whole-graph MCE).
-  MceOptions fallback = {Algorithm::kEppstein, StorageKind::kAdjacencyList};
   /// Worker threads for each level's block analysis and Lemma-1 filter.
   /// 1 = serial (cliques stream out as blocks are analyzed); > 1 buffers
   /// each block's cliques and merges them in block order, so the emitted
@@ -219,17 +228,14 @@ struct MemoryStats {
   double admission_stall_seconds = 0;
 };
 
-struct FindMaxCliquesResult {
-  /// All maximal cliques of G, canonicalized.
-  CliqueSet cliques;
-  /// origin_level[i]: recursion level whose blocks produced cliques()[i];
-  /// level >= 1 means the clique consists of hub nodes only (w.r.t. the
-  /// top-level m) — the gray bars of Figures 9-11.
-  std::vector<uint32_t> origin_level;
+/// What every executor run reports.
+struct StreamingStats {
   std::vector<LevelStats> levels;
   /// True when the sparsity precondition failed and the remaining hub core
   /// was enumerated directly.
   bool used_fallback = false;
+  /// Includes the reduction prepass's trivial cliques when reduce is on.
+  uint64_t cliques_emitted = 0;
   /// Prepass telemetry (reduction.enabled iff options.reduce was set).
   /// Trivial cliques emitted by the prepass are counted here and in the
   /// clique set, not in any LevelStats entry.
@@ -241,6 +247,16 @@ struct FindMaxCliquesResult {
   obs::ProgressAccounting progress;
   /// Per-task counter attribution (enabled iff options.profile was set).
   obs::ProfileStats profile;
+};
+
+/// A run's stats plus its collected cliques.
+struct FindMaxCliquesResult : StreamingStats {
+  /// All maximal cliques of G, canonicalized.
+  CliqueSet cliques;
+  /// origin_level[i]: recursion level whose blocks produced cliques()[i];
+  /// level >= 1 means the clique consists of hub nodes only (w.r.t. the
+  /// top-level m) — the gray bars of Figures 9-11.
+  std::vector<uint32_t> origin_level;
 
   /// Number of first-level decomposition iterations (Figure 7 reports 2-3).
   size_t NumLevels() const { return levels.size(); }
@@ -254,19 +270,6 @@ FindMaxCliquesResult FindMaxCliques(const Graph& g,
 /// valid during the call) and the recursion level that produced it.
 using LeveledCliqueCallback =
     std::function<void(std::span<const NodeId>, uint32_t level)>;
-
-struct StreamingStats {
-  std::vector<LevelStats> levels;
-  bool used_fallback = false;
-  /// Includes the reduction prepass's trivial cliques when reduce is on.
-  uint64_t cliques_emitted = 0;
-  reduce::ReductionStats reduction;
-  MemoryStats memory;
-  /// Final progress accounting (enabled iff options.progress was set).
-  obs::ProgressAccounting progress;
-  /// Per-task counter attribution (enabled iff options.profile was set).
-  obs::ProfileStats profile;
-};
 
 /// Streaming form of FindMaxCliques: emits each maximal clique of G
 /// exactly once (the Lemma 1 filter is applied per clique before emission)

@@ -30,18 +30,37 @@ double SimulationResult::ComputeSpeedup() const {
   return max_compute > 0 ? total_compute_seconds / max_compute : 1.0;
 }
 
-SimulationResult SimulateCluster(const std::vector<Task>& tasks,
-                                 const ClusterConfig& config) {
-  MCE_CHECK_GE(config.num_workers, 1);
-  MCE_CHECK_GE(config.threads_per_worker, 1);
-  if (!config.worker_slowdown.empty()) {
-    MCE_CHECK_EQ(config.worker_slowdown.size(),
-                 static_cast<size_t>(config.num_workers));
-    for (double s : config.worker_slowdown) MCE_CHECK_GT(s, 0.0);
+Status ValidateClusterConfig(const ClusterConfig& config) {
+  if (config.num_workers < 1) {
+    return Status::InvalidArgument("cluster.num_workers must be >= 1");
   }
+  if (config.threads_per_worker < 1) {
+    return Status::InvalidArgument("cluster.threads_per_worker must be >= 1");
+  }
+  if (!config.worker_slowdown.empty() &&
+      config.worker_slowdown.size() !=
+          static_cast<size_t>(config.num_workers)) {
+    return Status::InvalidArgument(
+        "cluster.worker_slowdown must have num_workers entries");
+  }
+  for (double s : config.worker_slowdown) {
+    if (!(s > 0.0)) {
+      return Status::InvalidArgument(
+          "cluster.worker_slowdown entries must be > 0");
+    }
+  }
+  return Status::OK();
+}
+
+SimulationResult SimulateCluster(
+    const std::vector<decomp::BlockTaskRecord>& tasks,
+    const ClusterConfig& config) {
+  MCE_CHECK(ValidateClusterConfig(config).ok());
   std::vector<double> estimates;
   estimates.reserve(tasks.size());
-  for (const Task& t : tasks) estimates.push_back(t.estimated_cost);
+  for (const decomp::BlockTaskRecord& t : tasks) {
+    estimates.push_back(t.estimated_cost);
+  }
 
   SimulationResult result;
   result.assignment =
@@ -61,14 +80,13 @@ SimulationResult SimulateCluster(const std::vector<Task>& tasks,
   result.task_start_seconds.reserve(tasks.size());
   result.task_compute_seconds.reserve(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
-    const Task& t = tasks[i];
+    const decomp::BlockTaskRecord& t = tasks[i];
     const int worker = result.assignment[i];
     WorkerTimeline& w = result.workers[worker];
     const double slowdown = config.worker_slowdown.empty()
                                 ? 1.0
                                 : config.worker_slowdown[worker];
-    const double compute =
-        config.cost.ComputeSeconds(t.compute_seconds) * slowdown;
+    const double compute = config.cost.ComputeSeconds(t.seconds) * slowdown;
     const double comm = static_cast<double>(t.bytes) /
                         config.cost.network_bandwidth_bytes_per_s;
     std::vector<double>& lanes = threads[worker];

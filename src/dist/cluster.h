@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "decomp/find_max_cliques.h"
 #include "dist/cost_model.h"
 #include "dist/scheduler.h"
+#include "util/status.h"
 
 namespace mce::dist {
 
@@ -34,16 +36,9 @@ struct ClusterConfig {
   std::vector<double> worker_slowdown;
 };
 
-/// One schedulable unit of work (a block analysis task).
-struct Task {
-  /// Estimated cost used by the scheduler (available before execution —
-  /// here the block's edge count).
-  double estimated_cost = 0;
-  /// Measured compute seconds (scaled by the cost model's CPU factor).
-  double compute_seconds = 0;
-  /// Bytes shipped to the worker (block serialization).
-  uint64_t bytes = 0;
-};
+/// InvalidArgument unless num_workers >= 1, threads_per_worker >= 1, and
+/// worker_slowdown is empty or holds num_workers entries, each > 0.
+Status ValidateClusterConfig(const ClusterConfig& config);
 
 struct WorkerTimeline {
   double compute_seconds = 0;
@@ -82,9 +77,13 @@ struct SimulationResult {
   double ComputeSpeedup() const;
 };
 
-/// Assigns `tasks` to workers and accumulates their timelines.
-SimulationResult SimulateCluster(const std::vector<Task>& tasks,
-                                 const ClusterConfig& config);
+/// Assigns `tasks` to workers and accumulates their timelines. Each task's
+/// estimated_cost drives the placement, its measured seconds (scaled by
+/// the cost model's CPU factor) its compute time, and its bytes the
+/// shipping cost. `config` must pass ValidateClusterConfig.
+SimulationResult SimulateCluster(
+    const std::vector<decomp::BlockTaskRecord>& tasks,
+    const ClusterConfig& config);
 
 }  // namespace mce::dist
 

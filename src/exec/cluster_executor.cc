@@ -1,5 +1,6 @@
 #include "exec/cluster_executor.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -20,30 +21,21 @@ decomp::StreamingStats SimulatedClusterExecutor::Run(
     const Graph& g, const decomp::FindMaxCliquesOptions& options,
     const decomp::LeveledCliqueCallback& emit) {
   levels_.clear();
-  // The inner executor delivers descriptors on the calling thread in
-  // block order, so plain vectors suffice. The user's sink (if any) still
-  // sees every descriptor.
-  std::vector<std::vector<dist::Task>> tasks_per_level;
-  std::vector<std::vector<uint64_t>> cliques_per_level;
-  const BlockTaskSink user_sink = sink_;
-  inner_->set_block_task_sink(
-      [&tasks_per_level, &cliques_per_level,
-       &user_sink](const BlockTaskDescriptor& d) {
-        if (tasks_per_level.size() <= d.level) {
-          tasks_per_level.resize(d.level + 1);
-          cliques_per_level.resize(d.level + 1);
+  // The inner executor delivers records on the calling thread in block
+  // order, so plain vectors suffice. The caller's observer (if any) still
+  // sees every record.
+  std::vector<std::vector<decomp::BlockTaskRecord>> tasks_per_level;
+  decomp::FindMaxCliquesOptions inner_options = options;
+  inner_options.block_observer =
+      [&tasks_per_level, &options](const decomp::BlockTaskRecord& r) {
+        if (tasks_per_level.size() <= r.level) {
+          tasks_per_level.resize(r.level + 1);
         }
-        dist::Task t;
-        t.estimated_cost = d.estimated_cost;
-        t.compute_seconds = d.compute_seconds;
-        t.bytes = d.bytes;
-        tasks_per_level[d.level].push_back(t);
-        cliques_per_level[d.level].push_back(d.cliques);
-        if (user_sink) user_sink(d);
-      });
+        tasks_per_level[r.level].push_back(r);
+        if (options.block_observer) options.block_observer(r);
+      };
 
-  decomp::StreamingStats stats = inner_->Run(g, options, emit);
-  inner_->set_block_task_sink({});
+  decomp::StreamingStats stats = inner_->Run(g, inner_options, emit);
 
   tasks_per_level.resize(stats.levels.size());
   for (size_t level = 0; level < stats.levels.size(); ++level) {
@@ -67,7 +59,6 @@ decomp::StreamingStats SimulatedClusterExecutor::Run(
   // out end to end (each level's lanes start after its simulated
   // decompose phase). Zero-cost when no recorder is resolved.
   if (obs::TraceRecorder* trace = ResolveTrace(options)) {
-    cliques_per_level.resize(levels_.size());
     int64_t base_us = obs::NowMicros();
     for (size_t level = 0; level < levels_.size(); ++level) {
       const LevelSimulation& ls = levels_[level];
@@ -84,7 +75,7 @@ decomp::StreamingStats SimulatedClusterExecutor::Run(
         e.index = i;
         e.args[0] = static_cast<uint64_t>(sim.assignment[i]);
         e.args[1] = static_cast<uint64_t>(sim.task_lane[i]);
-        e.args[2] = cliques_per_level[level][i];
+        e.args[2] = tasks_per_level[level][i].cliques;
         e.lane_pid = 1;
         e.lane_tid = sim.task_lane[i];
         trace->Record(e);
@@ -93,6 +84,30 @@ decomp::StreamingStats SimulatedClusterExecutor::Run(
     }
   }
   return stats;
+}
+
+ClusterSummary SimulatedClusterExecutor::Summary() const {
+  ClusterSummary s;
+  s.workers = config_.num_workers;
+  double analysis_makespan = 0;
+  double serial = 0;
+  double busiest = 0;
+  for (const LevelSimulation& level : levels_) {
+    const dist::SimulationResult& sim = level.simulation;
+    s.makespan_seconds += level.decompose_seconds + sim.makespan_seconds;
+    analysis_makespan += sim.makespan_seconds;
+    serial += sim.total_compute_seconds;
+    double level_busiest = 0;
+    for (const dist::WorkerTimeline& w : sim.workers) {
+      level_busiest = std::max(level_busiest, w.compute_seconds);
+      s.bytes_shipped += w.bytes_received;
+    }
+    busiest += level_busiest;
+    s.max_level_skew = std::max(s.max_level_skew, sim.Skew());
+  }
+  if (analysis_makespan > 0) s.analysis_speedup = serial / analysis_makespan;
+  if (busiest > 0) s.compute_speedup = serial / busiest;
+  return s;
 }
 
 }  // namespace mce::exec

@@ -1,7 +1,7 @@
 // SimulatedClusterExecutor: wraps an inner executor and feeds the real
-// BlockTask descriptors it executes into the dist:: cluster scheduler —
-// the simulated placement consumes the engine's own task stream instead
-// of an after-the-fact block_observer replay. The algorithmic output
+// BlockTaskRecords it executes into the dist:: cluster scheduler — its
+// collector sits in front of the caller's block_observer, so the simulated
+// placement consumes the engine's own task stream. The algorithmic output
 // (cliques, emission order, observer stream) is exactly the inner
 // executor's; what this adds is one cluster simulation per recursion
 // level plus the distributed decompose-cost model.
@@ -9,6 +9,7 @@
 #ifndef MCE_EXEC_CLUSTER_EXECUTOR_H_
 #define MCE_EXEC_CLUSTER_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,21 @@ struct LevelSimulation {
   double decompose_seconds = 0;
 };
 
+/// Run-level aggregates over the per-level simulations.
+struct ClusterSummary {
+  int workers = 0;
+  /// End-to-end simulated wall time: decomposition plus analysis
+  /// makespans, summed over levels.
+  double makespan_seconds = 0;
+  /// Analysis-phase speedup including communication (may dip below 1 on
+  /// workloads whose tasks are tiny relative to the network latency).
+  double analysis_speedup = 1.0;
+  /// Placement-quality speedup (compute only), in [1, workers].
+  double compute_speedup = 1.0;
+  double max_level_skew = 1.0;
+  uint64_t bytes_shipped = 0;
+};
+
 class SimulatedClusterExecutor final : public Executor {
  public:
   SimulatedClusterExecutor(dist::ClusterConfig config,
@@ -37,6 +53,9 @@ class SimulatedClusterExecutor final : public Executor {
   /// One simulation per recursion level of the last Run, in level order
   /// (parallel to the returned stats.levels).
   const std::vector<LevelSimulation>& levels() const { return levels_; }
+
+  /// The last Run's aggregates over levels().
+  ClusterSummary Summary() const;
 
  private:
   dist::ClusterConfig config_;

@@ -41,19 +41,13 @@ decomp::FindMaxCliquesResult CollectToResult(
     Executor& executor, const Graph& g,
     const decomp::FindMaxCliquesOptions& options) {
   std::vector<std::pair<Clique, uint32_t>> found;
-  decomp::StreamingStats stats = executor.Run(
+  decomp::FindMaxCliquesResult out;
+  static_cast<decomp::StreamingStats&>(out) = executor.Run(
       g, options, [&found](std::span<const NodeId> clique, uint32_t level) {
         found.emplace_back(Clique(clique.begin(), clique.end()), level);
       });
   std::sort(found.begin(), found.end());
 
-  decomp::FindMaxCliquesResult out;
-  out.levels = std::move(stats.levels);
-  out.used_fallback = stats.used_fallback;
-  out.reduction = stats.reduction;
-  out.memory = stats.memory;
-  out.progress = stats.progress;
-  out.profile = stats.profile;
   for (auto& [clique, origin] : found) {
     out.origin_level.push_back(origin);
     out.cliques.Add(std::move(clique));  // already sorted

@@ -2,9 +2,9 @@
 // (exec/task_graph.h).
 //
 // Every executor honors the delivery contract of DESIGN.md §7: the clique
-// callback, the block observer, and the block-task sink run only on the
-// thread that called Run(), blocks surface in decomposition order, levels
-// in recursion order — so all executors produce byte-identical emission.
+// callback and the block observer run only on the thread that called
+// Run(), blocks surface in decomposition order, levels in recursion order
+// — so all executors produce byte-identical emission.
 // What differs is scheduling:
 //
 //   SerialExecutor  — depth-first on the calling thread; each BlockTask
@@ -22,19 +22,13 @@
 #define MCE_EXEC_EXECUTOR_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
-#include <utility>
 
 #include "decomp/find_max_cliques.h"
 #include "exec/task_graph.h"
 #include "graph/graph.h"
 
 namespace mce::exec {
-
-/// Receives one descriptor per executed BlockTask, on the calling thread,
-/// in block order, after options.block_observer for the same block.
-using BlockTaskSink = std::function<void(const BlockTaskDescriptor&)>;
 
 class Executor {
  public:
@@ -46,11 +40,6 @@ class Executor {
   virtual decomp::StreamingStats Run(
       const Graph& g, const decomp::FindMaxCliquesOptions& options,
       const decomp::LeveledCliqueCallback& emit) = 0;
-
-  void set_block_task_sink(BlockTaskSink sink) { sink_ = std::move(sink); }
-
- protected:
-  BlockTaskSink sink_;
 };
 
 std::unique_ptr<Executor> MakeSerialExecutor();
@@ -67,7 +56,7 @@ size_t ResolveThreadCount(uint32_t requested);
 
 /// Runs `executor` and assembles the batch result: cliques canonicalized
 /// and sorted with their origin levels, plus the streaming stats. Shared
-/// by decomp::FindMaxCliques and dist::RunDistributedMce.
+/// by decomp::FindMaxCliques and MaxCliqueFinder::Find.
 decomp::FindMaxCliquesResult CollectToResult(
     Executor& executor, const Graph& g,
     const decomp::FindMaxCliquesOptions& options);

@@ -14,10 +14,10 @@
 //  * The level's FilterTasks are chained behind its last BlockTask with a
 //    ThreadPool::Completion token instead of a pool-wide Wait() barrier.
 //
-// Delivery (cliques, observer records, block-task descriptors, stats)
-// happens only on the calling thread, levels in order and blocks in
-// decomposition order, off buffered per-block results — which is what
-// makes the emission byte-identical to the serial executor.
+// Delivery (cliques, observer records, stats) happens only on the calling
+// thread, levels in order and blocks in decomposition order, off buffered
+// per-block results — which is what makes the emission byte-identical to
+// the serial executor.
 //
 // Timing: every task records one begin/end window on the obs::NowMicros()
 // timebase. The same windows feed the trace recorder (when one is
@@ -51,7 +51,6 @@
 #include "decomp/block_analysis.h"
 #include "decomp/cut.h"
 #include "decomp/filter.h"
-#include "decomp/parallel_analysis.h"
 #include "exec/executor.h"
 #include "graph/subgraph.h"
 #include "mce/clique_sink.h"
@@ -176,11 +175,9 @@ struct LevelRun {
 class PooledEngine {
  public:
   PooledEngine(const Graph& g, const decomp::FindMaxCliquesOptions& options,
-               size_t num_threads, const BlockTaskSink& sink,
-               const decomp::LeveledCliqueCallback& emit)
+               size_t num_threads, const decomp::LeveledCliqueCallback& emit)
       : original_(g),
         options_(options),
-        sink_(sink),
         emit_(emit),
         blocks_options_(BlocksOptionsFor(options)),
         analysis_options_(AnalysisOptionsFor(options)),
@@ -433,7 +430,7 @@ class PooledEngine {
       exec->shards.resize(shards);
     }
     // Materialized-block charge: the block exists from emission until its
-    // last shard frees it (or delivery, when an observer/sink holds it).
+    // last shard frees it (or delivery, when an observer holds it).
     // Gated like an analysis admission — while analyses are in flight the
     // decompose worker waits for their releases instead of piling blocks
     // past the budget; the shard tasks already dispatched for earlier
@@ -614,9 +611,9 @@ class PooledEngine {
     }
     // Workload metrics count whole blocks, however many shards ran them.
     metrics_.RecordBlock(*block, exec->result, exec->seconds);
-    if (!options_.block_observer && !sink_) {
-      // Without an observer or sink, delivery never reads the block again
-      // — only this task's aggregates. Freeing the subgraph here keeps the
+    if (!options_.block_observer) {
+      // Without an observer, delivery never reads the block again — only
+      // this task's aggregates. Freeing the subgraph here keeps the
       // engine's live footprint near the serial one-block-at-a-time
       // profile instead of holding every block until the level delivers.
       *block = decomp::Block();
@@ -751,7 +748,7 @@ class PooledEngine {
     Clique scratch;
     Clique expand_scratch;
     uint64_t produced = 0;
-    EnumerateMaximalCliques(*lr->graph, options_.fallback,
+    EnumerateMaximalCliques(*lr->graph, decomp::kFallbackMce,
                             [&](std::span<const NodeId> c) {
                               ++produced;
                               if (MapExpandAndFilterClique(
@@ -793,8 +790,8 @@ class PooledEngine {
     }
   }
 
-  /// Calling thread only. Emits the level's cliques, replays observer and
-  /// sink in block order, and finalizes the level's stats.
+  /// Calling thread only. Emits the level's cliques, replays the observer
+  /// in block order, and finalizes the level's stats.
   void DeliverLevel(LevelRun* lr, decomp::StreamingStats& out) {
     decomp::LevelStats& stats = lr->stats;
     const uint64_t emitted_before = out.cliques_emitted;
@@ -822,17 +819,13 @@ class PooledEngine {
           worker_seconds[run.worker] += run.seconds;
           analyze_spans.push_back(Range(run.begin_us, run.end_us));
         }
-        // Observer and sink see one record per block — the aggregated
-        // whole-block result — whether or not it ran as shards, so their
-        // streams match the serial executor's.
+        // The observer sees one record per block — the aggregated
+        // whole-block result — whether or not it ran as shards, so its
+        // stream matches the serial executor's.
         if (options_.block_observer) {
-          options_.block_observer(decomp::MakeBlockTaskRecord(
-              lr->blocks[i], exec.result, exec.seconds, lr->level));
-        }
-        if (sink_) {
-          sink_(MakeBlockTaskDescriptor(lr->blocks[i], exec.result,
-                                        exec.seconds, lr->level, i,
-                                        exec.cost));
+          options_.block_observer(MakeBlockTaskRecord(
+              lr->blocks[i], exec.result, exec.seconds, lr->level, i,
+              exec.cost));
         }
       }
       stats.cliques = produced;
@@ -895,8 +888,8 @@ class PooledEngine {
       out.memory.spill_bytes += s->spilled_bytes();
     };
     for (BlockExec& exec : lr->execs) {
-      // Blocks still materialized (observer/sink runs hold them until
-      // delivery) release their charge here.
+      // Blocks still materialized (observer runs hold them until delivery)
+      // release their charge here.
       ReleaseBlockCharge(&exec);
       for (const ShardRun& run : exec.shards) absorb(run.cliques.get());
     }
@@ -988,10 +981,10 @@ class PooledEngine {
     {
       std::unique_lock<std::mutex> lock(admit_mu_);
       // Waiting on outstanding blocks is sound only when blocks free at
-      // shard completion: with an observer or task sink they are held
-      // until delivery, which needs this decompose task to finish first —
-      // waiting on them here would deadlock the level against itself.
-      const bool eager_block_release = !options_.block_observer && !sink_;
+      // shard completion: with an observer they are held until delivery,
+      // which needs this decompose task to finish first — waiting on them
+      // here would deadlock the level against itself.
+      const bool eager_block_release = !options_.block_observer;
       const auto must_wait = [&] {
         if (!budget_.WouldExceed(bytes)) return false;
         if (analyses_in_flight_ > 0) return true;
@@ -1061,7 +1054,6 @@ class PooledEngine {
 
   const Graph& original_;
   const decomp::FindMaxCliquesOptions& options_;
-  const BlockTaskSink& sink_;
   const decomp::LeveledCliqueCallback& emit_;
   /// The ReduceTask's state; set once in Run() before any pipeline task
   /// is submitted, read-only afterwards (safe unlocked from workers).
@@ -1119,7 +1111,7 @@ class PooledExecutor final : public Executor {
                              const decomp::FindMaxCliquesOptions& options,
                              const decomp::LeveledCliqueCallback& emit) override {
     MCE_CHECK_GE(options.max_block_size, 1u);
-    PooledEngine engine(g, options, num_threads_, sink_, emit);
+    PooledEngine engine(g, options, num_threads_, emit);
     return engine.Run();
   }
 

@@ -12,7 +12,6 @@
 
 #include "decision/block_cost.h"
 #include "decomp/cut.h"
-#include "decomp/parallel_analysis.h"
 #include "exec/executor.h"
 #include "graph/subgraph.h"
 #include "mce/workspace.h"
@@ -164,7 +163,7 @@ class SerialExecutor final : public Executor {
         }
         Timer analyze_timer;
         uint64_t produced = 0;
-        EnumerateMaximalCliques(*current, options.fallback,
+        EnumerateMaximalCliques(*current, decomp::kFallbackMce,
                                 [&](std::span<const NodeId> c) {
                                   ++produced;
                                   deliver(c);
@@ -206,12 +205,15 @@ class SerialExecutor final : public Executor {
             const uint64_t block_charge =
                 block.EstimatedBytes() + EstimateAnalysisBytes(block);
             charge(block_charge);
-            // One cost-model evaluation serves both consumers: the
+            // One cost-model evaluation serves every consumer: the
             // progress denominator (registered before the analysis so a
-            // sampler sees the work as pending, not invisible) and the
-            // descriptor sink.
+            // sampler sees the work as pending, not invisible), the
+            // observer record, and the block span. The serial walk never
+            // reorders or splits, but scores blocks exactly as the pooled
+            // engine does.
             const double estimated_cost =
-                progress != nullptr || sink_ || trace != nullptr || profile_on
+                progress != nullptr || options.block_observer ||
+                        trace != nullptr || profile_on
                     ? decision::EstimateBlockCost(block.subgraph.graph)
                     : 0;
             if (progress != nullptr) {
@@ -246,19 +248,12 @@ class SerialExecutor final : public Executor {
             stats.block_seconds += block_seconds;
             stats.analyze_seconds += block_seconds;
             if (options.block_observer) {
-              options.block_observer(decomp::MakeBlockTaskRecord(
-                  block, result, block_seconds, level));
+              options.block_observer(
+                  MakeBlockTaskRecord(block, result, block_seconds, level,
+                                      block_index, estimated_cost));
             }
             if (progress != nullptr) {
               progress->RetireBlock(level, estimated_cost);
-            }
-            if (sink_) {
-              // Parity with the pooled executor's descriptors: the same
-              // cost model scores the block even though the serial walk
-              // never reorders or splits.
-              sink_(MakeBlockTaskDescriptor(block, result, block_seconds,
-                                            level, block_index,
-                                            estimated_cost));
             }
             ++block_index;
             segment.Reset();

@@ -17,20 +17,20 @@ uint64_t EstimateAnalysisBytes(const decomp::Block& block) {
       SaturatingMul(block.num_nodes(), 64));
 }
 
-BlockTaskDescriptor MakeBlockTaskDescriptor(
+decomp::BlockTaskRecord MakeBlockTaskRecord(
     const decomp::Block& block, const decomp::BlockAnalysisResult& result,
     double seconds, uint32_t level, uint64_t index, double estimated_cost) {
-  BlockTaskDescriptor d;
-  d.level = level;
-  d.index = index;
-  d.nodes = block.num_nodes();
-  d.edges = block.num_edges();
-  d.bytes = block.EstimatedBytes();
-  d.estimated_cost = estimated_cost;
-  d.compute_seconds = seconds;
-  d.cliques = result.num_cliques;
-  d.used = result.used;
-  return d;
+  decomp::BlockTaskRecord r;
+  r.level = level;
+  r.index = index;
+  r.nodes = block.num_nodes();
+  r.edges = block.num_edges();
+  r.bytes = block.EstimatedBytes();
+  r.cliques = result.num_cliques;
+  r.estimated_cost = estimated_cost;
+  r.seconds = seconds;
+  r.used = result.used;
+  return r;
 }
 
 decomp::BlocksOptions BlocksOptionsFor(

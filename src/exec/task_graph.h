@@ -19,9 +19,9 @@
 //   BlockTask(h, i)    <- block i's emission by DecomposeTask(h).
 //   FilterTask(h, *)   <- all BlockTask(h, *) (the chunk partition needs
 //     the full clique count).
-//   Delivery(h)        <- FilterTask(h, *) and Delivery(h-1): cliques,
-//     observer records, and BlockTask descriptors surface on the calling
-//     thread, in block order, levels in order (DESIGN.md §7).
+//   Delivery(h)        <- FilterTask(h, *) and Delivery(h-1): cliques and
+//     observer records surface on the calling thread, in block order,
+//     levels in order (DESIGN.md §7).
 //
 // This header holds the stage payloads and the pure helpers every executor
 // shares; the executors themselves live behind exec/executor.h.
@@ -52,30 +52,11 @@ namespace mce::exec {
 
 class RunMetrics;
 
-/// Shipping-ready description of one executed BlockTask. This is what the
-/// simulated-cluster executor schedules — real task descriptors, not an
-/// after-the-fact observer replay.
-struct BlockTaskDescriptor {
-  uint32_t level = 0;
-  /// Block index within its level (emission order).
-  uint64_t index = 0;
-  uint64_t nodes = 0;
-  uint64_t edges = 0;
-  /// Estimated shipping size of the block.
-  uint64_t bytes = 0;
-  /// Pre-execution cost estimate available to a scheduler — the
-  /// decision::EstimateBlockCost score every executor computes at block
-  /// emission (the same number that drives cost-guided dispatch and
-  /// splitting).
-  double estimated_cost = 0;
-  /// Measured analysis wall time.
-  double compute_seconds = 0;
-  uint64_t cliques = 0;
-  /// The data-structure/algorithm combination that actually ran.
-  MceOptions used;
-};
-
-BlockTaskDescriptor MakeBlockTaskDescriptor(
+/// The one construction site of a BlockTaskRecord, the record every
+/// executor delivers to options.block_observer. `estimated_cost` is the
+/// decision::EstimateBlockCost score of the block (the number that also
+/// drives cost-guided dispatch and splitting).
+decomp::BlockTaskRecord MakeBlockTaskRecord(
     const decomp::Block& block, const decomp::BlockAnalysisResult& result,
     double seconds, uint32_t level, uint64_t index, double estimated_cost);
 

@@ -207,4 +207,15 @@ TEST_F(CliTest, BadRatioFails) {
   EXPECT_NE(r.output.find("error"), std::string::npos);
 }
 
+TEST_F(CliTest, BlockBoundBelowOneFails) {
+  // --m 0 must not fall back to the ratio, and --m -5 must not wrap to a
+  // 4-billion-node block that bypasses the decomposition.
+  for (const char* m : {"0", "-5"}) {
+    CommandResult r =
+        RunCli("enumerate --input " + *graph_path_ + " --m " + m);
+    EXPECT_EQ(r.exit_code, 1) << "--m " << m << ": " << r.output;
+    EXPECT_NE(r.output.find("error: --m"), std::string::npos) << r.output;
+  }
+}
+
 }  // namespace

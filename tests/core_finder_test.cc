@@ -1,5 +1,7 @@
 #include "core/max_clique_finder.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
@@ -24,7 +26,7 @@ TEST(MaxCliqueFinderTest, DefaultOptionsFindAllCliques) {
 TEST(MaxCliqueFinderTest, ExplicitBlockSizeWins) {
   Graph g = mce::test::Figure1Graph();
   MaxCliqueFinder::Options options;
-  options.block_size = 5;
+  options.max_block_size = 5;
   MaxCliqueFinder finder(options);
   Result<uint32_t> m = finder.ResolveBlockSize(g);
   ASSERT_TRUE(m.ok());
@@ -71,7 +73,7 @@ TEST(MaxCliqueFinderTest, InvalidRatioRejected) {
 
 TEST(MaxCliqueFinderTest, InvalidMinAdjacencyRejected) {
   MaxCliqueFinder::Options options;
-  options.block_size = 10;
+  options.max_block_size = 10;
   options.min_adjacency = 0;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(mce::test::PathGraph(4));
@@ -84,9 +86,9 @@ TEST(MaxCliqueFinderTest, FixedComboPathIsCorrect) {
   for (StorageKind s : {StorageKind::kAdjacencyList, StorageKind::kMatrix,
                         StorageKind::kBitset}) {
     MaxCliqueFinder::Options options;
-    options.block_size = 12;
+    options.max_block_size = 12;
     options.use_decision_tree = false;
-    options.fixed_combo = {Algorithm::kXPivot, s};
+    options.fixed = {Algorithm::kXPivot, s};
     MaxCliqueFinder finder(options);
     Result<FindResult> result = finder.Find(g);
     ASSERT_TRUE(result.ok());
@@ -100,8 +102,8 @@ TEST(MaxCliqueFinderTest, CustomTreeIsUsed) {
   decision::DecisionTree always_bitset(
       MceOptions{Algorithm::kTomita, StorageKind::kBitset});
   MaxCliqueFinder::Options options;
-  options.block_size = 15;
-  options.custom_tree = &always_bitset;
+  options.max_block_size = 15;
+  options.tree = &always_bitset;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());
@@ -112,33 +114,55 @@ TEST(MaxCliqueFinderTest, ClusterSummaryAttached) {
   Rng rng(97);
   Graph g = gen::BarabasiAlbert(80, 3, &rng);
   MaxCliqueFinder::Options options;
-  options.block_size = 15;
+  options.max_block_size = 15;
   options.simulate_cluster = true;
   options.cluster.num_workers = 6;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->cluster.has_value());
-  EXPECT_EQ(result->cluster->workers, 6);
-  EXPECT_GT(result->cluster->makespan_seconds, 0.0);
-  EXPECT_GE(result->cluster->analysis_speedup, 1.0 - 1e9);
-  EXPECT_GT(result->cluster->bytes_shipped, 0u);
+  const exec::ClusterSummary& c = *result->cluster;
+  EXPECT_EQ(c.workers, 6);
+  EXPECT_GT(c.makespan_seconds, 0.0);
+  // Including communication the speedup is positive and bounded by the
+  // worker count (it can be < 1 when latency dominates tiny tasks); the
+  // placement alone is always within [1, workers].
+  EXPECT_GT(c.analysis_speedup, 0.0);
+  EXPECT_LE(c.analysis_speedup, c.workers + 1e-9);
+  EXPECT_GE(c.compute_speedup, 1.0 - 1e-9);
+  EXPECT_LE(c.compute_speedup, c.workers + 1e-9);
+  EXPECT_GT(c.bytes_shipped, 0u);
   mce::test::ExpectMatchesNaive(g, result->cliques);
 }
 
 TEST(MaxCliqueFinderTest, InvalidWorkerCountRejected) {
-  MaxCliqueFinder::Options options;
-  options.block_size = 10;
-  options.simulate_cluster = true;
-  options.cluster.num_workers = 0;
-  MaxCliqueFinder finder(options);
-  EXPECT_FALSE(finder.Find(mce::test::PathGraph(4)).ok());
+  // Every config SimulateCluster would abort on comes back as a Status.
+  std::vector<dist::ClusterConfig> invalid(5);
+  invalid[0].num_workers = 0;
+  invalid[1].threads_per_worker = 0;
+  invalid[2].num_workers = 3;
+  invalid[2].worker_slowdown = {1.0, 2.0};  // wrong size
+  invalid[3].num_workers = 2;
+  invalid[3].worker_slowdown = {1.0, 0.0};
+  invalid[4].num_workers = 2;
+  invalid[4].worker_slowdown = {-1.0, 1.0};
+  for (size_t i = 0; i < invalid.size(); ++i) {
+    MaxCliqueFinder::Options options;
+    options.max_block_size = 10;
+    options.simulate_cluster = true;
+    options.cluster = invalid[i];
+    Result<FindResult> result =
+        MaxCliqueFinder(options).Find(mce::test::PathGraph(4));
+    ASSERT_FALSE(result.ok()) << "config " << i;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "config " << i;
+  }
 }
 
 TEST(MaxCliqueFinderTest, StatsMatchCliqueSet) {
   Graph g = mce::test::Figure1Graph();
   MaxCliqueFinder::Options options;
-  options.block_size = 5;
+  options.max_block_size = 5;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());

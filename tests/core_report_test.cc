@@ -22,7 +22,7 @@ TEST(RunReportJsonTest, SerializesSerialRun) {
   Rng rng(5);
   Graph g = gen::BarabasiAlbert(60, 3, &rng);
   MaxCliqueFinder::Options options;
-  options.block_size = 15;
+  options.max_block_size = 15;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());
@@ -56,7 +56,7 @@ TEST(RunReportJsonTest, ReductionObjectReflectsThePrepass) {
   for (NodeId v = 0; v + 1 < 20; ++v) b.AddEdge(v, v + 1);
   Graph g = b.Build();
   MaxCliqueFinder::Options options;
-  options.block_size = 8;
+  options.max_block_size = 8;
   options.reduce = true;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
@@ -82,7 +82,7 @@ TEST(RunReportJsonTest, SerialRunReportsOneAnalyzeThread) {
   Rng rng(11);
   Graph g = gen::BarabasiAlbert(60, 3, &rng);
   MaxCliqueFinder::Options options;
-  options.block_size = 15;
+  options.max_block_size = 15;
   options.num_threads = 1;
   options.executor = decomp::ExecutorKind::kSerial;
   MaxCliqueFinder finder(options);
@@ -102,7 +102,7 @@ TEST(RunReportJsonTest, SerializesClusterRun) {
   Rng rng(7);
   Graph g = gen::BarabasiAlbert(60, 3, &rng);
   MaxCliqueFinder::Options options;
-  options.block_size = 15;
+  options.max_block_size = 15;
   options.simulate_cluster = true;
   options.cluster.num_workers = 4;
   MaxCliqueFinder finder(options);

@@ -1,14 +1,18 @@
 #include "dist/cluster.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace mce::dist {
 namespace {
 
-Task MakeTask(double est, double compute, uint64_t bytes) {
-  Task t;
+using Tasks = std::vector<decomp::BlockTaskRecord>;
+
+decomp::BlockTaskRecord MakeTask(double est, double compute, uint64_t bytes) {
+  decomp::BlockTaskRecord t;
   t.estimated_cost = est;
-  t.compute_seconds = compute;
+  t.seconds = compute;
   t.bytes = bytes;
   return t;
 }
@@ -29,8 +33,7 @@ TEST(ClusterTest, MakespanIsBusiestWorker) {
   config.num_workers = 2;
   config.cost.network_latency_s = 0;
   config.cost.network_bandwidth_bytes_per_s = 1e18;  // comm ~ 0
-  std::vector<Task> tasks{MakeTask(3, 3.0, 0), MakeTask(2, 2.0, 0),
-                          MakeTask(2, 2.0, 0)};
+  Tasks tasks{MakeTask(3, 3.0, 0), MakeTask(2, 2.0, 0), MakeTask(2, 2.0, 0)};
   SimulationResult r = SimulateCluster(tasks, config);
   // LPT: worker A gets 3.0, worker B gets 2+2 = 4.0.
   EXPECT_NEAR(r.makespan_seconds, 4.0, 1e-9);
@@ -43,7 +46,7 @@ TEST(ClusterTest, CommunicationCountsTowardMakespan) {
   config.num_workers = 1;
   config.cost.network_latency_s = 0.5;
   config.cost.network_bandwidth_bytes_per_s = 100.0;
-  std::vector<Task> tasks{MakeTask(1, 1.0, 200)};  // ship = 0.5 + 2.0
+  Tasks tasks{MakeTask(1, 1.0, 200)};  // ship = 0.5 + 2.0
   SimulationResult r = SimulateCluster(tasks, config);
   EXPECT_NEAR(r.makespan_seconds, 3.5, 1e-9);
   EXPECT_NEAR(r.total_comm_seconds, 2.5, 1e-9);
@@ -56,7 +59,7 @@ TEST(ClusterTest, SkewOfPerfectBalanceIsOne) {
   config.num_workers = 4;
   config.cost.network_latency_s = 0;
   config.cost.network_bandwidth_bytes_per_s = 1e18;
-  std::vector<Task> tasks(8, MakeTask(1, 1.0, 0));
+  Tasks tasks(8, MakeTask(1, 1.0, 0));
   SimulationResult r = SimulateCluster(tasks, config);
   EXPECT_NEAR(r.Skew(), 1.0, 1e-9);
 }
@@ -68,8 +71,8 @@ TEST(ClusterTest, SkewDetectsImbalance) {
   config.cost.network_latency_s = 0;
   config.cost.network_bandwidth_bytes_per_s = 1e18;
   // Round robin sends the giant task and a small one to worker 0.
-  std::vector<Task> tasks{MakeTask(10, 10.0, 0), MakeTask(1, 1.0, 0),
-                          MakeTask(1, 1.0, 0)};
+  Tasks tasks{MakeTask(10, 10.0, 0), MakeTask(1, 1.0, 0),
+              MakeTask(1, 1.0, 0)};
   SimulationResult r = SimulateCluster(tasks, config);
   EXPECT_GT(r.Skew(), 1.5);
 }
@@ -80,7 +83,7 @@ TEST(ClusterTest, CpuFactorScalesCompute) {
   config.cost.cpu_speed_factor = 3.0;
   config.cost.network_latency_s = 0;
   config.cost.network_bandwidth_bytes_per_s = 1e18;
-  std::vector<Task> tasks{MakeTask(1, 2.0, 0)};
+  Tasks tasks{MakeTask(1, 2.0, 0)};
   SimulationResult r = SimulateCluster(tasks, config);
   EXPECT_NEAR(r.makespan_seconds, 6.0, 1e-9);
 }
@@ -100,7 +103,7 @@ TEST(ClusterTest, StragglerSlowsItsOwnTasksOnly) {
   config.cost.network_latency_s = 0;
   config.cost.network_bandwidth_bytes_per_s = 1e18;
   config.worker_slowdown = {1.0, 4.0};  // worker 1 is 4x slower
-  std::vector<Task> tasks{MakeTask(1, 1.0, 0), MakeTask(1, 1.0, 0)};
+  Tasks tasks{MakeTask(1, 1.0, 0), MakeTask(1, 1.0, 0)};
   SimulationResult r = SimulateCluster(tasks, config);
   EXPECT_NEAR(r.workers[0].compute_seconds, 1.0, 1e-9);
   EXPECT_NEAR(r.workers[1].compute_seconds, 4.0, 1e-9);
@@ -112,7 +115,7 @@ TEST(ClusterTest, HomogeneousSlowdownVectorMatchesEmpty) {
   ClusterConfig with, without;
   with.num_workers = without.num_workers = 3;
   with.worker_slowdown = {1.0, 1.0, 1.0};
-  std::vector<Task> tasks(9, MakeTask(2, 2.0, 50));
+  Tasks tasks(9, MakeTask(2, 2.0, 50));
   SimulationResult a = SimulateCluster(tasks, with);
   SimulationResult b = SimulateCluster(tasks, without);
   EXPECT_DOUBLE_EQ(a.makespan_seconds, b.makespan_seconds);
@@ -134,7 +137,7 @@ TEST(ClusterTest, ThreadsPerWorkerOverlapTasksWithinWorker) {
   config.num_workers = 1;
   config.cost.network_latency_s = 0;
   config.cost.network_bandwidth_bytes_per_s = 1e18;
-  std::vector<Task> tasks{MakeTask(1, 1.0, 0), MakeTask(1, 1.0, 0)};
+  Tasks tasks{MakeTask(1, 1.0, 0), MakeTask(1, 1.0, 0)};
   config.threads_per_worker = 1;
   SimulationResult serial = SimulateCluster(tasks, config);
   EXPECT_NEAR(serial.makespan_seconds, 2.0, 1e-9);
@@ -145,14 +148,13 @@ TEST(ClusterTest, ThreadsPerWorkerOverlapTasksWithinWorker) {
   // don't erase it.
   EXPECT_NEAR(threaded.total_compute_seconds, 2.0, 1e-9);
   // Uneven tasks: {3, 2, 2} on two lanes -> lanes get 3 and 2+2.
-  std::vector<Task> uneven{MakeTask(3, 3.0, 0), MakeTask(2, 2.0, 0),
-                           MakeTask(2, 2.0, 0)};
+  Tasks uneven{MakeTask(3, 3.0, 0), MakeTask(2, 2.0, 0), MakeTask(2, 2.0, 0)};
   SimulationResult r = SimulateCluster(uneven, config);
   EXPECT_NEAR(r.makespan_seconds, 4.0, 1e-9);
 }
 
 TEST(ClusterTest, MoreThreadsNeverIncreaseMakespan) {
-  std::vector<Task> tasks;
+  Tasks tasks;
   for (int i = 0; i < 40; ++i) {
     tasks.push_back(MakeTask(1.0 + i % 5, 1.0 + i % 5, 0));
   }
@@ -170,7 +172,7 @@ TEST(ClusterTest, MoreThreadsNeverIncreaseMakespan) {
 }
 
 TEST(ClusterTest, MoreWorkersNeverIncreaseMakespan) {
-  std::vector<Task> tasks;
+  Tasks tasks;
   for (int i = 0; i < 50; ++i) {
     tasks.push_back(MakeTask(1.0 + i % 7, 1.0 + i % 7, 100));
   }

@@ -1,6 +1,5 @@
 // Cross-executor contract tests: every engine must produce byte-identical
-// emission (cliques, order, observer stream, block-task descriptors) —
-// DESIGN.md §7.
+// emission (cliques, order, observer stream) — DESIGN.md §7.
 
 #include "exec/executor.h"
 
@@ -49,17 +48,30 @@ Captured RunWith(const Graph& g, decomp::FindMaxCliquesOptions options,
 void ExpectIdenticalRuns(const Captured& actual, const Captured& expected) {
   // Emission: same cliques, same order, same origin levels — byte-identical.
   EXPECT_EQ(actual.emissions, expected.emissions);
-  // Observer stream: same records in the same order (timings aside).
+  // Observer stream: same records in the same order (timings aside), in
+  // block order within each level and levels in order.
   ASSERT_EQ(actual.records.size(), expected.records.size());
+  uint32_t level = 0;
+  uint64_t next_index = 0;
   for (size_t i = 0; i < actual.records.size(); ++i) {
-    EXPECT_EQ(actual.records[i].level, expected.records[i].level);
-    EXPECT_EQ(actual.records[i].nodes, expected.records[i].nodes);
-    EXPECT_EQ(actual.records[i].edges, expected.records[i].edges);
-    EXPECT_EQ(actual.records[i].bytes, expected.records[i].bytes);
-    EXPECT_EQ(actual.records[i].cliques, expected.records[i].cliques);
-    EXPECT_EQ(actual.records[i].used.algorithm,
-              expected.records[i].used.algorithm);
-    EXPECT_EQ(actual.records[i].used.storage, expected.records[i].used.storage);
+    const decomp::BlockTaskRecord& a = actual.records[i];
+    const decomp::BlockTaskRecord& e = expected.records[i];
+    EXPECT_EQ(a.level, e.level);
+    EXPECT_EQ(a.index, e.index);
+    EXPECT_EQ(a.nodes, e.nodes);
+    EXPECT_EQ(a.edges, e.edges);
+    EXPECT_EQ(a.bytes, e.bytes);
+    EXPECT_EQ(a.cliques, e.cliques);
+    EXPECT_EQ(a.estimated_cost, e.estimated_cost);
+    EXPECT_GT(e.estimated_cost, 0.0);
+    EXPECT_EQ(a.used.algorithm, e.used.algorithm);
+    EXPECT_EQ(a.used.storage, e.used.storage);
+    if (e.level != level) {
+      EXPECT_EQ(e.level, level + 1);
+      level = e.level;
+      next_index = 0;
+    }
+    EXPECT_EQ(e.index, next_index++);
   }
   EXPECT_EQ(actual.stats.used_fallback, expected.stats.used_fallback);
   EXPECT_EQ(actual.stats.cliques_emitted, expected.stats.cliques_emitted);
@@ -120,6 +132,32 @@ TEST(ExecutorIdentityTest, SocialStandInMatchesAcrossExecutors) {
   }
 }
 
+// Every fixed storage x algorithm combination: the pooled engine's
+// per-worker workspace reuse may not perturb emission order or content.
+TEST(ExecutorIdentityTest, FixedCombosMatchAcrossThreads) {
+  Rng rng(37);
+  const Graph g = gen::BarabasiAlbert(90, 3, &rng);
+  for (Algorithm algorithm :
+       {Algorithm::kBKPivot, Algorithm::kTomita, Algorithm::kXPivot}) {
+    for (StorageKind storage :
+         {StorageKind::kAdjacencyList, StorageKind::kMatrix,
+          StorageKind::kBitset}) {
+      decomp::FindMaxCliquesOptions options;
+      options.max_block_size = 18;
+      options.fixed = {algorithm, storage};
+      const Captured serial =
+          RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+      for (uint32_t threads : {2u, 4u, 8u}) {
+        SCOPED_TRACE(testing::Message() << ComboName(storage, algorithm)
+                                        << " threads " << threads);
+        ExpectIdenticalRuns(
+            RunWith(g, options, decomp::ExecutorKind::kPooled, threads),
+            serial);
+      }
+    }
+  }
+}
+
 TEST(ExecutorIdentityTest, BatchResultsMatchAcrossExecutors) {
   Rng rng(103);
   Graph g = gen::BarabasiAlbert(60, 3, &rng);
@@ -136,45 +174,6 @@ TEST(ExecutorIdentityTest, BatchResultsMatchAcrossExecutors) {
   mce::test::ExpectSameCliques(pooled.cliques, serial.cliques);
   EXPECT_EQ(pooled.origin_level, serial.origin_level);
   mce::test::ExpectMatchesNaive(g, serial.cliques);
-}
-
-TEST(ExecutorSinkTest, DescriptorStreamIsIdenticalAcrossExecutors) {
-  Rng rng(105);
-  Graph g = gen::BarabasiAlbert(70, 3, &rng);
-  decomp::FindMaxCliquesOptions options;
-  options.max_block_size = 12;
-  auto run = [&](Executor& executor) {
-    std::vector<BlockTaskDescriptor> descriptors;
-    executor.set_block_task_sink(
-        [&](const BlockTaskDescriptor& d) { descriptors.push_back(d); });
-    executor.Run(g, options, [](std::span<const NodeId>, uint32_t) {});
-    return descriptors;
-  };
-  std::unique_ptr<Executor> serial = MakeSerialExecutor();
-  std::unique_ptr<Executor> pooled = MakePooledExecutor(4);
-  const std::vector<BlockTaskDescriptor> a = run(*serial);
-  const std::vector<BlockTaskDescriptor> b = run(*pooled);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  uint64_t expected_index = 0;
-  uint32_t level = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].level, b[i].level);
-    EXPECT_EQ(a[i].index, b[i].index);
-    EXPECT_EQ(a[i].nodes, b[i].nodes);
-    EXPECT_EQ(a[i].edges, b[i].edges);
-    EXPECT_EQ(a[i].bytes, b[i].bytes);
-    EXPECT_EQ(a[i].cliques, b[i].cliques);
-    EXPECT_GT(a[i].estimated_cost, 0.0);
-    // Descriptors arrive in block order within each level, levels in order.
-    if (a[i].level != level) {
-      EXPECT_EQ(a[i].level, level + 1);
-      level = a[i].level;
-      expected_index = 0;
-    }
-    EXPECT_EQ(a[i].index, expected_index);
-    ++expected_index;
-  }
 }
 
 TEST(ExecutorStatsTest, SerialReportsOneThreadAndNoOverlap) {
@@ -289,9 +288,6 @@ TEST(SimulatedClusterExecutorTest, MatchesInnerAndSchedulesRealTaskStream) {
   dist::ClusterConfig config;
   config.num_workers = 4;
   SimulatedClusterExecutor cluster(config, MakeSerialExecutor());
-  std::vector<BlockTaskDescriptor> user_sink;
-  cluster.set_block_task_sink(
-      [&user_sink](const BlockTaskDescriptor& d) { user_sink.push_back(d); });
   Captured cluster_run;
   options.block_observer = [&cluster_run](const decomp::BlockTaskRecord& r) {
     cluster_run.records.push_back(r);
@@ -301,11 +297,11 @@ TEST(SimulatedClusterExecutorTest, MatchesInnerAndSchedulesRealTaskStream) {
         cluster_run.emissions.emplace_back(Clique(c.begin(), c.end()), level);
       });
 
-  // The wrapper must not perturb the algorithmic output at all.
+  // The wrapper must not perturb the algorithmic output at all, and the
+  // caller's observer still sees every record although the wrapper's
+  // collector sits in front of it.
   ExpectIdenticalRuns(cluster_run, inner_run);
-  // The user's sink still sees every descriptor even though the wrapper
-  // installed its own collector on the inner executor.
-  EXPECT_EQ(user_sink.size(), cluster_run.records.size());
+  EXPECT_FALSE(cluster_run.records.empty());
 
   // One simulation per level, scheduling exactly the level's block tasks.
   ASSERT_EQ(cluster.levels().size(), cluster_run.stats.levels.size());
@@ -355,6 +351,50 @@ TEST(SimulatedClusterExecutorTest, BlockRecordsMatchSerialAndPooledInners) {
     ExpectIdenticalRuns(run_wrapped(MakePooledExecutor(threads)),
                         plain_serial);
   }
+}
+
+// Placement never changes which cliques exist: the wrapped engine's
+// collected output is the naive reference under every strategy.
+TEST(SimulatedClusterExecutorTest, CollectedCliquesMatchNaiveReference) {
+  Rng rng(83);
+  const Graph er = gen::ErdosRenyiGnp(35, 0.2, &rng);
+  const Graph ba = gen::BarabasiAlbert(60, 3, &rng);
+  for (dist::PartitionStrategy strategy :
+       {dist::PartitionStrategy::kGreedyLpt, dist::PartitionStrategy::kHash}) {
+    for (const Graph* g : {&er, &ba}) {
+      SCOPED_TRACE(testing::Message() << ToString(strategy) << " on "
+                                      << g->num_nodes() << " nodes");
+      decomp::FindMaxCliquesOptions options;
+      options.max_block_size = 10;
+      dist::ClusterConfig config;
+      config.strategy = strategy;
+      SimulatedClusterExecutor cluster(config, MakeExecutor(options));
+      decomp::FindMaxCliquesResult result =
+          CollectToResult(cluster, *g, options);
+      mce::test::ExpectMatchesNaive(*g, result.cliques);
+    }
+  }
+}
+
+// The m-core fallback under a 4-thread pooled inner: flagged, identical
+// to the serial run, one indivisible task, one simulation per level.
+TEST(SimulatedClusterExecutorTest, FallbackPropagatesUnderMultipleThreads) {
+  const Graph g = gen::Complete(12);
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 6;
+  decomp::FindMaxCliquesResult serial = decomp::FindMaxCliques(g, options);
+  EXPECT_TRUE(serial.used_fallback);
+  options.num_threads = 4;
+  dist::ClusterConfig config;
+  config.num_workers = 4;
+  SimulatedClusterExecutor cluster(config, MakeExecutor(options));
+  decomp::FindMaxCliquesResult wrapped = CollectToResult(cluster, g, options);
+  EXPECT_TRUE(wrapped.used_fallback);
+  mce::test::ExpectSameCliques(wrapped.cliques, serial.cliques);
+  EXPECT_EQ(wrapped.origin_level, serial.origin_level);
+  ASSERT_FALSE(wrapped.levels.empty());
+  EXPECT_EQ(wrapped.levels.back().analyze_threads, 1u);
+  EXPECT_EQ(cluster.levels().size(), wrapped.levels.size());
 }
 
 TEST(MakeExecutorTest, ResolveThreadCountHonorsExplicitRequests) {

@@ -8,7 +8,6 @@
 
 #include "decision/block_cost.h"
 #include "decomp/cut.h"
-#include "decomp/parallel_analysis.h"
 #include "gen/generators.h"
 #include "gen/special.h"
 #include "test_util.h"
@@ -116,7 +115,7 @@ TEST(BuildBlocksStreamingTest, EmissionOrderMatchesBatchBuild) {
   }
 }
 
-TEST(BlockTaskDescriptorTest, CarriesBlockShapeAndCostEstimate) {
+TEST(MakeBlockTaskRecordTest, CarriesBlockShapeAndCostEstimate) {
   Rng rng(43);
   Graph g = gen::BarabasiAlbert(40, 3, &rng);
   decomp::CutResult cut = decomp::Cut(g, 10);
@@ -127,29 +126,20 @@ TEST(BlockTaskDescriptorTest, CarriesBlockShapeAndCostEstimate) {
   ASSERT_FALSE(blocks.empty());
   decomp::BlockAnalysisResult result;
   result.num_cliques = 7;
-  result.used = {Algorithm::kTomita, StorageKind::kMatrix};
+  result.used = {Algorithm::kXPivot, StorageKind::kMatrix};
   const double cost = decision::EstimateBlockCost(blocks[0].subgraph.graph);
-  const BlockTaskDescriptor d =
-      MakeBlockTaskDescriptor(blocks[0], result, 0.5, 2, 3, cost);
-  EXPECT_EQ(d.level, 2u);
-  EXPECT_EQ(d.index, 3u);
-  EXPECT_EQ(d.nodes, blocks[0].num_nodes());
-  EXPECT_EQ(d.edges, blocks[0].num_edges());
-  EXPECT_EQ(d.bytes, blocks[0].EstimatedBytes());
-  EXPECT_DOUBLE_EQ(d.estimated_cost, cost);
-  EXPECT_DOUBLE_EQ(d.compute_seconds, 0.5);
-  EXPECT_EQ(d.cliques, 7u);
-  EXPECT_EQ(d.used.storage, StorageKind::kMatrix);
-
-  // The observer record shares the one construction site with the engine.
   const decomp::BlockTaskRecord r =
-      decomp::MakeBlockTaskRecord(blocks[0], result, 0.5, 2);
+      MakeBlockTaskRecord(blocks[0], result, 0.5, 2, 3, cost);
   EXPECT_EQ(r.level, 2u);
-  EXPECT_EQ(r.nodes, d.nodes);
-  EXPECT_EQ(r.edges, d.edges);
-  EXPECT_EQ(r.bytes, d.bytes);
-  EXPECT_EQ(r.cliques, d.cliques);
-  EXPECT_DOUBLE_EQ(r.seconds, d.compute_seconds);
+  EXPECT_EQ(r.index, 3u);
+  EXPECT_EQ(r.nodes, blocks[0].num_nodes());
+  EXPECT_EQ(r.edges, blocks[0].num_edges());
+  EXPECT_EQ(r.bytes, blocks[0].EstimatedBytes());
+  EXPECT_EQ(r.cliques, 7u);
+  EXPECT_DOUBLE_EQ(r.estimated_cost, cost);
+  EXPECT_DOUBLE_EQ(r.seconds, 0.5);
+  EXPECT_EQ(r.used.algorithm, Algorithm::kXPivot);
+  EXPECT_EQ(r.used.storage, StorageKind::kMatrix);
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ TEST(EndToEndTest, TriplesFileToCliques) {
   Result<LabeledGraph> lg = ReadTriples(path);
   ASSERT_TRUE(lg.ok()) << lg.status();
   MaxCliqueFinder::Options options;
-  options.block_size = 3;
+  options.max_block_size = 3;
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(lg->graph);
   ASSERT_TRUE(result.ok());
@@ -140,7 +140,7 @@ TEST(EndToEndTest, DegeneracyBoundHolds) {
   for (const auto& config : gen::AllDatasetConfigs(0.015)) {
     Graph g = gen::GenerateSocialNetwork(config);
     MaxCliqueFinder::Options options;
-    options.block_size = Degeneracy(g) + 1;
+    options.max_block_size = Degeneracy(g) + 1;
     MaxCliqueFinder finder(options);
     Result<FindResult> result = finder.Find(g);
     ASSERT_TRUE(result.ok()) << config.name;

@@ -80,9 +80,9 @@ TEST_P(PipelineFixedComboTest, CompleteAtSmallBlockSize) {
   Graph g = gen::OverlayRandomCliques(
       gen::WattsStrogatz(200, 6, 0.2, &rng), 10, 4, 9, false, &rng);
   MaxCliqueFinder::Options options;
-  options.block_size = 16;
+  options.max_block_size = 16;
   options.use_decision_tree = false;
-  options.fixed_combo = {algorithm, storage};
+  options.fixed = {algorithm, storage};
   MaxCliqueFinder finder(options);
   Result<FindResult> result = finder.Find(g);
   ASSERT_TRUE(result.ok());

@@ -155,7 +155,12 @@ int CmdEnumerate(const Flags& flags) {
   }
   mce::MaxCliqueFinder::Options options;
   if (flags.Has("m")) {
-    options.block_size = static_cast<uint32_t>(flags.GetInt("m", 0));
+    const int m = flags.GetInt("m", 0);
+    if (m < 1) {
+      std::fprintf(stderr, "error: --m must be >= 1\n");
+      return 1;
+    }
+    options.max_block_size = static_cast<uint32_t>(m);
   } else {
     options.block_size_ratio = flags.GetDouble("ratio", 0.5);
   }
