@@ -43,10 +43,11 @@ fi
 if [[ "${MCE_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== tier-1: ASan leg skipped (MCE_SKIP_ASAN=1) ==="
 else
-  # ASan leg: the kernel + decomposition subset under AddressSanitizer.
-  # The pooled kernels recycle grow-only buffers across blocks and
-  # recursion depths — exactly the reuse pattern where an out-of-bounds
-  # write or a stale-span read would otherwise go unnoticed.
+  # ASan leg: the graph, kernel + decomposition subset under
+  # AddressSanitizer. The pooled kernels recycle grow-only buffers across
+  # blocks and recursion depths, and the block builder indexes flat
+  # per-level arrays by parent id — exactly the patterns where an
+  # out-of-bounds write or a stale-span read would otherwise go unnoticed.
   asan_build="$build-asan"
   echo "=== tier-1: ASan build ($asan_build) ==="
   cmake -B "$asan_build" -S "$repo" \
@@ -54,13 +55,13 @@ else
     -DMCE_BUILD_BENCH=OFF \
     -DMCE_BUILD_EXAMPLES=OFF
   cmake --build "$asan_build" -j "$(nproc)" \
-    --target mce_algorithms_test mce_alloc_test decomp_test reduce_test \
-             mce_cli mce_convert
+    --target graph_test mce_algorithms_test mce_alloc_test decomp_test \
+             reduce_test mce_cli mce_convert
 
-  echo "=== tier-1: ASan run (mce_algorithms_test, mce_alloc_test," \
-       "decomp_test, reduce_test) ==="
+  echo "=== tier-1: ASan run (graph_test, mce_algorithms_test," \
+       "mce_alloc_test, decomp_test, reduce_test) ==="
   ctest --test-dir "$asan_build" --output-on-failure -j "$(nproc)" \
-    -R '^(mce_algorithms_test|mce_alloc_test|decomp_test|reduce_test)$'
+    -R '^(graph_test|mce_algorithms_test|mce_alloc_test|decomp_test|reduce_test)$'
 
   # Budgeted out-of-core leg: generate → convert to MCECSR02 → enumerate
   # the mmapped graph under a deliberately tiny memory budget with sinks

@@ -23,16 +23,17 @@ double EstimateBlockCost(const BlockFeatures& f) {
   return std::max(1.0, linear + f.density * tree);
 }
 
-double EstimateBlockCost(const Graph& g) {
-  // Only the features the model reads: d* is skipped, which saves its
-  // extra degree pass on the block-emission hot path (the executor scores
-  // every block the moment it is built).
+BlockFeatures CostFeatures(const Graph& g) {
   BlockFeatures f;
   f.num_nodes = static_cast<double>(g.num_nodes());
   f.num_edges = static_cast<double>(g.num_edges());
   f.density = g.Density();
   f.degeneracy = static_cast<double>(Degeneracy(g));
-  return EstimateBlockCost(f);
+  return f;
+}
+
+double EstimateBlockCost(const Graph& g) {
+  return EstimateBlockCost(CostFeatures(g));
 }
 
 size_t PlanShardCount(double cost, double max_cost, size_t kernels) {

@@ -37,7 +37,11 @@ namespace mce::decision {
 /// isomorphism-invariant), so scoring after the relabel changes nothing.
 double EstimateBlockCost(const BlockFeatures& features);
 
-/// Convenience: ComputeFeatures + EstimateBlockCost.
+/// The features EstimateBlockCost reads: ComputeFeatures without d*,
+/// which the model ignores and which costs an extra degree pass.
+BlockFeatures CostFeatures(const Graph& g);
+
+/// Convenience: CostFeatures + EstimateBlockCost.
 double EstimateBlockCost(const Graph& g);
 
 /// Number of contiguous kernel-range shards a block of predicted `cost`

@@ -138,11 +138,44 @@ BlockAnalysisResult AnalyzeBlock(const Block& block,
                       KernelRange{0, block.kernel_local.size()});
 }
 
+MceOptions SelectBlockMce(const BlockAnalysisOptions& options, const Graph& g,
+                          const decision::BlockFeatures& features) {
+  MceOptions used =
+      options.tree != nullptr ? options.tree->Classify(features)
+                              : options.fixed;
+  // Memory guard: dense storages are quadratic in the block size; degrade
+  // to lists instead of exhausting memory on an oversized block.
+  if (options.max_storage_bytes > 0 &&
+      used.storage != StorageKind::kAdjacencyList &&
+      EstimateStorageBytes(g.num_nodes(), g.num_edges(), used.storage) >
+          options.max_storage_bytes) {
+    used.storage = StorageKind::kAdjacencyList;
+  }
+  // Seeded enumeration has no Eppstein/Naive form (see enumerator.h);
+  // record the substitution in `used` so consumers (decision-tree
+  // training, the Table-1 benches, block observers) attribute the run to
+  // the algorithm that actually executed.
+  used.algorithm = SeededAlgorithmFor(used.algorithm);
+  return used;
+}
+
 BlockAnalysisResult AnalyzeBlock(const Block& block,
                                  const BlockAnalysisOptions& options,
                                  const CliqueCallback& emit,
                                  BlockWorkspace* workspace,
                                  KernelRange range) {
+  // bestfit(B): classify the block, or use the fixed combination.
+  const Graph& g = block.subgraph.graph;
+  const decision::BlockFeatures features =
+      options.tree != nullptr ? decision::ComputeFeatures(g)
+                              : decision::BlockFeatures();
+  return AnalyzeBlock(block, SelectBlockMce(options, g, features), emit,
+                      workspace, range);
+}
+
+BlockAnalysisResult AnalyzeBlock(const Block& block, const MceOptions& used,
+                                 const CliqueCallback& emit,
+                                 BlockWorkspace* workspace, KernelRange range) {
   const Graph& g = block.subgraph.graph;
   MCE_CHECK_EQ(block.roles.size(), g.num_nodes());
   MCE_CHECK_LE(range.begin, range.end);
@@ -156,28 +189,9 @@ BlockAnalysisResult AnalyzeBlock(const Block& block,
       workspace != nullptr ? *workspace : transient.emplace();
 
   BlockAnalysisResult result;
-  // bestfit(B): classify the block, or use the fixed combination.
-  if (options.tree != nullptr) {
-    result.used = options.tree->Classify(decision::ComputeFeatures(g));
-  } else {
-    result.used = options.fixed;
-  }
-  // Memory guard: dense storages are quadratic in the block size; degrade
-  // to lists instead of exhausting memory on an oversized block.
-  if (options.max_storage_bytes > 0 &&
-      result.used.storage != StorageKind::kAdjacencyList &&
-      EstimateStorageBytes(g.num_nodes(), g.num_edges(),
-                           result.used.storage) > options.max_storage_bytes) {
-    result.used.storage = StorageKind::kAdjacencyList;
-  }
-  // Seeded enumeration has no Eppstein/Naive form (see enumerator.h);
-  // record the substitution in `used` so consumers (decision-tree
-  // training, the Table-1 benches, block observers) attribute the run to
-  // the algorithm that actually executed.
-  result.used.algorithm = SeededAlgorithmFor(result.used.algorithm);
-  const PivotRule rule = RuleFor(result.used.algorithm);
-
-  switch (result.used.storage) {
+  result.used = used;
+  const PivotRule rule = RuleFor(used.algorithm);
+  switch (used.storage) {
     case StorageKind::kAdjacencyList: {
       ListStorage storage(g);
       result.num_cliques =

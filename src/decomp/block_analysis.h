@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "decision/decision_tree.h"
+#include "decision/features.h"
 #include "decomp/block.h"
 #include "mce/clique.h"
 #include "mce/enumerator.h"
@@ -73,6 +74,23 @@ struct KernelRange {
 /// undivided task would have.
 BlockAnalysisResult AnalyzeBlock(const Block& block,
                                  const BlockAnalysisOptions& options,
+                                 const CliqueCallback& emit,
+                                 BlockWorkspace* workspace, KernelRange range);
+
+/// bestfit(B) as AnalyzeBlock applies it to a block graph `g` with
+/// `features`: the tree's choice (or options.fixed, when no tree is set —
+/// then `features` is not read), degraded to lists when the dense storage
+/// would exceed options.max_storage_bytes, with the seeded-enumeration
+/// substitution applied. This is the `used` every AnalyzeBlock call on the
+/// block reports.
+MceOptions SelectBlockMce(const BlockAnalysisOptions& options, const Graph& g,
+                          const decision::BlockFeatures& features);
+
+/// Kernel-range Algorithm 4 with the combination already chosen by
+/// SelectBlockMce — the executors classify each block once, at emission,
+/// and every shard of the block runs that choice instead of re-deriving
+/// the features.
+BlockAnalysisResult AnalyzeBlock(const Block& block, const MceOptions& used,
                                  const CliqueCallback& emit,
                                  BlockWorkspace* workspace, KernelRange range);
 

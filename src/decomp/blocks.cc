@@ -1,8 +1,7 @@
 #include "decomp/blocks.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstddef>
 
 #include "reduce/relabel.h"
 #include "util/check.h"
@@ -37,6 +36,55 @@ std::vector<NodeId> OrderSeeds(const Graph& g,
   return seeds;
 }
 
+/// Per-node state bits of the level scratch.
+enum : uint8_t {
+  kFeasible = 1,     // in `feasible`; fixed for the call
+  kUsedKernel = 2,   // kernel of this or an earlier block
+  kBlockKernel = 4,  // kernel of the block being grown
+  kRejected = 8,     // overflowed m for the block being grown
+};
+
+/// Flat scratch of one BuildBlocksStreaming call: sized to the level graph
+/// once and reused by every block. Every per-block entry belongs to a
+/// member of the block (candidates and kernels are members), so it is
+/// reset through the member list and a block costs O(sum of member
+/// degrees), independent of the level's node count.
+struct LevelScratch {
+  explicit LevelScratch(NodeId n)
+      : state(n, 0), local_of(n, kInvalidNode), adjacency(n, 0) {}
+
+  std::vector<uint8_t> state;
+  /// Membership in K ∪ N(K) while the block grows (any value other than
+  /// kInvalidNode); the parent→local map while it materializes.
+  std::vector<NodeId> local_of;
+  /// Kernel adjacencies of each candidate border node.
+  std::vector<uint32_t> adjacency;
+  /// K ∪ N(K) in insertion order, sorted at materialization.
+  std::vector<NodeId> members;
+  /// Border nodes eligible for promotion: feasible, not yet a kernel
+  /// anywhere, not rejected for this block, adjacent to K. Unordered —
+  /// the pick's tie-break is total.
+  std::vector<NodeId> candidates;
+
+  void AddMember(NodeId v) {
+    if (local_of[v] != kInvalidNode) return;
+    local_of[v] = 0;
+    members.push_back(v);
+  }
+
+  void Promote(const Graph& g, NodeId n) {
+    state[n] |= kUsedKernel | kBlockKernel;
+    AddMember(n);
+    for (NodeId w : g.Neighbors(n)) {
+      AddMember(w);
+      if ((state[w] & (kFeasible | kUsedKernel | kRejected)) == kFeasible &&
+          adjacency[w]++ == 0) {
+        candidates.push_back(w);
+      }
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<Block> BuildBlocks(const Graph& g,
@@ -54,90 +102,79 @@ void BuildBlocksStreaming(const Graph& g, const std::vector<NodeId>& feasible,
   const uint32_t m = options.max_block_size;
   MCE_CHECK_GE(m, 1u);
 
-  std::vector<uint8_t> is_feasible(g.num_nodes(), 0);
+  LevelScratch s(g.num_nodes());
   for (NodeId v : feasible) {
     MCE_CHECK(static_cast<uint64_t>(g.Degree(v)) + 1 <= m);
-    is_feasible[v] = 1;
+    s.state[v] |= kFeasible;
   }
-  // Nodes already used as a kernel (of this or an earlier block).
-  std::vector<uint8_t> used_kernel(g.num_nodes(), 0);
 
   for (NodeId seed : OrderSeeds(g, feasible, options.seed_policy)) {
-    if (used_kernel[seed]) continue;
-
-    std::vector<NodeId> kernel;                    // K, parent ids
-    std::unordered_set<NodeId> block_nodes;        // K u N(K)
-    // Adjacency-with-K counts for candidate border nodes (feasible and not
-    // yet kernel anywhere).
-    std::unordered_map<NodeId, uint32_t> candidate_adjacency;
-    // Candidates whose absorption overflowed m for this block. The block
-    // only grows, so |K u {n} u N(K u {n})| is non-decreasing: once a
-    // candidate is infeasible here it stays infeasible and never returns
-    // to the candidate pool (it will seed or join a later block instead).
-    std::unordered_set<NodeId> infeasible;
-
-    auto promote = [&](NodeId n) {
-      used_kernel[n] = 1;
-      kernel.push_back(n);
-      candidate_adjacency.erase(n);
-      block_nodes.insert(n);
-      for (NodeId w : g.Neighbors(n)) {
-        block_nodes.insert(w);
-        if (is_feasible[w] && !used_kernel[w] && !infeasible.count(w)) {
-          ++candidate_adjacency[w];
-        }
-      }
-    };
-
-    promote(seed);
+    if (s.state[seed] & kUsedKernel) continue;
+    s.Promote(g, seed);
 
     for (;;) {
-      // select(N_f n H): the candidate with the most kernel adjacencies.
+      // select(N_f n H): the candidate with the most kernel adjacencies,
+      // ties toward the smaller id.
+      size_t best_at = 0;
       NodeId best = kInvalidNode;
       uint32_t best_adj = 0;
-      for (const auto& [node, adj] : candidate_adjacency) {
-        if (best == kInvalidNode || adj > best_adj ||
-            (adj == best_adj && node < best)) {
-          best = node;
+      for (size_t i = 0; i < s.candidates.size(); ++i) {
+        const NodeId v = s.candidates[i];
+        const uint32_t adj = s.adjacency[v];
+        if (adj > best_adj || (adj == best_adj && v < best)) {
+          best_at = i;
+          best = v;
           best_adj = adj;
         }
       }
       if (best == kInvalidNode) break;                    // no border left
       if (best_adj < options.min_adjacency) break;        // threshold stop
+      s.candidates[best_at] = s.candidates.back();
+      s.candidates.pop_back();
       // isfeasible(K u {best}): |K u {best} u N(K u {best})| <= m.
       uint64_t added = 0;
       for (NodeId w : g.Neighbors(best)) {
-        if (!block_nodes.count(w)) ++added;
+        if (s.local_of[w] == kInvalidNode) ++added;
       }
-      if (block_nodes.size() + added > m) {
+      if (s.members.size() + added > m) {
         // Algorithm 3 guards absorption per candidate: this one can never
-        // fit, but a candidate with a smaller un-absorbed neighborhood
-        // still may — skip it and keep scanning.
-        infeasible.insert(best);
-        candidate_adjacency.erase(best);
+        // fit (the block only grows, so |K u {n} u N(K u {n})| never
+        // shrinks), but a candidate with a smaller un-absorbed
+        // neighborhood still may — drop it for this block and keep
+        // scanning. It seeds or joins a later block instead.
+        s.state[best] |= kRejected;
         continue;
       }
-      promote(best);
+      s.Promote(g, best);
     }
 
-    // Materialize the block.
-    std::vector<NodeId> members(block_nodes.begin(), block_nodes.end());
+    // Materialize the block: local ids in ascending parent order.
+    std::sort(s.members.begin(), s.members.end());
+    for (size_t i = 0; i < s.members.size(); ++i) {
+      s.local_of[s.members[i]] = static_cast<NodeId>(i);
+    }
     Block block;
-    block.subgraph = Induce(g, members);
-    const auto& to_parent = block.subgraph.to_parent;
-    block.roles.resize(to_parent.size());
-    std::unordered_set<NodeId> kernel_set(kernel.begin(), kernel.end());
-    for (NodeId local = 0; local < to_parent.size(); ++local) {
-      const NodeId parent = to_parent[local];
-      if (kernel_set.count(parent)) {
+    block.subgraph.graph = InduceRows(g, s.members, s.local_of);
+    block.roles.resize(s.members.size());
+    for (NodeId local = 0; local < s.members.size(); ++local) {
+      const NodeId parent = s.members[local];
+      const uint8_t state = s.state[parent];
+      if (state & kBlockKernel) {
         block.roles[local] = NodeRole::kKernel;
         block.kernel_local.push_back(local);
-      } else if (used_kernel[parent]) {
+      } else if (state & kUsedKernel) {
         block.roles[local] = NodeRole::kVisited;
       } else {
         block.roles[local] = NodeRole::kBorder;
       }
+      s.local_of[parent] = kInvalidNode;
+      s.adjacency[parent] = 0;
+      s.state[parent] = state & ~(kBlockKernel | kRejected);
     }
+    s.candidates.clear();
+    // The block keeps the member list; the next block grows a fresh one.
+    block.subgraph.to_parent = std::move(s.members);
+    s.members = {};
     if (options.degeneracy_relabel) reduce::DegeneracyRelabelBlock(&block);
     emit(std::move(block));
   }

@@ -58,7 +58,10 @@ std::vector<Block> BuildBlocks(const Graph& g,
 /// thread for each block the moment its growth finishes, before the next
 /// seed is considered. Emission order equals BuildBlocks' vector order.
 /// The executors use this to dispatch block analysis while decomposition
-/// of the remaining seeds is still running.
+/// of the remaining seeds is still running. Each block costs
+/// O(sum of degrees over K u N(K)): the call allocates flat per-node
+/// scratch for `g` once (DESIGN.md §7) and resets it per block through
+/// the block's member list.
 void BuildBlocksStreaming(const Graph& g, const std::vector<NodeId>& feasible,
                           const BlocksOptions& options,
                           const BlockCallback& emit);

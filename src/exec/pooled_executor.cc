@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "decision/block_cost.h"
-#include "decision/features.h"
 #include "decomp/block_analysis.h"
 #include "decomp/cut.h"
 #include "decomp/filter.h"
@@ -87,6 +86,9 @@ struct BlockExec {
   /// decision::EstimateBlockCost score, computed at emission; drives both
   /// the largest-first dispatch order and the split decision.
   double cost = 0;
+  /// The block's classification, fixed at emission from the same features
+  /// as `cost`; every shard runs it.
+  MceOptions used;
   /// Progress units already retired by this block's finished shards
   /// (engine mutex). The last shard retires `cost - cost_retired`, so the
   /// retired total sums exactly to the registered cost however the block
@@ -101,8 +103,7 @@ struct BlockExec {
   std::vector<ShardRun> shards;
   size_t shards_done = 0;  // engine mutex
   /// Whole-block aggregate, written by the last-finishing shard: `used`
-  /// from any shard (the classification is deterministic per block) and
-  /// the summed clique count / serial-equivalent seconds.
+  /// and the summed clique count / serial-equivalent seconds.
   decomp::BlockAnalysisResult result;
   double seconds = 0;
 };
@@ -400,10 +401,11 @@ class PooledEngine {
   /// Emission of one block by DecomposeTask(level): score it, plan its
   /// shards, and dispatch them through the cost-ordered queue.
   void EmitBlock(LevelRun* lr, decomp::Block&& b) {
-    // The predicted cost reuses the bestfit classification features —
-    // computed here, on the decompose worker, so dispatch order and the
-    // split decision are fixed before any worker picks the block up.
-    const double cost = decision::EstimateBlockCost(b.subgraph.graph);
+    // One feature pass, here on the decompose worker, fixes the dispatch
+    // order, the split decision and the classification every shard runs
+    // before any worker picks the block up.
+    const BlockPlan plan = PlanBlock(b, analysis_options_);
+    const double cost = plan.cost;
     // Registered at emission — before any shard can run — so a progress
     // sampler sees the work as pending the moment it exists.
     if (progress_ != nullptr) progress_->RegisterBlock(lr->level, cost);
@@ -427,6 +429,7 @@ class PooledEngine {
       block = &lr->blocks.back();
       exec = &lr->execs.back();
       exec->cost = cost;
+      exec->used = plan.used;
       exec->shards.resize(shards);
     }
     // Materialized-block charge: the block exists from emission until its
@@ -531,7 +534,7 @@ class PooledEngine {
     const reduce::ReductionMap* const expansion = expansion_;
     Clique expand_tmp;
     run.result = decomp::AnalyzeBlock(
-        *block, analysis_options_,
+        *block, exec->used,
         [&run, canonicalize, expansion, &expand_tmp](
             std::span<const NodeId> c) {
           if (canonicalize) {
@@ -604,7 +607,7 @@ class PooledEngine {
 
     // All shard writers finished before the shards_done transition this
     // thread observed, so their slots are safe to read unlocked.
-    exec->result.used = exec->shards.front().result.used;
+    exec->result.used = exec->used;
     for (const ShardRun& s : exec->shards) {
       exec->result.num_cliques += s.result.num_cliques;
       exec->seconds += s.seconds;

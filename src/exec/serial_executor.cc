@@ -205,27 +205,22 @@ class SerialExecutor final : public Executor {
             const uint64_t block_charge =
                 block.EstimatedBytes() + EstimateAnalysisBytes(block);
             charge(block_charge);
-            // One cost-model evaluation serves every consumer: the
-            // progress denominator (registered before the analysis so a
-            // sampler sees the work as pending, not invisible), the
-            // observer record, and the block span. The serial walk never
-            // reorders or splits, but scores blocks exactly as the pooled
-            // engine does.
-            const double estimated_cost =
-                progress != nullptr || options.block_observer ||
-                        trace != nullptr || profile_on
-                    ? decision::EstimateBlockCost(block.subgraph.graph)
-                    : 0;
-            if (progress != nullptr) {
-              progress->RegisterBlock(level, estimated_cost);
-            }
+            // One feature pass serves every consumer: the classification
+            // the analysis runs, the progress denominator (registered
+            // before the analysis so a sampler sees the work as pending,
+            // not invisible), the observer record, and the block span.
+            // The serial walk never reorders or splits, but plans blocks
+            // exactly as the pooled engine does.
+            const BlockPlan plan = PlanBlock(block, analysis_options);
+            if (progress != nullptr) progress->RegisterBlock(level, plan.cost);
             const int64_t block_begin_us =
                 trace != nullptr || profile_on ? obs::NowMicros() : 0;
             obs::ScopedCounters block_counters;
             if (profile_on) block_counters.Begin();
             Timer block_timer;
             decomp::BlockAnalysisResult result = decomp::AnalyzeBlock(
-                block, analysis_options, deliver, &workspace);
+                block, plan.used, deliver, &workspace,
+                decomp::KernelRange{0, block.kernel_local.size()});
             const double block_seconds = block_timer.ElapsedSeconds();
             budget.Release(block_charge);
             obs::CounterDelta block_delta;
@@ -239,7 +234,7 @@ class SerialExecutor final : public Executor {
               obs::TraceEvent e = MakeBlockSpan(
                   block_begin_us, obs::NowMicros(), block, result, level,
                   block_index);
-              e.cost = estimated_cost;
+              e.cost = plan.cost;
               e.prof = block_delta;
               trace->Record(e);
             }
@@ -250,10 +245,10 @@ class SerialExecutor final : public Executor {
             if (options.block_observer) {
               options.block_observer(
                   MakeBlockTaskRecord(block, result, block_seconds, level,
-                                      block_index, estimated_cost));
+                                      block_index, plan.cost));
             }
             if (progress != nullptr) {
-              progress->RetireBlock(level, estimated_cost);
+              progress->RetireBlock(level, plan.cost);
             }
             ++block_index;
             segment.Reset();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "decision/block_cost.h"
+#include "decision/features.h"
 #include "decomp/filter.h"
 #include "mce/storage.h"
 
@@ -31,6 +33,16 @@ decomp::BlockTaskRecord MakeBlockTaskRecord(
   r.seconds = seconds;
   r.used = result.used;
   return r;
+}
+
+BlockPlan PlanBlock(const decomp::Block& block,
+                    const decomp::BlockAnalysisOptions& options) {
+  const Graph& g = block.subgraph.graph;
+  const decision::BlockFeatures features =
+      options.tree != nullptr ? decision::ComputeFeatures(g)
+                              : decision::CostFeatures(g);
+  return BlockPlan{decision::EstimateBlockCost(features),
+                   decomp::SelectBlockMce(options, g, features)};
 }
 
 decomp::BlocksOptions BlocksOptionsFor(

@@ -60,6 +60,21 @@ decomp::BlockTaskRecord MakeBlockTaskRecord(
     const decomp::Block& block, const decomp::BlockAnalysisResult& result,
     double seconds, uint32_t level, uint64_t index, double estimated_cost);
 
+/// A block's emission-time plan, from one feature pass over the block:
+/// the decision::EstimateBlockCost score (dispatch order, the split
+/// decision, progress units, the observer record and the block span) and
+/// the bestfit classification every shard of the block runs.
+struct BlockPlan {
+  double cost = 0;
+  MceOptions used;
+};
+
+/// Plans `block` at emission. The features are computed once:
+/// decision::ComputeFeatures when a tree classifies the block, the cheaper
+/// decision::CostFeatures when `options.fixed` is the combination.
+BlockPlan PlanBlock(const decomp::Block& block,
+                    const decomp::BlockAnalysisOptions& options);
+
 /// Derives the Algorithm-3 options of a DecomposeTask.
 decomp::BlocksOptions BlocksOptionsFor(
     const decomp::FindMaxCliquesOptions& options);

@@ -26,9 +26,25 @@ struct InducedSubgraph {
 /// Builds the subgraph of `g` induced by `nodes`.
 ///
 /// `nodes` may be in any order and contain duplicates; the result's node i
-/// corresponds to the i-th smallest distinct input id. Runs in
-/// O(sum of degrees of `nodes`) after an O(n)-ish id-translation setup.
+/// corresponds to the i-th smallest distinct input id. Sorting the k input
+/// ids costs O(k log k); each member's parent row is then intersected with
+/// the sorted member list (a merge, or galloping search when one list is
+/// far longer). Nothing is sized by the parent's node count, so a call on
+/// a small set stays cheap on a large graph.
 InducedSubgraph Induce(const Graph& g, std::span<const NodeId> nodes);
+
+/// The row-filtering loop behind Induce and the block builder: the CSR of
+/// the subgraph of `g` induced by `members`, which must be sorted, distinct
+/// and smaller than g.num_nodes(). Row i lists, ascending, the positions in
+/// `members` of N(members[i]) ∩ members. `local_of` picks the member
+/// lookup:
+///  - empty: each parent row is intersected with `members` as in Induce;
+///  - otherwise a dense parent→local map of size g.num_nodes() with
+///    local_of[members[i]] == i and kInvalidNode for every other node,
+///    probed once per neighbor — O(sum of member degrees), for callers
+///    that keep such a map across many calls (decomp/blocks.cc).
+Graph InduceRows(const Graph& g, std::span<const NodeId> members,
+                 std::span<const NodeId> local_of = {});
 
 /// Translates a clique (or any node list) from subgraph ids to parent ids.
 std::vector<NodeId> ToParentIds(const InducedSubgraph& sub,

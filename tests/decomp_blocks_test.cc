@@ -1,6 +1,8 @@
 #include "decomp/blocks.h"
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -8,8 +10,10 @@
 
 #include "decomp/cut.h"
 #include "gen/generators.h"
+#include "gen/social.h"
 #include "gen/special.h"
 #include "mce/naive.h"
+#include "reduce/relabel.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -267,6 +271,224 @@ TEST(BlocksTest, DeterministicAcrossRuns) {
   for (size_t i = 0; i < b1.size(); ++i) {
     EXPECT_EQ(b1[i].subgraph.to_parent, b2[i].subgraph.to_parent);
     EXPECT_EQ(b1[i].kernel_local, b2[i].kernel_local);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference Algorithm 3: the hash-set / hash-map builder the library shipped
+// before its flat per-level scratch, kept here verbatim (including its own
+// hash-map induction) as the specification the production builder must
+// reproduce block for block — seeds, the max-adjacency pick and its
+// smaller-id tie-break, per-block rejections, roles, and relabeling.
+
+std::vector<NodeId> ReferenceOrderSeeds(const Graph& g,
+                                        const std::vector<NodeId>& feasible,
+                                        SeedPolicy policy) {
+  std::vector<NodeId> seeds = feasible;
+  switch (policy) {
+    case SeedPolicy::kLowestDegree:
+      std::stable_sort(seeds.begin(), seeds.end(), [&g](NodeId a, NodeId b) {
+        if (g.Degree(a) != g.Degree(b)) return g.Degree(a) < g.Degree(b);
+        return a < b;
+      });
+      break;
+    case SeedPolicy::kHighestDegree:
+      std::stable_sort(seeds.begin(), seeds.end(), [&g](NodeId a, NodeId b) {
+        if (g.Degree(a) != g.Degree(b)) return g.Degree(a) > g.Degree(b);
+        return a < b;
+      });
+      break;
+    case SeedPolicy::kFirstId:
+      std::sort(seeds.begin(), seeds.end());
+      break;
+  }
+  return seeds;
+}
+
+InducedSubgraph ReferenceInduce(const Graph& g, std::vector<NodeId> sorted) {
+  std::sort(sorted.begin(), sorted.end());
+  std::unordered_map<NodeId, NodeId> to_local;
+  for (NodeId i = 0; i < sorted.size(); ++i) to_local.emplace(sorted[i], i);
+  std::vector<uint64_t> offsets(sorted.size() + 1, 0);
+  std::vector<NodeId> adjacency;
+  for (NodeId local_u = 0; local_u < sorted.size(); ++local_u) {
+    for (NodeId v : g.Neighbors(sorted[local_u])) {
+      auto it = to_local.find(v);
+      if (it != to_local.end()) adjacency.push_back(it->second);
+    }
+    offsets[local_u + 1] = adjacency.size();
+  }
+  return InducedSubgraph{
+      Graph::FromSortedCsr(std::move(offsets), std::move(adjacency)),
+      std::move(sorted)};
+}
+
+std::vector<Block> ReferenceBuildBlocks(const Graph& g,
+                                        const std::vector<NodeId>& feasible,
+                                        const BlocksOptions& options) {
+  const uint32_t m = options.max_block_size;
+  std::vector<Block> blocks;
+  std::vector<uint8_t> is_feasible(g.num_nodes(), 0);
+  for (NodeId v : feasible) is_feasible[v] = 1;
+  std::vector<uint8_t> used_kernel(g.num_nodes(), 0);
+
+  for (NodeId seed : ReferenceOrderSeeds(g, feasible, options.seed_policy)) {
+    if (used_kernel[seed]) continue;
+
+    std::vector<NodeId> kernel;
+    std::unordered_set<NodeId> block_nodes;
+    std::unordered_map<NodeId, uint32_t> candidate_adjacency;
+    std::unordered_set<NodeId> infeasible;
+
+    auto promote = [&](NodeId n) {
+      used_kernel[n] = 1;
+      kernel.push_back(n);
+      candidate_adjacency.erase(n);
+      block_nodes.insert(n);
+      for (NodeId w : g.Neighbors(n)) {
+        block_nodes.insert(w);
+        if (is_feasible[w] && !used_kernel[w] && !infeasible.count(w)) {
+          ++candidate_adjacency[w];
+        }
+      }
+    };
+
+    promote(seed);
+
+    for (;;) {
+      NodeId best = kInvalidNode;
+      uint32_t best_adj = 0;
+      for (const auto& [node, adj] : candidate_adjacency) {
+        if (best == kInvalidNode || adj > best_adj ||
+            (adj == best_adj && node < best)) {
+          best = node;
+          best_adj = adj;
+        }
+      }
+      if (best == kInvalidNode) break;
+      if (best_adj < options.min_adjacency) break;
+      uint64_t added = 0;
+      for (NodeId w : g.Neighbors(best)) {
+        if (!block_nodes.count(w)) ++added;
+      }
+      if (block_nodes.size() + added > m) {
+        infeasible.insert(best);
+        candidate_adjacency.erase(best);
+        continue;
+      }
+      promote(best);
+    }
+
+    Block block;
+    block.subgraph = ReferenceInduce(
+        g, std::vector<NodeId>(block_nodes.begin(), block_nodes.end()));
+    const auto& to_parent = block.subgraph.to_parent;
+    block.roles.resize(to_parent.size());
+    std::unordered_set<NodeId> kernel_set(kernel.begin(), kernel.end());
+    for (NodeId local = 0; local < to_parent.size(); ++local) {
+      const NodeId parent = to_parent[local];
+      if (kernel_set.count(parent)) {
+        block.roles[local] = NodeRole::kKernel;
+        block.kernel_local.push_back(local);
+      } else if (used_kernel[parent]) {
+        block.roles[local] = NodeRole::kVisited;
+      } else {
+        block.roles[local] = NodeRole::kBorder;
+      }
+    }
+    if (options.degeneracy_relabel) reduce::DegeneracyRelabelBlock(&block);
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+void ExpectSameBlocks(const std::vector<Block>& got,
+                      const std::vector<Block>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].subgraph.to_parent, want[i].subgraph.to_parent)
+        << where << " block " << i;
+    EXPECT_EQ(got[i].roles, want[i].roles) << where << " block " << i;
+    EXPECT_EQ(got[i].kernel_local, want[i].kernel_local)
+        << where << " block " << i;
+    // Graph equality compares the CSR offsets and rows.
+    EXPECT_TRUE(got[i].subgraph.graph == want[i].subgraph.graph)
+        << where << " block " << i;
+  }
+}
+
+struct NamedGraph {
+  std::string name;
+  Graph graph;
+};
+
+std::vector<NamedGraph> ReferenceCorpus() {
+  Rng rng(43);
+  std::vector<NamedGraph> corpus;
+  corpus.push_back({"figure1", mce::test::Figure1Graph()});
+  corpus.push_back({"er", gen::ErdosRenyiGnp(70, 0.12, &rng)});
+  corpus.push_back({"ba", gen::BarabasiAlbert(200, 4, &rng)});
+  corpus.push_back({"ws", gen::WattsStrogatz(150, 8, 0.2, &rng)});
+  corpus.push_back(
+      {"facebook", gen::GenerateSocialNetwork(gen::FacebookConfig(0.01))});
+  corpus.push_back(
+      {"twitter1", gen::GenerateSocialNetwork(gen::Twitter1Config(0.02))});
+  return corpus;
+}
+
+TEST(BlocksTest, MatchesReferenceAlgorithm3) {
+  for (const NamedGraph& ng : ReferenceCorpus()) {
+    const Graph& g = ng.graph;
+    const uint32_t max_degree = g.MaxDegree();
+    // Small m leaves hubs (multi-level runs); max degree + 1 makes every
+    // node feasible.
+    for (const uint32_t m :
+         {max_degree / 3 + 2, max_degree / 2 + 2, max_degree + 1}) {
+      const CutResult cut = Cut(g, m);
+      for (SeedPolicy policy : {SeedPolicy::kLowestDegree,
+                                SeedPolicy::kHighestDegree,
+                                SeedPolicy::kFirstId}) {
+        for (uint32_t min_adjacency : {1u, 2u, 3u}) {
+          for (bool relabel : {false, true}) {
+            BlocksOptions options;
+            options.max_block_size = m;
+            options.seed_policy = policy;
+            options.min_adjacency = min_adjacency;
+            options.degeneracy_relabel = relabel;
+            const std::string where =
+                ng.name + " m=" + std::to_string(m) + " policy=" +
+                std::to_string(static_cast<int>(policy)) +
+                " min_adjacency=" + std::to_string(min_adjacency) +
+                " relabel=" + std::to_string(relabel);
+            ExpectSameBlocks(BuildBlocks(g, cut.feasible, options),
+                             ReferenceBuildBlocks(g, cut.feasible, options),
+                             where);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlocksTest, BackToBackCallsOnDifferentGraphsMatchReference) {
+  // Each call owns its scratch; growing blocks of one graph must leave
+  // nothing behind that changes the blocks of the next.
+  const std::vector<NamedGraph> corpus = ReferenceCorpus();
+  BlocksOptions options;
+  for (size_t i = 0; i + 1 < corpus.size(); ++i) {
+    for (size_t k : {i, i + 1, i}) {
+      const Graph& g = corpus[k].graph;
+      options.max_block_size = g.MaxDegree() / 2 + 2;
+      const CutResult cut = Cut(g, options.max_block_size);
+      std::vector<Block> streamed;
+      BuildBlocksStreaming(g, cut.feasible, options, [&](Block&& b) {
+        streamed.push_back(std::move(b));
+      });
+      ExpectSameBlocks(streamed,
+                       ReferenceBuildBlocks(g, cut.feasible, options),
+                       corpus[k].name);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "decision/decision_tree.h"
 #include "exec/cluster_executor.h"
 #include "exec/task_graph.h"
 #include "util/thread_pool.h"
@@ -129,6 +130,60 @@ TEST(ExecutorIdentityTest, SocialStandInMatchesAcrossExecutors) {
   for (uint32_t threads : {2u, 8u}) {
     ExpectIdenticalRuns(
         RunWith(g, options, decomp::ExecutorKind::kPooled, threads), serial);
+  }
+}
+
+// Classification happens once per block, at emission; every shard of a
+// split block runs it. Tree-classified runs with forced splitting must
+// still agree record for record (estimated_cost and used included) across
+// serial, pooled and the cluster wrapper.
+TEST(ExecutorIdentityTest, TreeClassifiedSplitRunsMatchAcrossExecutors) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  // #nodes > 20 ? (#edges > 150 ? Bitset/Tomita : Matrix/BKPivot)
+  //             : Lists/XPivot
+  using Node = decision::DecisionTree::Node;
+  std::vector<Node> nodes(5);
+  nodes[0] = {false, decision::FeatureId::kNumNodes, 20, 1, 2, {}};
+  nodes[1] = {false, decision::FeatureId::kNumEdges, 150, 3, 4, {}};
+  nodes[2].options = {Algorithm::kXPivot, StorageKind::kAdjacencyList};
+  nodes[3].options = {Algorithm::kTomita, StorageKind::kBitset};
+  nodes[4].options = {Algorithm::kBKPivot, StorageKind::kMatrix};
+  const decision::DecisionTree tree(nodes);
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 40;
+  options.tree = &tree;
+  options.max_block_cost = 50.0;
+  const Captured serial = RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+  bool storages[3] = {false, false, false};
+  for (const decomp::BlockTaskRecord& r : serial.records) {
+    storages[static_cast<int>(r.used.storage)] = true;
+  }
+  EXPECT_TRUE(storages[0] && storages[1] && storages[2]);
+  for (uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    const Captured pooled =
+        RunWith(g, options, decomp::ExecutorKind::kPooled, threads);
+    ExpectIdenticalRuns(pooled, serial);
+    uint64_t splits = 0;
+    for (const decomp::LevelStats& level : pooled.stats.levels) {
+      splits += level.block_splits;
+    }
+    EXPECT_GT(splits, 0u);
+    dist::ClusterConfig config;
+    config.num_workers = 3;
+    SimulatedClusterExecutor cluster(config, MakePooledExecutor(threads));
+    Captured wrapped;
+    decomp::FindMaxCliquesOptions wrapped_options = options;
+    wrapped_options.block_observer =
+        [&wrapped](const decomp::BlockTaskRecord& r) {
+          wrapped.records.push_back(r);
+        };
+    wrapped.stats = cluster.Run(
+        g, wrapped_options,
+        [&wrapped](std::span<const NodeId> c, uint32_t level) {
+          wrapped.emissions.emplace_back(Clique(c.begin(), c.end()), level);
+        });
+    ExpectIdenticalRuns(wrapped, serial);
   }
 }
 

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "decision/block_cost.h"
+#include "decision/decision_tree.h"
+#include "decomp/block_analysis.h"
+#include "decomp/blocks.h"
 #include "decomp/cut.h"
 #include "gen/generators.h"
+#include "gen/social.h"
 #include "gen/special.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -55,6 +59,65 @@ TEST(FilterChunksTest, LargeLevelsUseFourChunksPerWorker) {
 TEST(FilterChunksTest, ZeroWorkersAreClampedToOne) {
   const auto chunks = FilterChunks(100, 0);
   EXPECT_EQ(chunks.size(), 4u);
+}
+
+// The emission-time plan must be exactly what scoring and analyzing the
+// block on its own would give: the cost model's score and the combination
+// AnalyzeBlock's own bestfit reports — tree leaves, the dense-storage
+// guard and the seeded-algorithm substitution included.
+TEST(PlanBlockTest, MatchesCostModelAndAnalyzeBlockClassification) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  const uint32_t m = 40;
+  decomp::BlocksOptions blocks_options;
+  blocks_options.max_block_size = m;
+  const std::vector<decomp::Block> blocks =
+      decomp::BuildBlocks(g, decomp::Cut(g, m).feasible, blocks_options);
+  ASSERT_GT(blocks.size(), 10u);
+
+  // #nodes > 20 ? (#edges > 150 ? Bitset/Tomita : Matrix/Eppstein)
+  //             : Lists/XPivot
+  using Node = decision::DecisionTree::Node;
+  std::vector<Node> nodes(5);
+  nodes[0] = {false, decision::FeatureId::kNumNodes, 20, 1, 2, {}};
+  nodes[1] = {false, decision::FeatureId::kNumEdges, 150, 3, 4, {}};
+  nodes[2].options = {Algorithm::kXPivot, StorageKind::kAdjacencyList};
+  nodes[3].options = {Algorithm::kTomita, StorageKind::kBitset};
+  nodes[4].options = {Algorithm::kEppstein, StorageKind::kMatrix};
+  const decision::DecisionTree tree(nodes);
+
+  decomp::BlockAnalysisOptions classified;
+  classified.tree = &tree;
+  decomp::BlockAnalysisOptions guarded;
+  guarded.fixed = {Algorithm::kBKPivot, StorageKind::kMatrix};
+  guarded.max_storage_bytes = 256;  // only the smallest blocks stay dense
+  size_t seen[3] = {0, 0, 0};
+  for (const decomp::BlockAnalysisOptions& options : {classified, guarded}) {
+    for (const decomp::Block& block : blocks) {
+      const BlockPlan plan = PlanBlock(block, options);
+      EXPECT_EQ(plan.cost, decision::EstimateBlockCost(block.subgraph.graph));
+      uint64_t cliques = 0;
+      const CliqueCallback count = [&cliques](std::span<const NodeId>) {
+        ++cliques;
+      };
+      const decomp::BlockAnalysisResult own =
+          decomp::AnalyzeBlock(block, options, count);
+      EXPECT_EQ(plan.used.algorithm, own.used.algorithm);
+      EXPECT_EQ(plan.used.storage, own.used.storage);
+      ++seen[static_cast<int>(plan.used.storage)];
+      // Running the plan reproduces the self-classified analysis.
+      const uint64_t own_cliques = cliques;
+      cliques = 0;
+      const decomp::BlockAnalysisResult planned = decomp::AnalyzeBlock(
+          block, plan.used, count, nullptr,
+          decomp::KernelRange{0, block.kernel_local.size()});
+      EXPECT_EQ(planned.num_cliques, own.num_cliques);
+      EXPECT_EQ(cliques, own_cliques);
+    }
+  }
+  // Every storage kind was planned at least once.
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[2], 0u);
 }
 
 TEST(ComposeToOriginalTest, EmptyBaseIsIdentity) {

@@ -1,13 +1,16 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gen/generators.h"
 #include "graph/builder.h"
 #include "graph/subgraph.h"
 #include "graph/views.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace mce {
 namespace {
@@ -146,6 +149,72 @@ TEST(InduceTest, DropsEdgesToOutsiders) {
   InducedSubgraph sub = Induce(g, std::vector<NodeId>{1, 2, 3});
   EXPECT_EQ(sub.graph.num_nodes(), 3u);
   EXPECT_EQ(sub.graph.num_edges(), 0u);  // leaves are pairwise non-adjacent
+}
+
+/// The induced subgraph on the distinct ids of `nodes`, built pair by pair
+/// with HasEdge — independent of every row-filtering path.
+Graph BruteForceInduce(const Graph& g, std::vector<NodeId> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  GraphBuilder b;
+  b.ReserveNodes(static_cast<NodeId>(nodes.size()));
+  for (NodeId i = 0; i < nodes.size(); ++i) {
+    for (NodeId j = i + 1; j < nodes.size(); ++j) {
+      if (g.HasEdge(nodes[i], nodes[j])) b.AddEdge(i, j);
+    }
+  }
+  return b.Build();
+}
+
+TEST(InduceTest, AgreesWithBruteForceOnRandomMemberSets) {
+  Rng rng(41);
+  const Graph g = gen::BarabasiAlbert(300, 4, &rng);
+  const NodeId n = g.num_nodes();
+  std::vector<std::vector<NodeId>> sets;
+  sets.push_back({});                        // empty
+  sets.push_back({static_cast<NodeId>(7)});  // one node
+  std::vector<NodeId> all(n);
+  for (NodeId v = 0; v < n; ++v) all[v] = n - 1 - v;  // all nodes, reversed
+  sets.push_back(all);
+  // The two largest hubs plus a neighbor: rows far longer than the member
+  // list, the case Induce gallops through the row for.
+  std::vector<NodeId> by_degree(n);
+  for (NodeId v = 0; v < n; ++v) by_degree[v] = v;
+  std::sort(by_degree.begin(), by_degree.end(), [&g](NodeId a, NodeId b) {
+    return g.Degree(a) > g.Degree(b);
+  });
+  ASSERT_GT(g.Degree(by_degree[1]), 8u * 3u);
+  sets.push_back({by_degree[1], g.Neighbors(by_degree[0]).front(),
+                  by_degree[0], by_degree[1]});
+  // Random sets from small (mostly short rows) to nearly all nodes (rows
+  // far shorter than the member list): unsorted, with duplicates.
+  for (const size_t size : {3, 12, 40, 150, 290}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<NodeId> s;
+      for (size_t i = 0; i < size; ++i) {
+        s.push_back(static_cast<NodeId>(rng.NextBounded(n)));
+      }
+      s.push_back(s.front());  // at least one duplicate
+      sets.push_back(std::move(s));
+    }
+  }
+  std::vector<NodeId> local_of(n, kInvalidNode);
+  for (const std::vector<NodeId>& nodes : sets) {
+    const Graph want = BruteForceInduce(g, nodes);
+    std::vector<NodeId> members = nodes;
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+
+    const InducedSubgraph one_shot = Induce(g, nodes);
+    EXPECT_EQ(one_shot.to_parent, members);
+    EXPECT_TRUE(one_shot.graph == want) << nodes.size() << " ids";
+
+    // The block builder's path: a dense parent->local map.
+    for (NodeId i = 0; i < members.size(); ++i) local_of[members[i]] = i;
+    EXPECT_TRUE(InduceRows(g, members, local_of) == want)
+        << nodes.size() << " ids";
+    for (NodeId v : members) local_of[v] = kInvalidNode;
+  }
 }
 
 TEST(ViewsTest, MatrixMatchesGraph) {
