@@ -49,6 +49,7 @@ int main() {
     std::printf("}%s\n",
                 result->origin_level[i] >= 1 ? "   <- hub-only clique" : "");
   }
-  std::printf("stats: %s\n", result->stats.ToString().c_str());
+  std::printf("stats: %s\n",
+              mce::RunSummaryLine(result->stats, *result).c_str());
   return 0;
 }

@@ -148,8 +148,12 @@ echo "perf-diff gate trips on injected regression: ok"
 # args that trace_check validates, reconstruct into a critical path that
 # explains the wall clock (mce_trace_analyze --require-critical-path),
 # and report per-kind / per-level attribution that sums exactly to the
-# recorded totals. The same binary must degrade cleanly to the software
-# clock when perf_event_open is unavailable (MCE_FORCE_NO_PERF=1).
+# recorded totals. The sums are checked on pooled, serial and pooled
+# --reduce runs; both executors must count the same cliques (each clique
+# once, at the span that enumerated it), and the analyzer's tables over a
+# trace must equal the --json profile of the same run. The same binary
+# must degrade cleanly to the software clock when perf_event_open is
+# unavailable (MCE_FORCE_NO_PERF=1).
 echo "=== tier-1: profiling + critical-path validation ==="
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
   --executor pooled --threads 4 --perf-counters true \
@@ -159,22 +163,76 @@ echo "=== tier-1: profiling + critical-path validation ==="
   --require DecomposeTask,BlockTask,FilterTask --require-counters
 "$build/tools/mce_trace_analyze" "$trace_dir/trace_prof.json" \
   --require-critical-path >/dev/null
-python3 - "$trace_dir/report_prof.json" <<'EOF'
-import json, sys
-profile = json.load(open(sys.argv[1]))["profile"]
-if not profile["enabled"]:
-    sys.exit("profile.enabled is false on a --perf-counters run")
-total = profile["total"]
-for part in ("by_kind", "by_level"):
-    buckets = profile[part].values() if part == "by_kind" else profile[part]
-    for key in ("spans", "cycles", "instructions", "task_clock_ns",
-                "cliques"):
-        want = total[key]
-        got = sum(b[key] for b in buckets)
-        # by_level excludes the reduce prepass; this run has none.
-        if got != want:
-            sys.exit(f"profile.{part} {key} sums to {got}, total is {want}")
-print("profile attribution sums match recorded totals")
+"$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
+  --executor serial --perf-counters true \
+  --json true >"$trace_dir/report_prof_serial.json"
+"$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
+  --executor pooled --threads 4 --reduce true --perf-counters true \
+  --trace-out="$trace_dir/trace_prof_reduce.json" \
+  --json true >"$trace_dir/report_prof_reduce.json"
+"$build/tools/mce_trace_analyze" "$trace_dir/trace_prof_reduce.json" \
+  >"$trace_dir/analyze_prof_reduce.txt"
+python3 - "$trace_dir/report_prof.json" "$trace_dir/report_prof_serial.json" \
+  "$trace_dir/report_prof_reduce.json" \
+  "$trace_dir/analyze_prof_reduce.txt" <<'EOF'
+import json, re, sys
+pooled, serial, reduced, analyzed = sys.argv[1:5]
+profiles = {}
+for path in (pooled, serial, reduced):
+    profile = json.load(open(path))["profile"]
+    profiles[path] = profile
+    if not profile["enabled"]:
+        sys.exit(f"{path}: profile.enabled is false on a --perf-counters run")
+    total = profile["total"]
+    # by_level leaves out the ReduceTask bucket: the prepass runs outside
+    # the recursion.
+    reduce_bucket = profile["by_kind"].get("ReduceTask")
+    for part in ("by_kind", "by_level"):
+        if part == "by_kind":
+            buckets = profile[part].values()
+        else:
+            buckets = profile[part]
+        for key in ("spans", "cycles", "instructions", "task_clock_ns",
+                    "cliques"):
+            want = total[key]
+            if part == "by_level" and reduce_bucket is not None:
+                want -= reduce_bucket[key]
+            got = sum(b[key] for b in buckets)
+            if got != want:
+                sys.exit(f"{path}: profile.{part} {key} sums to {got}, "
+                         f"want {want}")
+if "ReduceTask" not in profiles[reduced]["by_kind"]:
+    sys.exit(f"{reduced}: no ReduceTask bucket on a --reduce run")
+pooled_cliques = profiles[pooled]["total"]["cliques"]
+serial_cliques = profiles[serial]["total"]["cliques"]
+if pooled_cliques != serial_cliques:
+    sys.exit(f"profile.total.cliques: pooled {pooled_cliques}, "
+             f"serial {serial_cliques}")
+print("profile attribution sums match recorded totals; serial and pooled "
+      f"count {serial_cliques} cliques")
+# The analyzer folds the trace the way the engines fold it live, so its
+# per-kind and per-level rows equal the run's --json profile.
+rows = {}
+for line in open(analyzed):
+    m = re.match(r"  (\S+(?: \d+)?)\s+(\d+)\s+([0-9.]+)s\s+(\d+)\s", line)
+    if m:
+        rows[m.group(1)] = (int(m.group(2)), float(m.group(3)),
+                            int(m.group(4)))
+profile = profiles[reduced]
+want = {"total": profile["total"]}
+want.update(profile["by_kind"])
+want.update({f"level {i}": b for i, b in enumerate(profile["by_level"])})
+for name, bucket in want.items():
+    if name not in rows:
+        sys.exit(f"mce_trace_analyze printed no '{name}' row")
+    spans, seconds, cliques = rows[name]
+    # The analyzer prints seconds to 4 decimals.
+    if (spans, cliques) != (bucket["spans"], bucket["cliques"]) or \
+            abs(seconds - bucket["seconds"]) > 6e-5:
+        sys.exit(f"mce_trace_analyze '{name}': {rows[name]}, --json "
+                 f"{bucket['spans']} spans {bucket['seconds']}s "
+                 f"{bucket['cliques']} cliques")
+print(f"mce_trace_analyze tables match the --json profile ({len(want)} rows)")
 EOF
 software_hw="$(MCE_FORCE_NO_PERF=1 "$build/tools/mce_cli" enumerate \
   --input "$trace_dir/fb.txt" --executor pooled --threads 4 \

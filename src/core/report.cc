@@ -74,7 +74,7 @@ std::string RunReportJson(const FindResult& result) {
   os << ",\"wall_seconds\":" << Double(s.wall_seconds);
   os << ",\"utilization\":" << Double(s.utilization);
   os << ",\"used_fallback\":" << (s.used_fallback ? "true" : "false");
-  const reduce::ReductionStats& r = s.reduction;
+  const reduce::ReductionStats& r = result.reduction;
   os << ",\"reduction\":{\"enabled\":" << (r.enabled ? "true" : "false")
      << ",\"isolated_removed\":" << r.isolated_removed
      << ",\"degree1_removed\":" << r.degree1_removed
@@ -86,7 +86,7 @@ std::string RunReportJson(const FindResult& result) {
      << ",\"suppressed_cliques\":" << r.suppressed_cliques
      << ",\"rounds\":" << r.rounds
      << ",\"seconds\":" << Double(r.seconds) << "}";
-  const decomp::MemoryStats& m = s.memory;
+  const decomp::MemoryStats& m = result.memory;
   os << ",\"memory\":{\"budget_bytes\":" << m.budget_bytes
      << ",\"peak_tracked_bytes\":" << m.peak_tracked_bytes
      << ",\"spill_chunks\":" << m.spill_chunks
@@ -94,7 +94,7 @@ std::string RunReportJson(const FindResult& result) {
      << ",\"admission_stalls\":" << m.admission_stalls
      << ",\"admission_stall_seconds\":" << Double(m.admission_stall_seconds)
      << "}";
-  const obs::ProgressAccounting& p = s.progress;
+  const obs::ProgressAccounting& p = result.progress;
   os << ",\"progress\":{\"enabled\":" << (p.enabled ? "true" : "false")
      << ",\"predicted_cost\":" << Double(p.predicted_cost)
      << ",\"completed_cost\":" << Double(p.completed_cost)
@@ -103,7 +103,7 @@ std::string RunReportJson(const FindResult& result) {
      << ",\"mean_abs_eta_error_seconds\":"
      << Double(p.mean_abs_eta_error_seconds)
      << ",\"wall_seconds\":" << Double(p.wall_seconds) << "}";
-  const obs::ProfileStats& prof = s.profile;
+  const obs::ProfileStats& prof = result.profile;
   const auto bucket = [&os](const obs::ProfileBucket& b) {
     os << "{\"spans\":" << b.spans << ",\"seconds\":" << Double(b.seconds)
        << ",\"cliques\":" << b.cliques

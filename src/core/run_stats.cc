@@ -8,36 +8,44 @@
 
 namespace mce {
 
-std::string RunStats::ToString() const {
+std::string RunSummaryLine(const RunStats& stats,
+                           const decomp::StreamingStats& result) {
   std::ostringstream os;
-  os << "cliques=" << total_cliques << " (feasible=" << feasible_cliques
-     << ", hub-only=" << hub_cliques << ")"
-     << " max_size=" << max_clique_size << " avg_size=" << avg_clique_size
-     << " levels=" << num_levels << " blocks=" << total_blocks
-     << " decompose_s=" << decompose_seconds
-     << " analyze_s=" << analyze_seconds
-     << " overlap_s=" << overlap_seconds << " idle_s=" << idle_seconds
-     << " barrier_idle_s=" << barrier_idle_seconds;
-  if (block_splits > 0) os << " block_splits=" << block_splits;
-  if (wall_seconds > 0) os << " wall_s=" << wall_seconds;
-  if (utilization > 0) os << " util=" << utilization;
+  os << "cliques=" << stats.total_cliques
+     << " (feasible=" << stats.feasible_cliques
+     << ", hub-only=" << stats.hub_cliques << ")"
+     << " max_size=" << stats.max_clique_size
+     << " avg_size=" << stats.avg_clique_size
+     << " levels=" << stats.num_levels << " blocks=" << stats.total_blocks
+     << " decompose_s=" << stats.decompose_seconds
+     << " analyze_s=" << stats.analyze_seconds
+     << " overlap_s=" << stats.overlap_seconds
+     << " idle_s=" << stats.idle_seconds
+     << " barrier_idle_s=" << stats.barrier_idle_seconds;
+  if (stats.block_splits > 0) os << " block_splits=" << stats.block_splits;
+  if (stats.wall_seconds > 0) os << " wall_s=" << stats.wall_seconds;
+  if (stats.utilization > 0) os << " util=" << stats.utilization;
+  const obs::ProgressAccounting& progress = result.progress;
   if (progress.enabled) {
     os << " progress[cost=" << progress.completed_cost << "/"
        << progress.predicted_cost
        << " eta_err_s=" << progress.mean_abs_eta_error_seconds << "]";
   }
+  const obs::ProfileStats& profile = result.profile;
   if (profile.enabled) {
     os << " profile[" << (profile.hardware ? "hw" : "sw")
        << " spans=" << profile.total.spans
        << " cycles=" << profile.total.counters.cycles
        << " ipc=" << profile.total.Ipc() << "]";
   }
+  const reduce::ReductionStats& reduction = result.reduction;
   if (reduction.enabled) {
     os << " reduce[v=" << reduction.vertices_removed
        << " e=" << reduction.edges_removed
        << " trivial=" << reduction.trivial_cliques
        << " rounds=" << reduction.rounds << "]";
   }
+  const decomp::MemoryStats& memory = result.memory;
   if (memory.budget_bytes > 0 || memory.spill_chunks > 0) {
     os << " mem[peak=" << memory.peak_tracked_bytes
        << " budget=" << memory.budget_bytes
@@ -45,7 +53,7 @@ std::string RunStats::ToString() const {
        << " spill_bytes=" << memory.spill_bytes
        << " stalls=" << memory.admission_stalls << "]";
   }
-  if (used_fallback) os << " [fallback]";
+  if (stats.used_fallback) os << " [fallback]";
   return os.str();
 }
 
@@ -55,8 +63,6 @@ RunStats ComputeRunStats(const decomp::FindMaxCliquesResult& result) {
   s.total_cliques = result.cliques.size();
   s.num_levels = result.levels.size();
   s.used_fallback = result.used_fallback;
-  s.reduction = result.reduction;
-  s.memory = result.memory;
 
   uint64_t total_size = 0, feasible_size = 0, hub_size = 0;
   for (size_t i = 0; i < result.cliques.size(); ++i) {
@@ -99,8 +105,6 @@ RunStats ComputeRunStats(const decomp::FindMaxCliquesResult& result) {
   // capacity spanned by the busiest worker, per level. 1.0 means every
   // worker was busy for exactly as long as the busiest one.
   if (capacity_seconds > 0) s.utilization = block_seconds / capacity_seconds;
-  s.progress = result.progress;
-  s.profile = result.profile;
   return s;
 }
 

@@ -4,7 +4,9 @@
 // average sizes split by origin (feasible-block cliques vs hub-only
 // cliques, the white/gray bars of Figures 9-10), the hub share among the
 // largest cliques (Figure 11), per-phase timings (Figures 7-8), and the
-// number of first-level iterations (Section 6.2).
+// number of first-level iterations (Section 6.2). RunStats is a view: it
+// holds only what it derives from the result; the reduction, memory,
+// progress and profile telemetry stay on the result (StreamingStats).
 
 #ifndef MCE_CORE_RUN_STATS_H_
 #define MCE_CORE_RUN_STATS_H_
@@ -48,14 +50,6 @@ struct RunStats {
   /// BlockTasks the executor split into kernel-range shards, summed over
   /// levels (0 with splitting disabled or on the serial executor).
   uint64_t block_splits = 0;
-  /// Graph-reduction prepass telemetry (reduction.enabled iff the run had
-  /// FindMaxCliquesOptions::reduce set); per-rule removal counts, trivial
-  /// cliques, and rounds to fixed point.
-  reduce::ReductionStats reduction;
-  /// Memory-budget telemetry: the configured budget, the executor's peak
-  /// tracked bytes (graphs + blocks + workspaces + sink buffers), and the
-  /// spill/admission activity it took to stay under the budget.
-  decomp::MemoryStats memory;
   /// End-to-end pipeline wall time as measured by MaxCliqueFinder::Find
   /// (0 when the stats were derived outside a timed entry point). The
   /// number mce_perf_diff compares across runs.
@@ -65,22 +59,16 @@ struct RunStats {
   /// (busiest worker's time x workers, summed over levels). 0 when the
   /// run produced no block work.
   double utilization = 0;
-  /// Live-progress accounting (enabled iff the run had a
-  /// ProgressEstimator attached): predicted vs. retired cost and how the
-  /// sampler's ETAs tracked the actual wall clock.
-  obs::ProgressAccounting progress;
-  /// Per-task hardware-counter attribution (enabled iff the run had
-  /// FindMaxCliquesOptions::profile set): cycles, instructions, cache and
-  /// branch misses, and task-clock split by task kind and by recursion
-  /// level. profile.hardware is false when perf_event_open was
-  /// unavailable and only the software task clock was recorded.
-  obs::ProfileStats profile;
-
-  std::string ToString() const;
 };
 
 /// Derives RunStats from a pipeline result.
 RunStats ComputeRunStats(const decomp::FindMaxCliquesResult& result);
+
+/// The one-line human summary of a run: the counts and timings of
+/// `stats`, then the progress[…], profile[…], reduce[…] and mem[…]
+/// segments of `result` when that telemetry is on.
+std::string RunSummaryLine(const RunStats& stats,
+                           const decomp::StreamingStats& result);
 
 /// Among the `k` largest cliques (ties broken toward including larger
 /// origin-level-0 cliques deterministically), the fraction that are

@@ -167,8 +167,7 @@ struct LevelRun {
   int64_t decompose_begin_us = 0;
   int64_t decompose_end_us = 0;
   std::vector<std::pair<int64_t, int64_t>> filter_spans;
-  int64_t fallback_begin_us = 0;
-  int64_t fallback_end_us = 0;
+  std::pair<int64_t, int64_t> fallback_window;
 
   bool ready = false;
 };
@@ -182,18 +181,16 @@ class PooledEngine {
         emit_(emit),
         blocks_options_(BlocksOptionsFor(options)),
         analysis_options_(AnalysisOptionsFor(options)),
-        trace_(ResolveTrace(options)),
-        metrics_(ResolveMetrics(options)),
+        reporter_(options),
         progress_(options.progress),
-        profile_on_(options.profile),
         budget_(options.memory_budget_bytes),
         workspaces_(std::max<size_t>(1, num_threads)),
         pool_(std::max<size_t>(1, num_threads)) {
     spill_config_.dir = options.spill_dir;
     spill_config_.threshold_bytes = decomp::EffectiveSpillThreshold(options);
     spill_config_.budget = &budget_;
-    spill_config_.trace = trace_;
-    spill_config_.metrics = metrics_.SpillInstruments();
+    spill_config_.trace = reporter_.trace();
+    spill_config_.metrics = reporter_.SpillInstruments();
     spill_config_.progress = progress_;
   }
 
@@ -215,8 +212,7 @@ class PooledEngine {
     // even submitted, so the trivial cliques hold the same leading stream
     // positions as on the serial engine. The level chain decomposes the
     // reduced graph; original_ stays the Lemma-1 reference.
-    prep_.Run(original_, options_, trace_, metrics_, emit_, &out,
-              profile_on_ ? &profile_ : nullptr);
+    prep_.Run(original_, options_, reporter_, emit_, &out);
     expansion_ = prep_.map();
     // The pipeline graph is resident for the whole run (an mmap-backed
     // graph reports zero here — its pages are reclaimable).
@@ -265,8 +261,7 @@ class PooledEngine {
         static_cast<double>(
             admission_stall_micros_.load(std::memory_order_relaxed)) *
         1e-6;
-    if (profile_on_) out.profile = profile_.Snapshot();
-    metrics_.RecordRun(out);
+    reporter_.FinishRun(&out);
     if (progress_ != nullptr) {
       progress_->MarkComplete();
       out.progress = progress_->Accounting();
@@ -279,12 +274,10 @@ class PooledEngine {
   /// level's decompose, then stream blocks into BlockTasks.
   void DecomposeTask(LevelRun* lr, LevelRun* parent) {
     // The whole task — induce, cut, block growth, cost scoring — runs on
-    // this one worker, so a single counter window covers it. The window
-    // closes inside RecordDecomposeSpan, before the m-core fallback (its
-    // own task kind) starts.
-    obs::ScopedCounters decompose_counters;
-    if (profile_on_) decompose_counters.Begin();
-    lr->decompose_begin_us = obs::NowMicros();
+    // this one worker in one window, closed before the m-core fallback
+    // (its own task kind) starts.
+    TaskWindow window(reporter_);
+    lr->decompose_begin_us = window.begin_us();
     if (progress_ != nullptr) progress_->BeginLevel(lr->level);
     if (parent != nullptr) {
       InducedSubgraph sub = Induce(*parent->graph, parent->cut.hubs);
@@ -312,8 +305,9 @@ class PooledEngine {
         chain_done_ = true;
       }
       lr->fallback = true;
-      lr->decompose_end_us = obs::NowMicros();
-      RecordDecomposeSpan(lr, decompose_counters);
+      reporter_.Close(window,
+                      [lr] { return MakeDecomposeSpan(lr->level, lr->stats); });
+      lr->decompose_end_us = window.end_us();
       RunFallback(lr);
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -353,6 +347,10 @@ class PooledEngine {
     // The tail batch flushes before blocks_final so every emitted block
     // has a task in flight when the completion check below runs.
     FlushBatch(lr);
+    // The window closes before blocks_final is published: delivery reads
+    // decompose_end_us once the level is ready.
+    reporter_.Close(window,
+                    [lr] { return MakeDecomposeSpan(lr->level, lr->stats); });
 
     bool signal = false;
     ThreadPool::Completion token;
@@ -360,42 +358,14 @@ class PooledEngine {
       std::lock_guard<std::mutex> lock(mu_);
       lr->blocks_final = true;
       lr->stats.blocks = lr->blocks.size();
-      lr->decompose_end_us = obs::NowMicros();
+      lr->decompose_end_us = window.end_us();
       signal = !lr->analysis_signaled && lr->blocks_done == lr->blocks.size();
       if (signal) {
         lr->analysis_signaled = true;
         token = lr->analysis_token;
       }
     }
-    RecordDecomposeSpan(lr, decompose_counters);
     if (signal) token.Signal();
-  }
-
-  /// The level's kDecompose span; call after decompose_end_us and the cut
-  /// stats are final (this worker wrote both). Closes the task's counter
-  /// window and books it under the decompose bucket.
-  void RecordDecomposeSpan(LevelRun* lr, obs::ScopedCounters& counters) {
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      profile_.Add(
-          obs::SpanKind::kDecompose, lr->level,
-          static_cast<double>(lr->decompose_end_us - lr->decompose_begin_us) *
-              1e-6,
-          0, delta);
-    }
-    if (trace_ == nullptr) return;
-    obs::TraceEvent e;
-    e.begin_us = lr->decompose_begin_us;
-    e.end_us = lr->decompose_end_us;
-    e.kind = obs::SpanKind::kDecompose;
-    e.level = lr->level;
-    e.args[0] = lr->stats.num_nodes;
-    e.args[1] = lr->stats.num_edges;
-    e.args[2] = lr->stats.feasible;
-    e.args[3] = lr->stats.hubs;
-    e.prof = delta;
-    trace_->Record(e);
   }
 
   /// Emission of one block by DecomposeTask(level): score it, plan its
@@ -452,7 +422,7 @@ class PooledEngine {
     for (ShardRun& run : exec->shards) {
       run.cliques = MakeCliqueSink(&lr->spill);
     }
-    if (shards > 1) metrics_.RecordSplit(shards);
+    if (shards > 1) reporter_.RecordSplit(shards);
     if (shards == 1 && splittable && cost < options_.max_block_cost) {
       // Tiny block: coalesce instead of dispatching. The batch flushes
       // once it accumulates a split threshold's worth of predicted work
@@ -520,11 +490,9 @@ class PooledEngine {
     // analyses to finish (the stall happens before begin_us so it never
     // inflates the block's measured window).
     AdmitAnalysis(lr->level, exec->ws_bytes);
-    // Counters open after the admission stall so a budget wait never
+    // The window opens after the admission stall so a budget wait never
     // shows up as analysis work.
-    obs::ScopedCounters counters;
-    if (profile_on_) counters.Begin();
-    run.begin_us = obs::NowMicros();
+    TaskWindow window(reporter_);
     // Level-0 buffers are the emission source and must hold each clique
     // sorted; deeper levels' buffers only feed the filter, which sorts.
     // With the reduction prepass active, level 0 additionally re-expands
@@ -550,35 +518,21 @@ class PooledEngine {
           }
         },
         &workspaces_[worker], run.range);
-    run.end_us = obs::NowMicros();
-    run.seconds = static_cast<double>(run.end_us - run.begin_us) * 1e-6;
-    run.worker = worker;
     const size_t total = exec->shards.size();
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      profile_.Add(total > 1 ? obs::SpanKind::kBlockShard
-                             : obs::SpanKind::kBlock,
-                   lr->level, run.seconds, run.result.num_cliques, delta);
-    }
-    if (trace_ != nullptr) {
-      if (total > 1) {
-        obs::TraceEvent e = MakeBlockShardSpan(run.begin_us, run.end_us,
-                                               lr->level, index, run.range,
-                                               run.result.num_cliques, total,
-                                               run.result.used);
-        // Equal predicted share per shard — matching the dispatch queue.
-        e.cost = exec->cost / static_cast<double>(total);
-        e.prof = delta;
-        trace_->Record(e);
-      } else {
-        obs::TraceEvent e = MakeBlockSpan(run.begin_us, run.end_us, *block,
-                                          run.result, lr->level, index);
-        e.cost = exec->cost;
-        e.prof = delta;
-        trace_->Record(e);
-      }
-    }
+    reporter_.Close(window, [&] {
+      // Equal predicted share per shard — matching the dispatch queue.
+      return total > 1
+                 ? MakeBlockShardSpan(lr->level, index, run.range,
+                                      run.result.num_cliques, total,
+                                      run.result.used,
+                                      exec->cost / static_cast<double>(total))
+                 : MakeBlockSpan(*block, run.result, lr->level, index,
+                                 exec->cost);
+    });
+    run.begin_us = window.begin_us();
+    run.end_us = window.end_us();
+    run.seconds = window.Seconds();
+    run.worker = worker;
     FinishAnalysis(exec->ws_bytes);
 
     bool block_done = false;
@@ -613,7 +567,7 @@ class PooledEngine {
       exec->seconds += s.seconds;
     }
     // Workload metrics count whole blocks, however many shards ran them.
-    metrics_.RecordBlock(*block, exec->result, exec->seconds);
+    reporter_.RecordBlock(*block, exec->result, exec->seconds);
     if (!options_.block_observer) {
       // Without an observer, delivery never reads the block again — only
       // this task's aggregates. Freeing the subgraph here keeps the
@@ -688,9 +642,7 @@ class PooledEngine {
   /// contiguous slice of the level's buffered cliques, survivors appended
   /// in slice order to the chunk's own arena.
   void FilterChunkTask(LevelRun* lr, size_t begin, size_t end, size_t chunk) {
-    obs::ScopedCounters counters;
-    if (profile_on_) counters.Begin();
-    const int64_t begin_us = obs::NowMicros();
+    TaskWindow window(reporter_);
     CliqueSink& out = *lr->filter_out[chunk];
     Clique scratch;
     Clique expand_scratch;
@@ -704,93 +656,46 @@ class PooledEngine {
             ++kept;
           }
         });
-    const int64_t end_us = obs::NowMicros();
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      profile_.Add(obs::SpanKind::kFilter, lr->level,
-                   static_cast<double>(end_us - begin_us) * 1e-6, kept,
-                   delta);
-    }
-    if (trace_ != nullptr) {
+    reporter_.Close(window, [&] {
       obs::TraceEvent e;
-      e.begin_us = begin_us;
-      e.end_us = end_us;
       e.kind = obs::SpanKind::kFilter;
       e.level = lr->level;
       e.index = chunk;
       e.args[0] = end - begin;
       e.args[1] = kept;
-      e.prof = delta;
-      trace_->Record(e);
-    }
-    metrics_.RecordFilter(end - begin, kept);
+      return e;
+    });
+    reporter_.RecordFilter(end - begin, kept);
     bool done = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      lr->filter_spans.emplace_back(begin_us, end_us);
+      lr->filter_spans.emplace_back(window.begin_us(), window.end_us());
       done = --lr->filter_chunks_left == 0;
       if (done) lr->ready = true;
     }
     if (done) cv_.notify_all();
   }
 
+  /// The level's FallbackTask on this worker: RunFallbackTask with each
+  /// clique filtered here and the survivors buffered for calling-thread
+  /// emission.
   void RunFallback(LevelRun* lr) {
-    decomp::LevelStats& stats = lr->stats;
     lr->fallback_cliques = MakeCliqueSink(&lr->spill);
-    double fallback_cost = 0;
-    if (progress_ != nullptr) {
-      // The fallback MCE is one indivisible unit of work, scored with
-      // the block cost model so the denominator stays in one currency.
-      fallback_cost = decision::EstimateBlockCost(*lr->graph);
-      progress_->RegisterBlock(lr->level, fallback_cost);
-    }
-    obs::ScopedCounters counters;
-    if (profile_on_) counters.Begin();
-    lr->fallback_begin_us = obs::NowMicros();
     Clique scratch;
     Clique expand_scratch;
-    uint64_t produced = 0;
-    EnumerateMaximalCliques(*lr->graph, decomp::kFallbackMce,
-                            [&](std::span<const NodeId> c) {
-                              ++produced;
-                              if (MapExpandAndFilterClique(
-                                      original_, c, lr->to_original,
-                                      lr->level, expansion_, &expand_scratch,
-                                      &scratch)) {
-                                lr->fallback_cliques->AppendRaw(scratch);
-                              }
-                            });
-    lr->fallback_end_us = obs::NowMicros();
-    if (progress_ != nullptr) progress_->RetireBlock(lr->level, fallback_cost);
-    stats.cliques = produced;
-    stats.analyze_seconds =
-        static_cast<double>(lr->fallback_end_us - lr->fallback_begin_us) *
-        1e-6;
-    stats.block_seconds = stats.analyze_seconds;
-    stats.busiest_worker_seconds = stats.analyze_seconds;
-    stats.analyze_threads = 1;  // one worker ran the indivisible task
-    obs::CounterDelta delta;
-    if (counters.active()) {
-      delta = counters.Finish();
-      profile_.Add(obs::SpanKind::kFallback, lr->level,
-                   stats.analyze_seconds, produced, delta);
-    }
-    if (trace_ != nullptr) {
-      obs::TraceEvent e;
-      e.begin_us = lr->fallback_begin_us;
-      e.end_us = lr->fallback_end_us;
-      e.kind = obs::SpanKind::kFallback;
-      e.level = lr->level;
-      e.args[0] = lr->graph->num_nodes();
-      e.args[1] = lr->graph->num_edges();
-      e.args[2] = produced;
-      e.prof = delta;
-      trace_->Record(e);
-    }
-    if (lr->level > 0) {
-      metrics_.RecordFilter(produced, lr->fallback_cliques->size());
-    }
+    uint64_t kept = 0;
+    lr->fallback_window = RunFallbackTask(
+        *lr->graph, lr->level, reporter_, progress_,
+        [&](std::span<const NodeId> c) {
+          if (MapExpandAndFilterClique(original_, c, lr->to_original,
+                                       lr->level, expansion_, &expand_scratch,
+                                       &scratch)) {
+            lr->fallback_cliques->AppendRaw(scratch);
+            ++kept;
+          }
+        },
+        &lr->stats);
+    if (lr->level > 0) reporter_.RecordFilter(lr->stats.cliques, kept);
   }
 
   /// Calling thread only. Emits the level's cliques, replays the observer
@@ -805,7 +710,7 @@ class PooledEngine {
     if (lr->fallback) {
       out.used_fallback = true;
       analyze_spans.push_back(
-          Range(lr->fallback_begin_us, lr->fallback_end_us));
+          Range(lr->fallback_window.first, lr->fallback_window.second));
       lr->fallback_cliques->ForEach([&](std::span<const NodeId> c) {
         ++out.cliques_emitted;
         emit_(c, lr->level);
@@ -941,7 +846,7 @@ class PooledEngine {
   void ChargeTracked(uint64_t bytes) {
     if (bytes == 0) return;
     budget_.Charge(bytes);
-    metrics_.RecordCharge(bytes);
+    reporter_.RecordCharge(bytes);
   }
 
   /// Releases `bytes` and wakes any admission waiter.
@@ -1004,8 +909,9 @@ class PooledEngine {
         admission_stall_micros_.fetch_add(
             static_cast<uint64_t>(end_us - begin_us),
             std::memory_order_relaxed);
-        metrics_.RecordAdmissionStall(static_cast<uint64_t>(end_us - begin_us));
-        if (trace_ != nullptr) {
+        reporter_.RecordAdmissionStall(
+            static_cast<uint64_t>(end_us - begin_us));
+        if (obs::TraceRecorder* trace = reporter_.trace()) {
           obs::TraceEvent e;
           e.begin_us = begin_us;
           e.end_us = end_us;
@@ -1014,7 +920,7 @@ class PooledEngine {
           e.args[0] = bytes;
           e.args[1] = budget_.charged();
           e.args[2] = budget_.limit();
-          trace_->Record(e);
+          trace->Record(e);
         }
       }
       if (admit_analysis) {
@@ -1064,15 +970,9 @@ class PooledEngine {
   const reduce::ReductionMap* expansion_ = nullptr;
   const decomp::BlocksOptions blocks_options_;
   const decomp::BlockAnalysisOptions analysis_options_;
-  obs::TraceRecorder* const trace_;
-  RunMetrics metrics_;
+  RunReporter reporter_;
   /// Live progress accounting; null when the run is not observed.
   obs::ProgressEstimator* const progress_;
-  /// Per-task hardware-counter attribution (options.profile). Pooled
-  /// tasks run on disjoint worker threads, so every task's delta is
-  /// accumulated as-is — per-kind sums reproduce the run total exactly.
-  const bool profile_on_;
-  obs::ProfileAccumulator profile_;
 
   // Memory accounting. Declared before levels_: the sinks owned by
   // LevelRun records release against budget_ in their destructors, so the

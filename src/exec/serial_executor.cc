@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "decision/block_cost.h"
 #include "decomp/cut.h"
 #include "exec/executor.h"
 #include "graph/subgraph.h"
@@ -29,11 +28,8 @@ class SerialExecutor final : public Executor {
                              const decomp::FindMaxCliquesOptions& options,
                              const decomp::LeveledCliqueCallback& emit) override {
     MCE_CHECK_GE(options.max_block_size, 1u);
-    obs::TraceRecorder* const trace = ResolveTrace(options);
-    RunMetrics metrics(ResolveMetrics(options));
+    RunReporter reporter(options);
     obs::ProgressEstimator* const progress = options.progress;
-    const bool profile_on = options.profile;
-    obs::ProfileAccumulator profile;
     decomp::StreamingStats out;
     // One workspace reused across every block of the run.
     BlockWorkspace workspace;
@@ -41,8 +37,7 @@ class SerialExecutor final : public Executor {
     // cliques right here and the level chain below starts from the
     // reduced graph; `g` stays the filter's reference graph.
     ReducePrepass prep;
-    prep.Run(g, options, trace, metrics, emit, &out,
-             profile_on ? &profile : nullptr);
+    prep.Run(g, options, reporter, emit, &out);
     const reduce::ReductionMap* const expansion = prep.map();
     const Graph* current = &prep.pipeline_graph();
     // The serial walk never stalls or spills (its live set is already
@@ -52,7 +47,7 @@ class SerialExecutor final : public Executor {
     auto charge = [&](uint64_t bytes) {
       if (bytes == 0) return;
       budget.Charge(bytes);
-      metrics.RecordCharge(bytes);
+      reporter.RecordCharge(bytes);
     };
     // Queue depth is always 0 on the serial walk; the budget gauges
     // make serial heartbeats comparable with pooled ones. The guard
@@ -83,42 +78,12 @@ class SerialExecutor final : public Executor {
           g, c, to_original, level, expansion, &expand_scratch, &scratch);
       // Level 0 needs no maximality check, so only deeper levels count as
       // filter work.
-      if (level > 0) metrics.RecordFilter(1, kept ? 1 : 0);
+      if (level > 0) reporter.RecordFilter(1, kept ? 1 : 0);
       if (kept) {
         ++out.cliques_emitted;
         if (progress != nullptr) progress->AddCliques(1);
         emit(scratch, level);
       }
-    };
-
-    // Per-level counter state: the level window is read at decompose-span
-    // close, and the nested block/fallback deltas are subtracted so the
-    // decompose bucket holds only its *self* work — per-kind sums then
-    // reproduce the run total exactly despite the nesting.
-    obs::ScopedCounters level_counters;
-    obs::CounterDelta level_children;
-
-    // The decompose span of a level covers CUT plus the block growth; the
-    // inline BlockTask spans nest inside it on this single track.
-    auto record_decompose = [&](const decomp::LevelStats& stats,
-                                int64_t begin_us) {
-      obs::TraceEvent e;
-      e.begin_us = begin_us;
-      e.end_us = obs::NowMicros();
-      e.kind = obs::SpanKind::kDecompose;
-      e.level = level;
-      e.args[0] = stats.num_nodes;
-      e.args[1] = stats.num_edges;
-      e.args[2] = stats.feasible;
-      e.args[3] = stats.hubs;
-      if (level_counters.active()) {
-        obs::CounterDelta self = level_counters.Finish();
-        self.SaturatingSubtract(level_children);
-        e.prof = self;
-        profile.Add(obs::SpanKind::kDecompose, level,
-                    stats.decompose_seconds, 0, self);
-      }
-      if (trace != nullptr) trace->Record(e);
     };
 
     for (;;) {
@@ -129,10 +94,10 @@ class SerialExecutor final : public Executor {
       // this, so it must never read 0.
       stats.analyze_threads = 1;
 
-      const int64_t level_begin_us =
-          trace != nullptr || profile_on ? obs::NowMicros() : 0;
-      level_children = obs::CounterDelta();
-      if (profile_on) level_counters.Begin();
+      // The level's DecomposeTask window covers CUT plus the block growth.
+      // The inline BlockTask windows nest inside it on this thread, so its
+      // counters hold only the decompose's self work.
+      TaskWindow decompose_window(reporter);
       if (progress != nullptr) progress->BeginLevel(level);
       // The decompose clock accumulates Cut plus the block-growth
       // segments between block emissions.
@@ -146,49 +111,9 @@ class SerialExecutor final : public Executor {
         // m-core. Enumerate it directly as one indivisible task.
         out.used_fallback = true;
         stats.decompose_seconds = segment.ElapsedSeconds();
-        if (trace != nullptr || profile_on) {
-          record_decompose(stats, level_begin_us);
-        }
-        const int64_t fallback_begin_us =
-            trace != nullptr || profile_on ? obs::NowMicros() : 0;
-        obs::ScopedCounters fallback_counters;
-        if (profile_on) fallback_counters.Begin();
-        double fallback_cost = 0;
-        if (progress != nullptr) {
-          // The fallback MCE is one indivisible unit of work; score it
-          // with the same cost model as a block so the denominator stays
-          // in one currency.
-          fallback_cost = decision::EstimateBlockCost(*current);
-          progress->RegisterBlock(level, fallback_cost);
-        }
-        Timer analyze_timer;
-        uint64_t produced = 0;
-        EnumerateMaximalCliques(*current, decomp::kFallbackMce,
-                                [&](std::span<const NodeId> c) {
-                                  ++produced;
-                                  deliver(c);
-                                });
-        if (progress != nullptr) progress->RetireBlock(level, fallback_cost);
-        stats.cliques = produced;
-        stats.analyze_seconds = analyze_timer.ElapsedSeconds();
-        stats.block_seconds = stats.analyze_seconds;
-        stats.busiest_worker_seconds = stats.analyze_seconds;
-        if (trace != nullptr || profile_on) {
-          obs::TraceEvent e;
-          e.begin_us = fallback_begin_us;
-          e.end_us = obs::NowMicros();
-          e.kind = obs::SpanKind::kFallback;
-          e.level = level;
-          e.args[0] = stats.num_nodes;
-          e.args[1] = stats.num_edges;
-          e.args[2] = produced;
-          if (fallback_counters.active()) {
-            e.prof = fallback_counters.Finish();
-            profile.Add(obs::SpanKind::kFallback, level,
-                        stats.analyze_seconds, produced, e.prof);
-          }
-          if (trace != nullptr) trace->Record(e);
-        }
+        reporter.Close(decompose_window,
+                       [&] { return MakeDecomposeSpan(level, stats); });
+        RunFallbackTask(*current, level, reporter, progress, deliver, &stats);
         out.levels.push_back(stats);
         if (progress != nullptr) progress->FinishLevel(level);
         break;
@@ -213,32 +138,18 @@ class SerialExecutor final : public Executor {
             // exactly as the pooled engine does.
             const BlockPlan plan = PlanBlock(block, analysis_options);
             if (progress != nullptr) progress->RegisterBlock(level, plan.cost);
-            const int64_t block_begin_us =
-                trace != nullptr || profile_on ? obs::NowMicros() : 0;
-            obs::ScopedCounters block_counters;
-            if (profile_on) block_counters.Begin();
+            TaskWindow block_window(reporter);
             Timer block_timer;
             decomp::BlockAnalysisResult result = decomp::AnalyzeBlock(
                 block, plan.used, deliver, &workspace,
                 decomp::KernelRange{0, block.kernel_local.size()});
             const double block_seconds = block_timer.ElapsedSeconds();
             budget.Release(block_charge);
-            obs::CounterDelta block_delta;
-            if (block_counters.active()) {
-              block_delta = block_counters.Finish();
-              profile.Add(obs::SpanKind::kBlock, level, block_seconds,
-                          result.num_cliques, block_delta);
-              level_children += block_delta;
-            }
-            if (trace != nullptr) {
-              obs::TraceEvent e = MakeBlockSpan(
-                  block_begin_us, obs::NowMicros(), block, result, level,
-                  block_index);
-              e.cost = plan.cost;
-              e.prof = block_delta;
-              trace->Record(e);
-            }
-            metrics.RecordBlock(block, result, block_seconds);
+            reporter.Close(block_window, [&] {
+              return MakeBlockSpan(block, result, level, block_index,
+                                   plan.cost);
+            });
+            reporter.RecordBlock(block, result, block_seconds);
             produced += result.num_cliques;
             stats.block_seconds += block_seconds;
             stats.analyze_seconds += block_seconds;
@@ -257,9 +168,8 @@ class SerialExecutor final : public Executor {
       stats.blocks = block_index;
       stats.cliques = produced;
       stats.busiest_worker_seconds = stats.block_seconds;
-      if (trace != nullptr || profile_on) {
-        record_decompose(stats, level_begin_us);
-      }
+      reporter.Close(decompose_window,
+                     [&] { return MakeDecomposeSpan(level, stats); });
       out.levels.push_back(stats);
       if (progress != nullptr) progress->FinishLevel(level);
 
@@ -280,8 +190,7 @@ class SerialExecutor final : public Executor {
     }
     out.memory.budget_bytes = budget.limit();
     out.memory.peak_tracked_bytes = budget.peak();
-    if (profile_on) out.profile = profile.Snapshot();
-    metrics.RecordRun(out);
+    reporter.FinishRun(&out);
     if (progress != nullptr) {
       progress->MarkComplete();
       out.progress = progress->Accounting();

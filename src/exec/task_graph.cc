@@ -6,6 +6,8 @@
 #include "decision/features.h"
 #include "decomp/filter.h"
 #include "mce/storage.h"
+#include "obs/critical_path.h"
+#include "util/check.h"
 
 namespace mce::exec {
 
@@ -112,18 +114,14 @@ bool MapExpandAndFilterClique(const Graph& original,
 
 void ReducePrepass::Run(const Graph& g,
                         const decomp::FindMaxCliquesOptions& options,
-                        obs::TraceRecorder* trace, RunMetrics& metrics,
+                        RunReporter& reporter,
                         const decomp::LeveledCliqueCallback& emit,
-                        decomp::StreamingStats* out,
-                        obs::ProfileAccumulator* profile) {
+                        decomp::StreamingStats* out) {
   if (!options.reduce) {
     graph_ = &g;
     return;
   }
-  const bool timed = trace != nullptr || profile != nullptr;
-  const int64_t begin_us = timed ? obs::NowMicros() : 0;
-  obs::ScopedCounters counters;
-  if (profile != nullptr) counters.Begin();
+  TaskWindow window(reporter);
   result_ = reduce::ReduceGraph(g, reduce::ReduceOptions{});
   // Pre-scan proved the graph irreducible: no copy was made, the map is
   // inactive, and the pipeline runs on the input directly. Stats still
@@ -141,25 +139,52 @@ void ReducePrepass::Run(const Graph& g,
   if (options.progress != nullptr) {
     options.progress->AddCliques(result_.map.num_trivial_cliques());
   }
-  metrics.RecordReduction(result_.stats);
-  if (timed) {
-    const int64_t end_us = obs::NowMicros();
+  reporter.Close(window, [this] {
     obs::TraceEvent e;
-    e.begin_us = begin_us;
-    e.end_us = end_us;
     e.kind = obs::SpanKind::kReduce;
     e.args[0] = result_.stats.vertices_removed;
     e.args[1] = result_.stats.edges_removed;
     e.args[2] = result_.stats.trivial_cliques;
     e.args[3] = result_.stats.rounds;
-    if (counters.active()) {
-      e.prof = counters.Finish();
-      profile->Add(obs::SpanKind::kReduce, obs::ProfileAccumulator::kNoLevel,
-                   static_cast<double>(end_us - begin_us) * 1e-6,
-                   result_.stats.trivial_cliques, e.prof);
-    }
-    if (trace != nullptr) trace->Record(e);
+    return e;
+  });
+}
+
+std::pair<int64_t, int64_t> RunFallbackTask(const Graph& graph, uint32_t level,
+                                            RunReporter& reporter,
+                                            obs::ProgressEstimator* progress,
+                                            const CliqueCallback& deliver,
+                                            decomp::LevelStats* stats) {
+  double cost = 0;
+  if (progress != nullptr) {
+    // One indivisible unit of work, scored with the block cost model so
+    // the progress denominator stays in one currency.
+    cost = decision::EstimateBlockCost(graph);
+    progress->RegisterBlock(level, cost);
   }
+  TaskWindow window(reporter);
+  uint64_t produced = 0;
+  EnumerateMaximalCliques(graph, decomp::kFallbackMce,
+                          [&](std::span<const NodeId> c) {
+                            ++produced;
+                            deliver(c);
+                          });
+  reporter.Close(window, [&] {
+    obs::TraceEvent e;
+    e.kind = obs::SpanKind::kFallback;
+    e.level = level;
+    e.args[0] = graph.num_nodes();
+    e.args[1] = graph.num_edges();
+    e.args[2] = produced;
+    return e;
+  });
+  if (progress != nullptr) progress->RetireBlock(level, cost);
+  stats->cliques = produced;
+  stats->analyze_seconds = window.Seconds();
+  stats->block_seconds = stats->analyze_seconds;
+  stats->busiest_worker_seconds = stats->analyze_seconds;
+  stats->analyze_threads = 1;  // one worker ran the indivisible task
+  return {window.begin_us(), window.end_us()};
 }
 
 obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options) {
@@ -167,19 +192,22 @@ obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options) {
                                   : obs::TraceRecorder::installed();
 }
 
-obs::MetricsRegistry* ResolveMetrics(
-    const decomp::FindMaxCliquesOptions& options) {
-  return options.metrics != nullptr ? options.metrics
-                                    : obs::MetricsRegistry::installed();
+obs::TraceEvent MakeDecomposeSpan(uint32_t level,
+                                  const decomp::LevelStats& stats) {
+  obs::TraceEvent e;
+  e.kind = obs::SpanKind::kDecompose;
+  e.level = level;
+  e.args[0] = stats.num_nodes;
+  e.args[1] = stats.num_edges;
+  e.args[2] = stats.feasible;
+  e.args[3] = stats.hubs;
+  return e;
 }
 
-obs::TraceEvent MakeBlockSpan(int64_t begin_us, int64_t end_us,
-                              const decomp::Block& block,
+obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
                               const decomp::BlockAnalysisResult& result,
-                              uint32_t level, uint64_t index) {
+                              uint32_t level, uint64_t index, double cost) {
   obs::TraceEvent e;
-  e.begin_us = begin_us;
-  e.end_us = end_us;
   e.kind = obs::SpanKind::kBlock;
   e.level = level;
   e.index = index;
@@ -189,17 +217,15 @@ obs::TraceEvent MakeBlockSpan(int64_t begin_us, int64_t end_us,
   e.args[3] = result.num_cliques;
   e.algorithm = static_cast<uint8_t>(result.used.algorithm);
   e.storage = static_cast<uint8_t>(result.used.storage);
+  e.cost = cost;
   return e;
 }
 
-obs::TraceEvent MakeBlockShardSpan(int64_t begin_us, int64_t end_us,
-                                   uint32_t level, uint64_t block_index,
+obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
                                    const decomp::KernelRange& range,
                                    uint64_t cliques, uint64_t shards,
-                                   const MceOptions& used) {
+                                   const MceOptions& used, double cost) {
   obs::TraceEvent e;
-  e.begin_us = begin_us;
-  e.end_us = end_us;
   e.kind = obs::SpanKind::kBlockShard;
   e.level = level;
   e.index = block_index;
@@ -209,6 +235,7 @@ obs::TraceEvent MakeBlockShardSpan(int64_t begin_us, int64_t end_us,
   e.args[3] = shards;
   e.algorithm = static_cast<uint8_t>(used.algorithm);
   e.storage = static_cast<uint8_t>(used.storage);
+  e.cost = cost;
   return e;
 }
 
@@ -235,7 +262,44 @@ size_t CostOrderedQueue::Size() const {
   return heap_.size();
 }
 
-RunMetrics::RunMetrics(obs::MetricsRegistry* registry) : registry_(registry) {
+namespace {
+
+/// The innermost open counting TaskWindow of the calling thread.
+thread_local TaskWindow* t_open_window = nullptr;
+
+}  // namespace
+
+TaskWindow::TaskWindow(const RunReporter& reporter)
+    : begin_us_(obs::NowMicros()) {
+  if (!reporter.profiling()) return;
+  parent_ = t_open_window;
+  t_open_window = this;
+  counters_.Begin();
+}
+
+TaskWindow::~TaskWindow() {
+  // Still counting means a task unwound by an exception before Close, so
+  // this is the thread's innermost window: unlink it so the next window
+  // cannot adopt a dead parent.
+  if (counters_.active()) t_open_window = parent_;
+}
+
+void TaskWindow::Stop() {
+  end_us_ = obs::NowMicros();
+  if (!counters_.active()) return;
+  t_open_window = parent_;
+  const obs::CounterDelta full = counters_.Finish();
+  if (parent_ != nullptr) parent_->children_ += full;
+  self_ = full;
+  self_.SaturatingSubtract(children_);
+}
+
+RunReporter::RunReporter(const decomp::FindMaxCliquesOptions& options)
+    : trace_(ResolveTrace(options)),
+      profiling_(options.profile),
+      registry_(options.metrics != nullptr
+                    ? options.metrics
+                    : obs::MetricsRegistry::installed()) {
   if (registry_ == nullptr) return;
   blocks_ = &registry_->GetCounter("exec.blocks_analyzed");
   blocks_split_ = &registry_->GetCounter("exec.blocks_split");
@@ -265,18 +329,27 @@ RunMetrics::RunMetrics(obs::MetricsRegistry* registry) : registry_(registry) {
       &registry_->GetHistogram("mem.spill_chunk_bytes", chunk_bounds);
 }
 
-void RunMetrics::RecordCharge(uint64_t bytes) {
+void RunReporter::Report(const TaskWindow& window, obs::TraceEvent e) {
+  MCE_DCHECK(obs::IsDagTask(e.kind));
+  e.begin_us = window.begin_us_;
+  e.end_us = window.end_us_;
+  e.prof = window.self_;
+  if (profiling_) profile_.Add(obs::TaskSpanFromEvent(e));
+  if (trace_ != nullptr) trace_->Record(e);
+}
+
+void RunReporter::RecordCharge(uint64_t bytes) {
   if (registry_ == nullptr || bytes == 0) return;
   mem_bytes_charged_->Add(bytes);
 }
 
-void RunMetrics::RecordAdmissionStall(uint64_t micros) {
+void RunReporter::RecordAdmissionStall(uint64_t micros) {
   if (registry_ == nullptr) return;
   mem_admission_stalls_->Increment();
   mem_admission_stall_micros_->Add(micros);
 }
 
-SpillMetrics RunMetrics::SpillInstruments() const {
+SpillMetrics RunReporter::SpillInstruments() const {
   SpillMetrics metrics;
   metrics.bytes_charged = mem_bytes_charged_;
   metrics.spill_chunks = mem_spill_chunks_;
@@ -285,9 +358,9 @@ SpillMetrics RunMetrics::SpillInstruments() const {
   return metrics;
 }
 
-void RunMetrics::RecordBlock(const decomp::Block& block,
-                             const decomp::BlockAnalysisResult& result,
-                             double seconds) {
+void RunReporter::RecordBlock(const decomp::Block& block,
+                              const decomp::BlockAnalysisResult& result,
+                              double seconds) {
   if (registry_ == nullptr) return;
   blocks_->Increment();
   block_cliques_->Add(result.num_cliques);
@@ -303,56 +376,50 @@ void RunMetrics::RecordBlock(const decomp::Block& block,
   }
 }
 
-void RunMetrics::RecordSplit(uint64_t shards) {
+void RunReporter::RecordSplit(uint64_t shards) {
   if (registry_ == nullptr) return;
   blocks_split_->Increment();
   block_shards_->Add(shards);
 }
 
-void RunMetrics::RecordFilter(uint64_t checked, uint64_t kept) {
+void RunReporter::RecordFilter(uint64_t checked, uint64_t kept) {
   if (registry_ == nullptr) return;
   filter_checked_->Add(checked);
   filter_kept_->Add(kept);
 }
 
-void RunMetrics::RecordReduction(const reduce::ReductionStats& stats) {
-  // Resolved lazily: the prepass records once per run, so there is no hot
-  // path to pre-bind these handles for.
+void RunReporter::FinishRun(decomp::StreamingStats* out) {
+  if (profiling_) out->profile = profile_.Snapshot();
   if (registry_ == nullptr) return;
-  registry_->GetCounter("reduce.isolated_removed").Add(stats.isolated_removed);
-  registry_->GetCounter("reduce.degree1_removed").Add(stats.degree1_removed);
-  registry_->GetCounter("reduce.dominated_removed")
-      .Add(stats.dominated_removed);
-  registry_->GetCounter("reduce.twins_merged").Add(stats.twins_merged);
-  registry_->GetCounter("reduce.vertices_removed").Add(stats.vertices_removed);
-  registry_->GetCounter("reduce.edges_removed").Add(stats.edges_removed);
-  registry_->GetCounter("reduce.trivial_cliques").Add(stats.trivial_cliques);
-  registry_->GetCounter("reduce.suppressed_cliques")
-      .Add(stats.suppressed_cliques);
-  registry_->GetCounter("reduce.rounds").Add(stats.rounds);
-}
-
-void RunMetrics::RecordRun(const decomp::StreamingStats& stats) {
-  if (registry_ == nullptr) return;
-  levels_->Add(stats.levels.size());
-  cliques_emitted_->Add(stats.cliques_emitted);
-  if (stats.used_fallback) fallback_runs_->Increment();
-  // Counter-attribution totals (once per run, resolved lazily like the
-  // reduction counters — profiling is off on the default path).
-  if (stats.profile.enabled) {
-    const obs::ProfileBucket& total = stats.profile.total;
-    registry_->GetCounter("obs.profile.spans").Add(total.spans);
-    registry_->GetCounter("obs.profile.cycles").Add(total.counters.cycles);
-    registry_->GetCounter("obs.profile.instructions")
-        .Add(total.counters.instructions);
-    registry_->GetCounter("obs.profile.cache_misses")
-        .Add(total.counters.cache_misses);
-    registry_->GetCounter("obs.profile.branch_misses")
-        .Add(total.counters.branch_misses);
-    registry_->GetCounter("obs.profile.task_clock_ns")
-        .Add(total.counters.task_clock_ns);
-    registry_->GetCounter("obs.profile.hardware_runs")
-        .Add(stats.profile.hardware ? 1 : 0);
+  levels_->Add(out->levels.size());
+  cliques_emitted_->Add(out->cliques_emitted);
+  if (out->used_fallback) fallback_runs_->Increment();
+  // Once-per-run totals, resolved lazily: there is no hot path to pre-bind
+  // these handles for.
+  const auto add = [this](const char* name, uint64_t value) {
+    registry_->GetCounter(name).Add(value);
+  };
+  const reduce::ReductionStats& r = out->reduction;
+  if (r.enabled) {
+    add("reduce.isolated_removed", r.isolated_removed);
+    add("reduce.degree1_removed", r.degree1_removed);
+    add("reduce.dominated_removed", r.dominated_removed);
+    add("reduce.twins_merged", r.twins_merged);
+    add("reduce.vertices_removed", r.vertices_removed);
+    add("reduce.edges_removed", r.edges_removed);
+    add("reduce.trivial_cliques", r.trivial_cliques);
+    add("reduce.suppressed_cliques", r.suppressed_cliques);
+    add("reduce.rounds", r.rounds);
+  }
+  if (out->profile.enabled) {
+    const obs::ProfileBucket& total = out->profile.total;
+    add("obs.profile.spans", total.spans);
+    add("obs.profile.cycles", total.counters.cycles);
+    add("obs.profile.instructions", total.counters.instructions);
+    add("obs.profile.cache_misses", total.counters.cache_misses);
+    add("obs.profile.branch_misses", total.counters.branch_misses);
+    add("obs.profile.task_clock_ns", total.counters.task_clock_ns);
+    add("obs.profile.hardware_runs", out->profile.hardware ? 1 : 0);
   }
 }
 

@@ -45,12 +45,14 @@
 #include "mce/clique_sink.h"
 #include "mce/enumerator.h"
 #include "obs/metrics.h"
+#include "obs/perf_counters.h"
+#include "obs/progress.h"
 #include "obs/trace.h"
 #include "reduce/reduction.h"
 
 namespace mce::exec {
 
-class RunMetrics;
+class RunReporter;
 
 /// The one construction site of a BlockTaskRecord, the record every
 /// executor delivers to options.block_observer. `estimated_cost` is the
@@ -116,20 +118,17 @@ bool MapExpandAndFilterClique(const Graph& original,
 /// The ReduceTask: shared prepass driver for the executors. When
 /// options.reduce is set, Run() reduces `g` on the calling thread, emits
 /// the trivial cliques (level 0, ahead of every pipeline clique — the
-/// same stream position on every engine), records the kReduce span and
-/// the reduction metrics/stats, and the pipeline then decomposes
+/// same stream position on every engine), reports the ReduceTask span and
+/// fills out->reduction, and the pipeline then decomposes
 /// pipeline_graph() with map() threaded through the filter call sites.
 /// When options.reduce is off, pipeline_graph() is `g` and map() is null.
 class ReducePrepass {
  public:
   /// Must be called once, before any pipeline task runs. `out` receives
-  /// the stats and the trivial-clique emission count. `profile` (may be
-  /// null) accumulates the prepass's counter delta under kReduce.
+  /// the stats and the trivial-clique emission count.
   void Run(const Graph& g, const decomp::FindMaxCliquesOptions& options,
-           obs::TraceRecorder* trace, RunMetrics& metrics,
-           const decomp::LeveledCliqueCallback& emit,
-           decomp::StreamingStats* out,
-           obs::ProfileAccumulator* profile = nullptr);
+           RunReporter& reporter, const decomp::LeveledCliqueCallback& emit,
+           decomp::StreamingStats* out);
 
   const Graph& pipeline_graph() const { return *graph_; }
   /// Null when reduction is off — safe to pass straight to
@@ -143,6 +142,18 @@ class ReducePrepass {
   reduce::ReductionResult result_;
   bool active_ = false;
 };
+
+/// The FallbackTask shared by the executors: the level graph `graph` is
+/// its own m-core, so it is enumerated directly, on the calling thread, as
+/// one indivisible task, each clique (ids of `graph`) going to `deliver`.
+/// The task is scored with the block cost model for `progress` (may be
+/// null), reports its span, and fills the analysis fields of `stats`.
+/// Returns the task's [begin_us, end_us] window.
+std::pair<int64_t, int64_t> RunFallbackTask(const Graph& graph, uint32_t level,
+                                            RunReporter& reporter,
+                                            obs::ProgressEstimator* progress,
+                                            const CliqueCallback& deliver,
+                                            decomp::LevelStats* stats);
 
 /// Chunk partition of a level's FilterTasks: contiguous [begin, end)
 /// ranges covering `items`, at most 4 per worker and never more chunks
@@ -158,29 +169,29 @@ std::vector<std::pair<size_t, size_t>> FilterChunks(size_t items,
 /// overflow.
 uint64_t EstimateAnalysisBytes(const decomp::Block& block);
 
-/// The run's effective span/metrics sinks: the option override when set,
-/// else the process-wide installed instance. Either may be nullptr (= that
-/// channel is off). Executors resolve once per Run.
+/// The run's effective span sink: the option override when set, else the
+/// process-wide installed recorder; nullptr when tracing is off.
 obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options);
-obs::MetricsRegistry* ResolveMetrics(
-    const decomp::FindMaxCliquesOptions& options);
 
-/// A finished BlockTask's kBlock span: kernel/border/visited sizes, clique
-/// count, and the MCE combination that ran, tagged with level and block
-/// index.
-obs::TraceEvent MakeBlockSpan(int64_t begin_us, int64_t end_us,
-                              const decomp::Block& block,
+/// A level's DecomposeTask span: the level graph's size and its cut.
+obs::TraceEvent MakeDecomposeSpan(uint32_t level,
+                                  const decomp::LevelStats& stats);
+
+/// A finished BlockTask's span: kernel/border/visited sizes, clique count,
+/// the MCE combination that ran and the predicted cost, tagged with level
+/// and block index.
+obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
                               const decomp::BlockAnalysisResult& result,
-                              uint32_t level, uint64_t index);
+                              uint32_t level, uint64_t index, double cost);
 
 /// One kernel-range shard of a split BlockTask: a kBlockShard span tagged
 /// with the block it belongs to, the half-open kernel range it enumerated,
-/// its clique count, and the block's total shard count.
-obs::TraceEvent MakeBlockShardSpan(int64_t begin_us, int64_t end_us,
-                                   uint32_t level, uint64_t block_index,
+/// its clique count, the block's total shard count, and its share of the
+/// block's predicted cost.
+obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
                                    const decomp::KernelRange& range,
                                    uint64_t cliques, uint64_t shards,
-                                   const MceOptions& used);
+                                   const MceOptions& used, double cost);
 
 /// Priority dispatch queue for ready analysis tasks. The thread pool runs
 /// plain FIFO; cost-guided scheduling (DESIGN.md §7: largest predicted
@@ -219,14 +230,69 @@ class CostOrderedQueue {
   std::vector<Entry> heap_;
 };
 
-/// Per-run handle bundle for the execution engine's well-known workload
-/// metrics. Instrument lookups happen once, at construction; the Record*
-/// calls are lock-free and no-ops when the registry is null. Thread-safe.
-class RunMetrics {
+/// One task's window on the calling thread, from construction to
+/// RunReporter::Close. It always stamps its begin and end on the
+/// obs::NowMicros() timebase (the pooled engine derives LevelStats from
+/// them) and opens a counter window only when the run profiles. Windows
+/// opened on the same thread while this one is open are its children:
+/// their counter deltas are subtracted from this window's, so every span
+/// carries its self work. Neither copyable nor movable — children link to
+/// their parent by address.
+class TaskWindow {
  public:
-  explicit RunMetrics(obs::MetricsRegistry* registry);
+  explicit TaskWindow(const RunReporter& reporter);
+  ~TaskWindow();
+  TaskWindow(const TaskWindow&) = delete;
+  TaskWindow& operator=(const TaskWindow&) = delete;
 
-  explicit operator bool() const { return registry_ != nullptr; }
+  int64_t begin_us() const { return begin_us_; }
+  /// Valid once RunReporter::Close has run.
+  int64_t end_us() const { return end_us_; }
+  double Seconds() const {
+    return static_cast<double>(end_us_ - begin_us_) * 1e-6;
+  }
+
+ private:
+  friend class RunReporter;
+  /// Stamps the end and, when counting, closes the counter window into
+  /// self_ and hands the full delta to the parent.
+  void Stop();
+
+  int64_t begin_us_ = 0;
+  int64_t end_us_ = 0;
+  obs::ScopedCounters counters_;
+  obs::CounterDelta children_;  // full deltas of the closed child windows
+  obs::CounterDelta self_;      // this window's delta minus children_
+  TaskWindow* parent_ = nullptr;
+};
+
+/// The run's one reporting path: the resolved trace sink, the profile
+/// accumulator and the engine's well-known workload metric handles. Every
+/// DAG task (obs::IsDagTask) reports by closing its TaskWindow here, so
+/// the live profile is the same fold over the same spans that
+/// obs::TaskSpansFromEvents and mce_trace_analyze compute from a trace.
+/// Instrument lookups happen once, at construction; the Record* calls are
+/// lock-free and no-ops when no registry is bound. Thread-safe.
+class RunReporter {
+ public:
+  explicit RunReporter(const decomp::FindMaxCliquesOptions& options);
+
+  /// True when task windows count (options.profile).
+  bool profiling() const { return profiling_; }
+  /// The resolved trace sink (may be null), for observability spans that
+  /// are not DAG tasks.
+  obs::TraceRecorder* trace() const { return trace_; }
+
+  /// Closes `window` with its task's span. The end is always stamped;
+  /// only when tracing or profiling is `make_span()` called — the off path
+  /// builds no TraceEvent. The span is stamped with the window and its
+  /// self counter delta, recorded when tracing, and folded into the
+  /// profile when profiling.
+  template <typename MakeSpan>
+  void Close(TaskWindow& window, MakeSpan&& make_span) {
+    window.Stop();
+    if (trace_ != nullptr || profiling_) Report(window, make_span());
+  }
 
   /// One analyzed block: counts it, its cliques, and observes the block
   /// size / edge-density / ns-per-clique histograms.
@@ -237,11 +303,6 @@ class RunMetrics {
   void RecordSplit(uint64_t shards);
   /// One Lemma-1 filter batch: `checked` cliques tested, `kept` survivors.
   void RecordFilter(uint64_t checked, uint64_t kept);
-  /// The reduction prepass's per-rule counters (reduce.* namespace).
-  void RecordReduction(const reduce::ReductionStats& stats);
-  /// End-of-run totals from the pipeline's stats.
-  void RecordRun(const decomp::StreamingStats& stats);
-
   /// Bytes charged to the MemoryBudget (mem.bytes_charged; sink deltas
   /// flow through SpillInstruments instead).
   void RecordCharge(uint64_t bytes);
@@ -252,8 +313,19 @@ class RunMetrics {
   /// when no registry is bound).
   SpillMetrics SpillInstruments() const;
 
+  /// Ends the run: snapshots the profile into out->profile when profiling,
+  /// then writes the end-of-run metrics from *out — the pipeline totals,
+  /// the reduce.* counters when the prepass ran, and the obs.profile.*
+  /// totals when profiling.
+  void FinishRun(decomp::StreamingStats* out);
+
  private:
-  obs::MetricsRegistry* registry_;
+  void Report(const TaskWindow& window, obs::TraceEvent e);
+
+  obs::TraceRecorder* const trace_;
+  const bool profiling_;
+  obs::ProfileAccumulator profile_;
+  obs::MetricsRegistry* const registry_;
   obs::Counter* blocks_ = nullptr;
   obs::Counter* blocks_split_ = nullptr;
   obs::Counter* block_shards_ = nullptr;

@@ -90,7 +90,7 @@ class FlatCliques {
 };
 
 /// Per-flush observability handles, bound once per run by the engine's
-/// RunMetrics (null when no registry is installed).
+/// RunReporter (null when no registry is installed).
 struct SpillMetrics {
   obs::Counter* bytes_charged = nullptr;
   obs::Counter* spill_chunks = nullptr;

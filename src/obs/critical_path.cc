@@ -78,37 +78,39 @@ bool IsDagTask(SpanKind kind) {
   }
 }
 
+TaskSpan TaskSpanFromEvent(const TraceEvent& e) {
+  TaskSpan s;
+  s.kind = e.kind;
+  s.level = e.level;
+  s.index = e.index;
+  s.begin_us = e.begin_us;
+  s.end_us = e.end_us;
+  // Recording-thread lanes are not identifiable from an event, and the
+  // DAG math never distinguishes them; synthetic lanes are kept.
+  s.lane_pid = e.lane_tid >= 0 ? e.lane_pid : 0;
+  s.lane_tid = e.lane_tid >= 0 ? e.lane_tid : 0;
+  s.cost = e.cost;
+  s.prof = e.prof;
+  switch (e.kind) {
+    case SpanKind::kBlock:
+      s.cliques = e.args[3];
+      break;
+    case SpanKind::kBlockShard:
+    case SpanKind::kFallback:
+    case SpanKind::kReduce:
+      s.cliques = e.args[2];
+      break;
+    default:
+      break;
+  }
+  return s;
+}
+
 std::vector<TaskSpan> TaskSpansFromEvents(
     std::span<const TraceEvent> events) {
   std::vector<TaskSpan> out;
-  // Recording-thread lanes are not identifiable from a flat event list,
-  // and the DAG math never distinguishes them; bucket synthetic lanes
-  // faithfully and leave the rest on lane (0, 0).
   for (const TraceEvent& e : events) {
-    if (!IsDagTask(e.kind)) continue;
-    TaskSpan s;
-    s.kind = e.kind;
-    s.level = e.level;
-    s.index = e.index;
-    s.begin_us = e.begin_us;
-    s.end_us = e.end_us;
-    s.lane_pid = e.lane_tid >= 0 ? e.lane_pid : 0;
-    s.lane_tid = e.lane_tid >= 0 ? e.lane_tid : 0;
-    s.cost = e.cost;
-    s.prof = e.prof;
-    switch (e.kind) {
-      case SpanKind::kBlock:
-        s.cliques = e.args[3];
-        break;
-      case SpanKind::kBlockShard:
-      case SpanKind::kFallback:
-      case SpanKind::kReduce:
-        s.cliques = e.args[2];
-        break;
-      default:
-        break;
-    }
-    out.push_back(s);
+    if (IsDagTask(e.kind)) out.push_back(TaskSpanFromEvent(e));
   }
   return out;
 }

@@ -61,10 +61,16 @@ struct TaskSpan {
 /// shard, fallback, filter, reduce).
 bool IsDagTask(SpanKind kind);
 
-/// Converts recorded events to TaskSpans, keeping only DAG task kinds.
-/// Lane assignment mirrors ToChromeTraceJson: (0, recording-thread tid)
-/// unless the event carries a synthetic lane. The per-kind clique counts
-/// are lifted out of the args.
+/// The TaskSpan of one DAG task event — the one place a span's clique
+/// count is read out of its args. Cliques count once, at the span that
+/// enumerated them: a block or shard its enumerated cliques, the fallback
+/// its enumerated cliques, the reduce prepass its trivial cliques. A
+/// FilterTask counts 0: its survivors were already counted at their
+/// block. Lane assignment mirrors ToChromeTraceJson for synthetic lanes;
+/// every other event lands on lane (0, 0).
+TaskSpan TaskSpanFromEvent(const TraceEvent& event);
+
+/// TaskSpanFromEvent over the DAG task kinds of `events`, in order.
 std::vector<TaskSpan> TaskSpansFromEvents(std::span<const TraceEvent> events);
 
 struct CriticalPathEntry {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <ctime>
 
+#include "obs/critical_path.h"
 #include "obs/trace.h"
 
 #if defined(__linux__)
@@ -262,21 +263,20 @@ double ProfileBucket::NsPerClique() const {
                      : 0.0;
 }
 
-void ProfileAccumulator::Add(SpanKind kind, uint32_t level, double seconds,
-                             uint64_t cliques, const CounterDelta& delta) {
+void ProfileAccumulator::Add(const TaskSpan& span) {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.enabled = true;
-  if (delta.source == CounterSource::kHardware) stats_.hardware = true;
+  if (span.prof.source == CounterSource::kHardware) stats_.hardware = true;
 
   auto add_to = [&](ProfileBucket& b) {
     b.spans += 1;
-    b.seconds += seconds;
-    b.cliques += cliques;
-    b.counters += delta;
+    b.seconds += span.Seconds();
+    b.cliques += span.cliques;
+    b.counters += span.prof;
   };
   add_to(stats_.total);
 
-  const uint8_t kind_value = static_cast<uint8_t>(kind);
+  const uint8_t kind_value = static_cast<uint8_t>(span.kind);
   ProfileBucket* kind_bucket = nullptr;
   for (auto& [value, bucket] : stats_.by_kind) {
     if (value == kind_value) {
@@ -290,9 +290,11 @@ void ProfileAccumulator::Add(SpanKind kind, uint32_t level, double seconds,
   }
   add_to(*kind_bucket);
 
-  if (level != kNoLevel) {
-    if (stats_.by_level.size() <= level) stats_.by_level.resize(level + 1);
-    add_to(stats_.by_level[level]);
+  if (span.kind != SpanKind::kReduce) {
+    if (stats_.by_level.size() <= span.level) {
+      stats_.by_level.resize(span.level + 1);
+    }
+    add_to(stats_.by_level[span.level]);
   }
 }
 

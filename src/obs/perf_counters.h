@@ -14,9 +14,9 @@
 // Counter values are exposed only as *deltas* between Begin/Finish pairs
 // (ScopedCounters), scaled for multiplexing by the group's
 // time_enabled/time_running ratio. Deltas attach to TraceRecorder spans
-// (Chrome-trace "E"-event args) and accumulate into a ProfileAccumulator,
-// whose snapshot becomes the per-kind / per-level "profile" object in
-// RunStats and the --json report.
+// (Chrome-trace "E"-event args), and a ProfileAccumulator folds those
+// spans into the per-kind / per-level ProfileStats that the run result
+// and the --json "profile" object carry.
 //
 // Everything here is off unless FindMaxCliquesOptions::profile is set;
 // the executors test one plain bool per task when it is not.
@@ -33,6 +33,7 @@
 namespace mce::obs {
 
 enum class SpanKind : uint8_t;
+struct TaskSpan;
 
 /// Where a CounterDelta's numbers came from.
 enum class CounterSource : uint8_t {
@@ -140,8 +141,8 @@ struct ProfileBucket {
 
 /// Snapshot of a run's counter attribution: the grand total plus per-kind
 /// and per-level breakdowns. Buckets only ever receive what the total
-/// receives, so by_kind sums (and by_level sums, over spans that carry a
-/// level) reproduce `total` exactly.
+/// receives, so by_kind sums reproduce `total` exactly, and by_level sums
+/// reproduce it minus the ReduceTask bucket.
 struct ProfileStats {
   bool enabled = false;    // options.profile was set
   bool hardware = false;   // at least one span read hardware counters
@@ -152,15 +153,17 @@ struct ProfileStats {
   std::string ToString() const;
 };
 
-/// Thread-safe sink for per-task deltas. One mutex acquisition per task —
-/// tasks are milliseconds, so this never contends measurably.
+/// The one fold from task spans to ProfileStats, shared by the executors
+/// (live, as each task closes) and the trace analyzer (over a parsed
+/// trace). Thread-safe; one mutex acquisition per task — tasks are
+/// milliseconds, so this never contends measurably.
 class ProfileAccumulator {
  public:
-  /// Sentinel level for spans outside the recursion (the reduce prepass).
-  static constexpr uint32_t kNoLevel = 0xffffffffu;
-
-  void Add(SpanKind kind, uint32_t level, double seconds, uint64_t cliques,
-           const CounterDelta& delta);
+  /// Adds one span to the total, its kind bucket and its level bucket: its
+  /// window seconds, its cliques (obs::TaskSpanFromEvent's rule) and its
+  /// counter delta. A ReduceTask runs outside the recursion, so it gets no
+  /// level bucket.
+  void Add(const TaskSpan& span);
 
   ProfileStats Snapshot() const;
 

@@ -75,9 +75,9 @@ struct ProgressSnapshot {
   GaugeSample gauges;
 };
 
-/// Final run accounting, surfaced through RunStats/--json: how much work
-/// the cost model predicted, how much was retired, and how good the live
-/// ETAs were against the wall clock that actually happened.
+/// Final run accounting, surfaced through the run result and --json: how
+/// much work the cost model predicted, how much was retired, and how good
+/// the live ETAs were against the wall clock that actually happened.
 struct ProgressAccounting {
   bool enabled = false;
   double predicted_cost = 0;   // total registered EstimateBlockCost units

@@ -59,7 +59,8 @@ struct ReduceOptions {
   uint32_t max_rounds = 0;
 };
 
-/// Per-rule telemetry of one reduction run (RunStats / metrics / --json).
+/// Per-rule telemetry of one reduction run (run result / reduce.* metrics /
+/// --json).
 struct ReductionStats {
   bool enabled = false;
   /// Vertices removed by rule: degree-0, degree-1, simplicial fold with

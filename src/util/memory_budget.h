@@ -4,8 +4,8 @@
 // the pipeline graph's resident CSR, per-level induced subgraphs, block
 // subgraphs, MCE analysis workspaces, and clique-sink buffers. Charges and
 // releases are relaxed atomics (sub-nanosecond on the hot path); `peak()`
-// is maintained with a CAS loop so RunStats can report the high-water mark
-// even on unlimited runs.
+// is maintained with a CAS loop so the run's MemoryStats can report the
+// high-water mark even on unlimited runs.
 //
 // A limit of 0 means "track only, never constrain". With a limit set,
 // `WouldExceed()` answers the PooledExecutor's admission question: would

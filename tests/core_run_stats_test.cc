@@ -51,7 +51,7 @@ TEST(RunStatsTest, ToStringMentionsKeyNumbers) {
   decomp::FindMaxCliquesResult r = MakeResult({{{0, 1, 2}, 1}});
   r.used_fallback = true;
   RunStats s = ComputeRunStats(r);
-  std::string str = s.ToString();
+  std::string str = RunSummaryLine(s, r);
   EXPECT_NE(str.find("cliques=1"), std::string::npos);
   EXPECT_NE(str.find("hub-only=1"), std::string::npos);
   EXPECT_NE(str.find("[fallback]"), std::string::npos);
@@ -67,7 +67,7 @@ TEST(RunStatsTest, ToStringCarriesEveryTimingField) {
   RunStats s = ComputeRunStats(r);
   EXPECT_DOUBLE_EQ(s.overlap_seconds, 0.5);
   EXPECT_DOUBLE_EQ(s.idle_seconds, 0.75);
-  std::string str = s.ToString();
+  std::string str = RunSummaryLine(s, r);
   EXPECT_NE(str.find("decompose_s=0.25"), std::string::npos) << str;
   EXPECT_NE(str.find("analyze_s=1.5"), std::string::npos) << str;
   EXPECT_NE(str.find("overlap_s=0.5"), std::string::npos) << str;
@@ -78,14 +78,15 @@ TEST(RunStatsTest, ToStringCarriesEveryTimingField) {
 TEST(RunStatsTest, ToStringSummarizesReductionWhenEnabled) {
   decomp::FindMaxCliquesResult r = MakeResult({{{0, 1}, 0}});
   // Off by default: no reduce segment in the line.
-  EXPECT_EQ(ComputeRunStats(r).ToString().find("reduce["), std::string::npos);
+  EXPECT_EQ(RunSummaryLine(ComputeRunStats(r), r).find("reduce["),
+            std::string::npos);
   r.reduction.enabled = true;
   r.reduction.vertices_removed = 12;
   r.reduction.edges_removed = 34;
   r.reduction.trivial_cliques = 5;
   r.reduction.rounds = 2;
   RunStats s = ComputeRunStats(r);
-  std::string str = s.ToString();
+  std::string str = RunSummaryLine(s, r);
   EXPECT_NE(str.find("reduce[v=12 e=34 trivial=5 rounds=2]"),
             std::string::npos)
       << str;

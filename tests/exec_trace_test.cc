@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,9 +32,11 @@ struct TracedRun {
 
 TracedRun RunTraced(const Graph& g, decomp::ExecutorKind kind,
                     uint32_t threads, obs::TraceRecorder* recorder,
-                    obs::MetricsRegistry* registry, uint32_t m = 10) {
+                    obs::MetricsRegistry* registry, uint32_t m = 10,
+                    bool reduce = false) {
   decomp::FindMaxCliquesOptions options;
   options.max_block_size = m;
+  options.reduce = reduce;
   options.executor = kind;
   options.num_threads = threads;
   options.trace = recorder;
@@ -81,32 +84,62 @@ std::map<uint32_t, LevelSpans> SplitByLevel(
 
 TEST(ExecTraceTest, SerialExecutorRecordsEveryTask) {
   Rng rng(7);
-  const Graph g = gen::BarabasiAlbert(80, 5, &rng);
-  obs::TraceRecorder recorder;
-  obs::MetricsRegistry registry;
-  TracedRun run =
-      RunTraced(g, decomp::ExecutorKind::kSerial, 1, &recorder, &registry);
+  const Graph ba = gen::BarabasiAlbert(80, 5, &rng);
+  // Power-law with a degree-1 floor: the reduction prepass strips part of
+  // it, so its reduce.* counters are non-trivial.
+  const Graph powerlaw = gen::PowerLawConfigurationModel(400, 2.5, 1, 40, &rng);
+  for (const auto& [g, reduce] :
+       {std::pair{&ba, false}, std::pair{&powerlaw, true}}) {
+    SCOPED_TRACE(reduce ? "powerlaw, reduce" : "ba");
+    obs::TraceRecorder recorder;
+    obs::MetricsRegistry registry;
+    TracedRun run = RunTraced(*g, decomp::ExecutorKind::kSerial, 1,
+                              &recorder, &registry, /*m=*/10, reduce);
 
-  uint64_t decompose_spans = 0, block_spans = 0;
-  for (const obs::TraceEvent& e : run.events) {
-    EXPECT_GE(e.end_us, e.begin_us);
-    if (e.kind == obs::SpanKind::kDecompose) ++decompose_spans;
-    if (e.kind == obs::SpanKind::kBlock) ++block_spans;
-  }
-  uint64_t total_blocks = 0;
-  for (const decomp::LevelStats& level : run.stats.levels) {
-    total_blocks += level.blocks;
-  }
-  EXPECT_EQ(decompose_spans, run.stats.levels.size());
-  EXPECT_EQ(block_spans, total_blocks);
-  EXPECT_GT(block_spans, 0u);
+    uint64_t decompose_spans = 0, block_spans = 0;
+    for (const obs::TraceEvent& e : run.events) {
+      EXPECT_GE(e.end_us, e.begin_us);
+      if (e.kind == obs::SpanKind::kDecompose) ++decompose_spans;
+      if (e.kind == obs::SpanKind::kBlock) ++block_spans;
+    }
+    uint64_t total_blocks = 0;
+    for (const decomp::LevelStats& level : run.stats.levels) {
+      total_blocks += level.blocks;
+    }
+    EXPECT_EQ(decompose_spans, run.stats.levels.size());
+    EXPECT_EQ(block_spans, total_blocks);
+    EXPECT_GT(block_spans, 0u);
 
-  // The metrics registry saw the same workload the stats report.
-  EXPECT_EQ(run.counter(registry, "exec.blocks_analyzed"), total_blocks);
-  EXPECT_EQ(run.counter(registry, "pipeline.cliques_emitted"),
-            run.stats.cliques_emitted);
-  EXPECT_EQ(run.counter(registry, "pipeline.levels"),
-            run.stats.levels.size());
+    // The metrics registry saw the same workload the stats report.
+    EXPECT_EQ(run.counter(registry, "exec.blocks_analyzed"), total_blocks);
+    EXPECT_EQ(run.counter(registry, "pipeline.cliques_emitted"),
+              run.stats.cliques_emitted);
+    EXPECT_EQ(run.counter(registry, "pipeline.levels"),
+              run.stats.levels.size());
+
+    // The reduce.* counters are the run's ReductionStats, written once at
+    // the end of the run.
+    const reduce::ReductionStats& r = run.stats.reduction;
+    EXPECT_EQ(r.enabled, reduce);
+    if (reduce) {
+      EXPECT_GT(r.vertices_removed, 0u);
+    }
+    EXPECT_EQ(run.counter(registry, "reduce.isolated_removed"),
+              r.isolated_removed);
+    EXPECT_EQ(run.counter(registry, "reduce.degree1_removed"),
+              r.degree1_removed);
+    EXPECT_EQ(run.counter(registry, "reduce.dominated_removed"),
+              r.dominated_removed);
+    EXPECT_EQ(run.counter(registry, "reduce.twins_merged"), r.twins_merged);
+    EXPECT_EQ(run.counter(registry, "reduce.vertices_removed"),
+              r.vertices_removed);
+    EXPECT_EQ(run.counter(registry, "reduce.edges_removed"), r.edges_removed);
+    EXPECT_EQ(run.counter(registry, "reduce.trivial_cliques"),
+              r.trivial_cliques);
+    EXPECT_EQ(run.counter(registry, "reduce.suppressed_cliques"),
+              r.suppressed_cliques);
+    EXPECT_EQ(run.counter(registry, "reduce.rounds"), r.rounds);
+  }
 }
 
 TEST(ExecTraceTest, PooledStatsAreRecomputableFromSpans) {

@@ -1,11 +1,13 @@
 // Critical-path / attribution math on synthetic task DAGs with known
 // answers, plus a live cross-check: traces recorded by the serial and
 // pooled executors must both yield a critical path that explains the
-// whole wall clock (the analyzer's --require-critical-path gate).
+// whole wall clock (the analyzer's --require-critical-path gate), and a
+// profile that is exactly the fold of their own spans.
 
 #include "obs/critical_path.h"
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -153,8 +155,11 @@ TEST(StragglerTest, RankByDeviationFlagsUnderPredictedBlocks) {
   EXPECT_TRUE(RankStragglersByDeviation(bare, 4).empty());
 }
 
+// Cliques count once, at the span that enumerated them: a block, a
+// fallback, a shard, the reduce prepass's trivial cliques — and a
+// FilterTask none, its survivors were counted at their block.
 TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
-  std::vector<TraceEvent> events(4);
+  std::vector<TraceEvent> events(7);
   events[0].kind = SpanKind::kBlock;
   events[0].level = 2;
   events[0].index = 5;
@@ -168,9 +173,16 @@ TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   events[2].kind = SpanKind::kFallback;
   events[2].args[2] = 4;  // cliques
   events[3].kind = SpanKind::kAdmission;   // observability, not DAG
+  events[4].kind = SpanKind::kFilter;
+  events[4].args[0] = 9;  // checked
+  events[4].args[1] = 6;  // kept
+  events[5].kind = SpanKind::kReduce;
+  events[5].args[2] = 3;  // trivial cliques
+  events[6].kind = SpanKind::kBlockShard;
+  events[6].args[2] = 5;  // cliques
 
   const std::vector<TaskSpan> spans = TaskSpansFromEvents(events);
-  ASSERT_EQ(spans.size(), 2u);
+  ASSERT_EQ(spans.size(), 5u);
   EXPECT_EQ(spans[0].kind, SpanKind::kBlock);
   EXPECT_EQ(spans[0].level, 2u);
   EXPECT_EQ(spans[0].index, 5u);
@@ -179,6 +191,10 @@ TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   EXPECT_EQ(spans[0].prof.task_clock_ns, 123u);
   EXPECT_EQ(spans[1].kind, SpanKind::kFallback);
   EXPECT_EQ(spans[1].cliques, 4u);
+  EXPECT_EQ(spans[2].kind, SpanKind::kFilter);
+  EXPECT_EQ(spans[2].cliques, 0u);
+  EXPECT_EQ(spans[3].cliques, 3u);
+  EXPECT_EQ(spans[4].cliques, 5u);
 }
 
 TEST(IdleAttributionTest, SplitsLevelCapacityAcrossLanes) {
@@ -197,50 +213,106 @@ TEST(IdleAttributionTest, SplitsLevelCapacityAcrossLanes) {
   EXPECT_GE(idle[0].barrier_idle_seconds, 0.0);
 }
 
+void ExpectSameBucket(const ProfileBucket& live, const ProfileBucket& refold) {
+  EXPECT_EQ(live.spans, refold.spans);
+  // The same span windows, summed in completion order live and in track
+  // order re-folded, may round apart in the last bits.
+  EXPECT_NEAR(live.seconds, refold.seconds, 1e-9);
+  EXPECT_EQ(live.cliques, refold.cliques);
+  EXPECT_EQ(live.counters.cycles, refold.counters.cycles);
+  EXPECT_EQ(live.counters.instructions, refold.counters.instructions);
+  EXPECT_EQ(live.counters.cache_misses, refold.counters.cache_misses);
+  EXPECT_EQ(live.counters.branch_misses, refold.counters.branch_misses);
+  EXPECT_EQ(live.counters.task_clock_ns, refold.counters.task_clock_ns);
+  EXPECT_EQ(live.counters.source, refold.counters.source);
+}
+
+/// Every bucket of `live` equals its counterpart in `refold`. by_kind is
+/// in first-seen order, which differs between the two folds, so kinds are
+/// matched by value.
+void ExpectSameProfile(const ProfileStats& live, const ProfileStats& refold) {
+  EXPECT_EQ(live.enabled, refold.enabled);
+  EXPECT_EQ(live.hardware, refold.hardware);
+  {
+    SCOPED_TRACE("total");
+    ExpectSameBucket(live.total, refold.total);
+  }
+  const std::map<uint8_t, ProfileBucket> live_kinds(live.by_kind.begin(),
+                                                    live.by_kind.end());
+  const std::map<uint8_t, ProfileBucket> refold_kinds(
+      refold.by_kind.begin(), refold.by_kind.end());
+  ASSERT_EQ(live_kinds.size(), refold_kinds.size());
+  for (const auto& [kind, bucket] : live_kinds) {
+    SCOPED_TRACE(ToString(static_cast<SpanKind>(kind)));
+    ASSERT_EQ(refold_kinds.count(kind), 1u);
+    ExpectSameBucket(bucket, refold_kinds.at(kind));
+  }
+  ASSERT_EQ(live.by_level.size(), refold.by_level.size());
+  for (size_t level = 0; level < live.by_level.size(); ++level) {
+    SCOPED_TRACE(testing::Message() << "level " << level);
+    ExpectSameBucket(live.by_level[level], refold.by_level[level]);
+  }
+}
+
 // The live contract behind `mce_trace_analyze --require-critical-path`:
 // a trace from either executor reconstructs into a DAG whose critical
 // path (contributions + waits) explains the run's wall clock, and every
-// DAG span of a profiled run carries counter attribution.
+// DAG span of a profiled run carries counter attribution. The live
+// profile is the fold of the run's own spans, so it equals a re-fold of
+// the recorded trace, and both executors count the same cliques. m = 10
+// makes the graph its own m-core (decompose + fallback); m = 40 gives
+// three levels, split shards and pooled filter chunks; reduce adds the
+// ReduceTask.
 TEST(CriticalPathIntegrationTest, SerialAndPooledTracesCoverTheWall) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
-  uint64_t serial_cliques = 0;
-  for (const decomp::ExecutorKind kind :
-       {decomp::ExecutorKind::kSerial, decomp::ExecutorKind::kPooled}) {
-    TraceRecorder recorder;
-    decomp::FindMaxCliquesOptions options;
-    options.max_block_size = 10;
-    options.executor = kind;
-    options.num_threads = 4;
-    options.trace = &recorder;
-    options.profile = true;
-    uint64_t cliques = 0;
-    const decomp::StreamingStats stats = decomp::FindMaxCliquesStreaming(
-        g, options,
-        [&cliques](std::span<const NodeId>, uint32_t) { ++cliques; });
+  for (const uint32_t m : {10u, 40u}) {
+    for (const bool reduce : {false, true}) {
+      uint64_t serial_cliques = 0;
+      uint64_t serial_profile_cliques = 0;
+      for (const decomp::ExecutorKind kind :
+           {decomp::ExecutorKind::kSerial, decomp::ExecutorKind::kPooled}) {
+        const bool serial = kind == decomp::ExecutorKind::kSerial;
+        SCOPED_TRACE(testing::Message()
+                     << "m " << m << (reduce ? " reduce" : "")
+                     << (serial ? " serial" : " pooled"));
+        TraceRecorder recorder;
+        decomp::FindMaxCliquesOptions options;
+        options.max_block_size = m;
+        options.reduce = reduce;
+        options.executor = kind;
+        options.num_threads = 4;
+        options.trace = &recorder;
+        options.profile = true;
+        uint64_t cliques = 0;
+        const decomp::StreamingStats stats = decomp::FindMaxCliquesStreaming(
+            g, options,
+            [&cliques](std::span<const NodeId>, uint32_t) { ++cliques; });
 
-    const std::vector<TaskSpan> spans =
-        TaskSpansFromEvents(recorder.Events());
-    ASSERT_FALSE(spans.empty());
-    for (const TaskSpan& s : spans) {
-      EXPECT_NE(s.prof.source, CounterSource::kNone)
-          << "unprofiled DAG span of kind "
-          << ToString(s.kind);
-    }
-    const CriticalPathResult r = ComputeCriticalPath(spans);
-    ASSERT_FALSE(r.path.empty());
-    EXPECT_NEAR(r.coverage, 1.0, 0.05)
-        << (kind == decomp::ExecutorKind::kSerial ? "serial" : "pooled");
-    EXPECT_GT(r.span_seconds, 0.0);
+        const std::vector<TaskSpan> spans =
+            TaskSpansFromEvents(recorder.Events());
+        ASSERT_FALSE(spans.empty());
+        for (const TaskSpan& s : spans) {
+          EXPECT_NE(s.prof.source, CounterSource::kNone)
+              << "unprofiled DAG span of kind " << ToString(s.kind);
+        }
+        const CriticalPathResult r = ComputeCriticalPath(spans);
+        ASSERT_FALSE(r.path.empty());
+        EXPECT_NEAR(r.coverage, 1.0, 0.05);
+        EXPECT_GT(r.span_seconds, 0.0);
 
-    // The accumulator the executors fed must agree with the spans the
-    // recorder captured: same span population.
-    EXPECT_TRUE(stats.profile.enabled);
-    EXPECT_EQ(stats.profile.total.spans, spans.size());
+        EXPECT_TRUE(stats.profile.enabled);
+        ProfileAccumulator refold;
+        for (const TaskSpan& s : spans) refold.Add(s);
+        ExpectSameProfile(stats.profile, refold.Snapshot());
 
-    if (kind == decomp::ExecutorKind::kSerial) {
-      serial_cliques = cliques;
-    } else {
-      EXPECT_EQ(cliques, serial_cliques);  // executors agree on the answer
+        if (serial) {
+          serial_cliques = cliques;
+          serial_profile_cliques = stats.profile.total.cliques;
+        } else {
+          EXPECT_EQ(cliques, serial_cliques);  // executors agree
+          EXPECT_EQ(stats.profile.total.cliques, serial_profile_cliques);
+        }
+      }
     }
   }
 }

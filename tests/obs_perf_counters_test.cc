@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/critical_path.h"
 #include "obs/trace.h"
 
 namespace mce::obs {
@@ -26,6 +27,19 @@ CounterDelta MakeDelta(uint64_t cycles, uint64_t instructions,
   d.task_clock_ns = clock_ns;
   d.source = source;
   return d;
+}
+
+/// A task span of `micros` window length, as ProfileAccumulator::Add
+/// receives it.
+TaskSpan MakeSpan(SpanKind kind, uint32_t level, int64_t micros,
+                  uint64_t cliques, const CounterDelta& delta) {
+  TaskSpan s;
+  s.kind = kind;
+  s.level = level;
+  s.end_us = micros;
+  s.cliques = cliques;
+  s.prof = delta;
+  return s;
 }
 
 TEST(CounterDeltaTest, AccumulateSumsFieldsAndPromotesSource) {
@@ -108,14 +122,20 @@ TEST(ProfileAccumulatorTest, BucketSumsReproduceTheTotalExactly) {
   ProfileAccumulator acc;
   // A miniature run: reduce prepass (no level), two decompose levels,
   // blocks on both, a filter on level 0.
-  acc.Add(SpanKind::kReduce, ProfileAccumulator::kNoLevel, 0.010, 2,
-          MakeDelta(500, 900, 10'000'000));
-  acc.Add(SpanKind::kDecompose, 0, 0.020, 0, MakeDelta(100, 150, 20'000'000));
-  acc.Add(SpanKind::kBlock, 0, 0.030, 5, MakeDelta(300, 600, 30'000'000));
-  acc.Add(SpanKind::kBlock, 0, 0.040, 7, MakeDelta(400, 800, 40'000'000));
-  acc.Add(SpanKind::kFilter, 0, 0.005, 3, MakeDelta(50, 60, 5'000'000));
-  acc.Add(SpanKind::kDecompose, 1, 0.015, 0, MakeDelta(80, 90, 15'000'000));
-  acc.Add(SpanKind::kBlock, 1, 0.025, 11, MakeDelta(200, 220, 25'000'000));
+  acc.Add(MakeSpan(SpanKind::kReduce, 0, 10'000, 2,
+                   MakeDelta(500, 900, 10'000'000)));
+  acc.Add(MakeSpan(SpanKind::kDecompose, 0, 20'000, 0,
+                   MakeDelta(100, 150, 20'000'000)));
+  acc.Add(MakeSpan(SpanKind::kBlock, 0, 30'000, 5,
+                   MakeDelta(300, 600, 30'000'000)));
+  acc.Add(MakeSpan(SpanKind::kBlock, 0, 40'000, 7,
+                   MakeDelta(400, 800, 40'000'000)));
+  acc.Add(MakeSpan(SpanKind::kFilter, 0, 5'000, 3,
+                   MakeDelta(50, 60, 5'000'000)));
+  acc.Add(MakeSpan(SpanKind::kDecompose, 1, 15'000, 0,
+                   MakeDelta(80, 90, 15'000'000)));
+  acc.Add(MakeSpan(SpanKind::kBlock, 1, 25'000, 11,
+                   MakeDelta(200, 220, 25'000'000)));
 
   const ProfileStats stats = acc.Snapshot();
   EXPECT_TRUE(stats.enabled);
@@ -142,7 +162,8 @@ TEST(ProfileAccumulatorTest, BucketSumsReproduceTheTotalExactly) {
   EXPECT_EQ(kind_sum.counters.task_clock_ns,
             stats.total.counters.task_clock_ns);
 
-  // by_level partitions everything except the kNoLevel reduce span.
+  // by_level partitions everything except the reduce span, which runs
+  // outside the recursion.
   ASSERT_EQ(stats.by_level.size(), 2u);
   ProfileBucket level_sum;
   for (const ProfileBucket& bucket : stats.by_level) {
@@ -157,8 +178,8 @@ TEST(ProfileAccumulatorTest, BucketSumsReproduceTheTotalExactly) {
             stats.total.counters.task_clock_ns - 10'000'000);
 
   // A hardware delta anywhere flips the run-level flag.
-  acc.Add(SpanKind::kBlock, 0, 0.001, 0,
-          MakeDelta(10, 10, 1000, CounterSource::kHardware));
+  acc.Add(MakeSpan(SpanKind::kBlock, 0, 1'000, 0,
+                   MakeDelta(10, 10, 1000, CounterSource::kHardware)));
   EXPECT_TRUE(acc.Snapshot().hardware);
 
   // The human-readable summary mentions the source and span count.

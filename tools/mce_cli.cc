@@ -305,7 +305,7 @@ int CmdEnumerate(const Flags& flags) {
     std::printf("%s\n", mce::RunReportJson(*result).c_str());
     return 0;
   }
-  std::printf("%s\n", result->stats.ToString().c_str());
+  std::printf("%s\n", mce::RunSummaryLine(result->stats, *result).c_str());
   if (result->cluster.has_value()) {
     std::printf("cluster: %d workers, makespan %.4fs, compute speedup "
                 "%.2fx, skew %.2f\n",

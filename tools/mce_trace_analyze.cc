@@ -142,7 +142,9 @@ bool ParseSpans(const JsonValue& root, std::vector<ParsedSpan>* out,
 }
 
 /// Maps the closed spans onto DAG TaskSpans, pulling level / index /
-/// cost / clique counts out of the kind-specific B args.
+/// cost / clique counts out of the kind-specific B args. Cliques follow
+/// obs::TaskSpanFromEvent: they count at the span that enumerated them,
+/// so a FilterTask counts none.
 std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
   std::vector<TaskSpan> out;
   for (const ParsedSpan& s : spans) {
@@ -169,7 +171,6 @@ std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
         break;
       case SpanKind::kFilter:
         t.index = U64(s.args, "chunk");
-        t.cliques = U64(s.args, "kept");
         break;
       case SpanKind::kReduce:
         t.cliques = U64(s.args, "trivial_cliques");
@@ -346,12 +347,12 @@ int Run(const Options& opt) {
     return opt.require_critical_path ? 1 : 0;
   }
 
-  // Per-kind / per-level attribution through the same accumulator the
-  // engines use, so bucket sums equal the total by construction.
+  // Per-kind / per-level attribution through the same fold the engines
+  // use, so the tables equal the run's --json profile.
   mce::obs::ProfileAccumulator acc;
   bool any_prof = false;
   for (const TaskSpan& t : tasks) {
-    acc.Add(t.kind, t.level, t.Seconds(), t.cliques, t.prof);
+    acc.Add(t);
     any_prof = any_prof || t.prof.source != CounterSource::kNone;
   }
   const mce::obs::ProfileStats prof = acc.Snapshot();
