@@ -2,8 +2,9 @@
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer
 # pass over the concurrency-bearing subset (the thread pool, the parallel
 # decomposition pipeline, and the task-graph execution engines), an
-# AddressSanitizer pass, CLI trace/heartbeat/profile validation, and a
-# build + selftest of the benchmark of record (perfbench/).
+# AddressSanitizer + UndefinedBehaviorSanitizer pass with debug checks on,
+# CLI trace/heartbeat/profile validation, and a build + selftest of the
+# benchmark of record (perfbench/).
 #
 # Usage: scripts/tier1.sh [build-dir]
 #   MCE_SKIP_TSAN=1   skip the TSan leg (e.g. when the toolchain lacks
@@ -44,14 +45,20 @@ if [[ "${MCE_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== tier-1: ASan leg skipped (MCE_SKIP_ASAN=1) ==="
 else
   # ASan leg: the graph, kernel + decomposition subset under
-  # AddressSanitizer. The pooled kernels recycle grow-only buffers across
-  # blocks and recursion depths, and the block builder indexes flat
-  # per-level arrays by parent id — exactly the patterns where an
-  # out-of-bounds write or a stale-span read would otherwise go unnoticed.
+  # AddressSanitizer and UndefinedBehaviorSanitizer (fatal on the first
+  # report), with libstdc++ assertions, and with -O2 -g in place of the
+  # default RelWithDebInfo flags so NDEBUG is off and every MCE_DCHECK runs
+  # (Graph::FromSortedCsr then validates each CSR it adopts). The pooled
+  # kernels recycle grow-only buffers across blocks and recursion depths,
+  # and the block builder indexes flat per-level arrays by parent id —
+  # exactly the patterns where an out-of-bounds write or a stale-span read
+  # would otherwise go unnoticed.
   asan_build="$build-asan"
-  echo "=== tier-1: ASan build ($asan_build) ==="
+  echo "=== tier-1: ASan+UBSan+DCHECK build ($asan_build) ==="
   cmake -B "$asan_build" -S "$repo" \
-    -DMCE_SANITIZE=address \
+    -DMCE_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
     -DMCE_BUILD_BENCH=OFF \
     -DMCE_BUILD_EXAMPLES=OFF
   cmake --build "$asan_build" -j "$(nproc)" \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "graph/subgraph.h"
 #include "reduce/relabel.h"
 #include "util/check.h"
 
@@ -47,8 +48,8 @@ enum : uint8_t {
 /// Flat scratch of one BuildBlocksStreaming call: sized to the level graph
 /// once and reused by every block. Every per-block entry belongs to a
 /// member of the block (candidates and kernels are members), so it is
-/// reset through the member list and a block costs O(sum of member
-/// degrees), independent of the level's node count.
+/// reset through the member list and a block's cost is independent of the
+/// level's node count.
 struct LevelScratch {
   explicit LevelScratch(NodeId n)
       : state(n, 0), local_of(n, kInvalidNode), adjacency(n, 0) {}
@@ -103,6 +104,7 @@ void BuildBlocksStreaming(const Graph& g, const std::vector<NodeId>& feasible,
   MCE_CHECK_GE(m, 1u);
 
   LevelScratch s(g.num_nodes());
+  const DegreeOrientation up(g);
   for (NodeId v : feasible) {
     MCE_CHECK(static_cast<uint64_t>(g.Degree(v)) + 1 <= m);
     s.state[v] |= kFeasible;
@@ -154,7 +156,7 @@ void BuildBlocksStreaming(const Graph& g, const std::vector<NodeId>& feasible,
       s.local_of[s.members[i]] = static_cast<NodeId>(i);
     }
     Block block;
-    block.subgraph.graph = InduceRows(g, s.members, s.local_of);
+    block.subgraph.graph = InduceOriented(up, s.members, s.local_of);
     block.roles.resize(s.members.size());
     for (NodeId local = 0; local < s.members.size(); ++local) {
       const NodeId parent = s.members[local];

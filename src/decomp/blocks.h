@@ -58,10 +58,13 @@ std::vector<Block> BuildBlocks(const Graph& g,
 /// thread for each block the moment its growth finishes, before the next
 /// seed is considered. Emission order equals BuildBlocks' vector order.
 /// The executors use this to dispatch block analysis while decomposition
-/// of the remaining seeds is still running. Each block costs
-/// O(sum of degrees over K u N(K)): the call allocates flat per-node
-/// scratch for `g` once (DESIGN.md §7) and resets it per block through
-/// the block's member list.
+/// of the remaining seeds is still running. The call orients `g` by
+/// (degree, id) and allocates flat per-node scratch for it once, in
+/// O(n + m), and resets the scratch per block through the block's member
+/// list. Growth walks the rows of the kernels and of each picked
+/// candidate; materialization costs O(sum of oriented out-degrees over
+/// K u N(K) + block edges): a hub member contributes only its short
+/// oriented row, not its full one (DESIGN.md §7).
 void BuildBlocksStreaming(const Graph& g, const std::vector<NodeId>& feasible,
                           const BlocksOptions& options,
                           const BlockCallback& emit);

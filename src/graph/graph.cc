@@ -10,11 +10,23 @@ Graph Graph::FromSortedCsr(std::vector<uint64_t> offsets,
   MCE_DCHECK_EQ(offsets.front(), 0u);
   MCE_DCHECK_EQ(offsets.back(), adjacency.size());
 #ifndef NDEBUG
-  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+  const size_t n = offsets.size() - 1;
+  for (size_t v = 0; v < n; ++v) {
     MCE_DCHECK_LE(offsets[v], offsets[v + 1]);
     for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      MCE_DCHECK_LT(adjacency[i], n);
       MCE_DCHECK_NE(adjacency[i], static_cast<NodeId>(v));
       if (i > offsets[v]) MCE_DCHECK_LT(adjacency[i - 1], adjacency[i]);
+    }
+  }
+  // Symmetric: every row is sorted by now, so each reverse edge is a
+  // binary search.
+  for (size_t v = 0; v < n; ++v) {
+    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const NodeId u = adjacency[i];
+      MCE_DCHECK(std::binary_search(adjacency.begin() + offsets[u],
+                                    adjacency.begin() + offsets[u + 1],
+                                    static_cast<NodeId>(v)));
     }
   }
 #endif

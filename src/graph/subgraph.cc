@@ -1,6 +1,7 @@
 #include "graph/subgraph.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace mce {
 
@@ -72,37 +73,83 @@ void AppendMemberPositions(std::span<const NodeId> row,
 
 }  // namespace
 
-Graph InduceRows(const Graph& g, std::span<const NodeId> members,
-                 std::span<const NodeId> local_of) {
+InducedSubgraph Induce(const Graph& g, std::span<const NodeId> nodes) {
+  std::vector<NodeId> members(nodes.begin(), nodes.end());
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
   MCE_CHECK(members.empty() || members.back() < g.num_nodes());
-  MCE_CHECK(local_of.empty() || local_of.size() == g.num_nodes());
-  // The parent's rows are sorted and both lookups are monotone on the
+  // The parent's rows are sorted and the member lookup is monotone on the
   // sorted member list, so filtering each parent row yields the local rows
   // already sorted and symmetric — build the CSR directly and skip
   // GraphBuilder's sort/dedup pass.
   std::vector<uint64_t> offsets(members.size() + 1, 0);
   std::vector<NodeId> adjacency;
   for (size_t u = 0; u < members.size(); ++u) {
-    const std::span<const NodeId> row = g.Neighbors(members[u]);
-    if (local_of.empty()) {
-      AppendMemberPositions(row, members, &adjacency);
-    } else {
-      for (NodeId v : row) {
-        const NodeId local = local_of[v];
-        if (local != kInvalidNode) adjacency.push_back(local);
-      }
-    }
+    AppendMemberPositions(g.Neighbors(members[u]), members, &adjacency);
     offsets[u + 1] = adjacency.size();
   }
-  return Graph::FromSortedCsr(std::move(offsets), std::move(adjacency));
+  return InducedSubgraph{
+      Graph::FromSortedCsr(std::move(offsets), std::move(adjacency)),
+      std::move(members)};
 }
 
-InducedSubgraph Induce(const Graph& g, std::span<const NodeId> nodes) {
-  std::vector<NodeId> sorted(nodes.begin(), nodes.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  Graph graph = InduceRows(g, sorted);
-  return InducedSubgraph{std::move(graph), std::move(sorted)};
+DegreeOrientation::DegreeOrientation(const Graph& g)
+    : offsets_(g.num_nodes() + 1, 0) {
+  higher_.reserve(g.num_edges());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const uint32_t dv = g.Degree(v);
+    for (NodeId w : g.Neighbors(v)) {
+      const uint32_t dw = g.Degree(w);
+      if (dw > dv || (dw == dv && w > v)) higher_.push_back(w);
+    }
+    offsets_[v + 1] = higher_.size();
+  }
+}
+
+Graph InduceOriented(const DegreeOrientation& up,
+                     std::span<const NodeId> members,
+                     std::span<const NodeId> local_of) {
+  MCE_CHECK_EQ(local_of.size(), up.num_nodes());
+  const size_t k = members.size();
+  // Walk: every subgraph edge once, in the oriented row of its lower-ranked
+  // end. upper[upper_begin[i], upper_begin[i + 1]) is what member i finds,
+  // ascending: oriented rows are in id order and local ids follow parent
+  // ids. lower_begin first counts how often each member is found.
+  std::vector<NodeId> upper;
+  std::vector<uint64_t> upper_begin(k + 1, 0);
+  std::vector<uint64_t> lower_begin(k + 1, 0);
+  for (size_t i = 0; i < k; ++i) {
+    MCE_DCHECK_EQ(local_of[members[i]], i);
+    for (NodeId w : up.Higher(members[i])) {
+      const NodeId j = local_of[w];
+      if (j == kInvalidNode) continue;
+      upper.push_back(j);
+      ++lower_begin[j + 1];
+    }
+    upper_begin[i + 1] = upper.size();
+  }
+  std::partial_sum(lower_begin.begin(), lower_begin.end(),
+                   lower_begin.begin());
+  // Transpose the finds: walking the finders in local order appends each
+  // to the lower half of every member it found, ascending.
+  std::vector<NodeId> lower(upper.size());
+  std::vector<uint64_t> lower_end(lower_begin.begin(), lower_begin.end() - 1);
+  for (size_t i = 0; i < k; ++i) {
+    for (uint64_t e = upper_begin[i]; e < upper_begin[i + 1]; ++e) {
+      lower[lower_end[upper[e]]++] = static_cast<NodeId>(i);
+    }
+  }
+  // Row i is the merge of its two ascending halves.
+  std::vector<uint64_t> offsets(k + 1, 0);
+  std::vector<NodeId> adjacency(2 * upper.size());
+  for (size_t i = 0; i < k; ++i) {
+    const auto row_end = std::merge(
+        lower.begin() + lower_begin[i], lower.begin() + lower_begin[i + 1],
+        upper.begin() + upper_begin[i], upper.begin() + upper_begin[i + 1],
+        adjacency.begin() + offsets[i]);
+    offsets[i + 1] = row_end - adjacency.begin();
+  }
+  return Graph::FromSortedCsr(std::move(offsets), std::move(adjacency));
 }
 
 std::vector<NodeId> ToParentIds(const InducedSubgraph& sub,

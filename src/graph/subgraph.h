@@ -29,22 +29,47 @@ struct InducedSubgraph {
 /// corresponds to the i-th smallest distinct input id. Sorting the k input
 /// ids costs O(k log k); each member's parent row is then intersected with
 /// the sorted member list (a merge, or galloping search when one list is
-/// far longer). Nothing is sized by the parent's node count, so a call on
-/// a small set stays cheap on a large graph.
+/// far longer), which yields the local rows already sorted and symmetric.
+/// Nothing is sized by the parent's node count, so a call on a small set
+/// stays cheap on a large graph.
 InducedSubgraph Induce(const Graph& g, std::span<const NodeId> nodes);
 
-/// The row-filtering loop behind Induce and the block builder: the CSR of
-/// the subgraph of `g` induced by `members`, which must be sorted, distinct
-/// and smaller than g.num_nodes(). Row i lists, ascending, the positions in
-/// `members` of N(members[i]) ∩ members. `local_of` picks the member
-/// lookup:
-///  - empty: each parent row is intersected with `members` as in Induce;
-///  - otherwise a dense parent→local map of size g.num_nodes() with
-///    local_of[members[i]] == i and kInvalidNode for every other node,
-///    probed once per neighbor — O(sum of member degrees), for callers
-///    that keep such a map across many calls (decomp/blocks.cc).
-Graph InduceRows(const Graph& g, std::span<const NodeId> members,
-                 std::span<const NodeId> local_of = {});
+/// The degree orientation of a graph: each edge kept once, at its endpoint
+/// of lower rank, where u ranks below w iff (deg u, u) < (deg w, w). Built
+/// in O(n + m) into n + 1 offsets and m ids. Low-degree endpoints keep the
+/// edges, so a hub's row is short or empty however many neighbors it has.
+class DegreeOrientation {
+ public:
+  explicit DegreeOrientation(const Graph& g);
+
+  NodeId num_nodes() const {
+    return static_cast<NodeId>(offsets_.size() - 1);
+  }
+
+  /// The neighbors of `v` that outrank it, ascending by id.
+  std::span<const NodeId> Higher(NodeId v) const {
+    MCE_DCHECK_LT(v, num_nodes());
+    return {higher_.data() + offsets_[v], higher_.data() + offsets_[v + 1]};
+  }
+
+ private:
+  std::vector<uint64_t> offsets_;
+  std::vector<NodeId> higher_;
+};
+
+/// The block builder's row loop: the CSR of the subgraph induced by
+/// `members` in the graph `up` orients, the same graph Induce would build.
+/// `members` must be sorted and distinct; `local_of` is a dense
+/// parent->local map of size up.num_nodes() with local_of[members[i]] == i
+/// and kInvalidNode for every other node. Each subgraph edge is found once,
+/// in the oriented row of its lower-ranked end, and written into both local
+/// rows; a row is then the merge of two ascending halves. Costs
+/// O(sum of oriented out-degrees over `members` + subgraph edges), for
+/// callers that keep the orientation and map across many calls
+/// (decomp/blocks.cc).
+Graph InduceOriented(const DegreeOrientation& up,
+                     std::span<const NodeId> members,
+                     std::span<const NodeId> local_of);
 
 /// Translates a clique (or any node list) from subgraph ids to parent ids.
 std::vector<NodeId> ToParentIds(const InducedSubgraph& sub,

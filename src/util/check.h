@@ -44,6 +44,7 @@ namespace mce::internal {
 #endif
 
 #define MCE_DCHECK_EQ(a, b) MCE_DCHECK((a) == (b))
+#define MCE_DCHECK_NE(a, b) MCE_DCHECK((a) != (b))
 #define MCE_DCHECK_LT(a, b) MCE_DCHECK((a) < (b))
 #define MCE_DCHECK_LE(a, b) MCE_DCHECK((a) <= (b))
 

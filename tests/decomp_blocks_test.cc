@@ -423,6 +423,20 @@ struct NamedGraph {
   Graph graph;
 };
 
+/// A 40-leaf star plus a few leaf-leaf edges. Once cut, the hub is a
+/// non-kernel member of every block, and no neighbor outranks it, so its
+/// oriented row is empty.
+Graph StarWithLeafEdges() {
+  GraphBuilder b(41);
+  for (NodeId leaf = 1; leaf <= 40; ++leaf) b.AddEdge(0, leaf);
+  b.AddEdge(1, 2);
+  b.AddEdge(2, 3);
+  b.AddEdge(5, 9);
+  b.AddEdge(10, 30);
+  b.AddEdge(39, 40);
+  return b.Build();
+}
+
 std::vector<NamedGraph> ReferenceCorpus() {
   Rng rng(43);
   std::vector<NamedGraph> corpus;
@@ -434,6 +448,11 @@ std::vector<NamedGraph> ReferenceCorpus() {
       {"facebook", gen::GenerateSocialNetwork(gen::FacebookConfig(0.01))});
   corpus.push_back(
       {"twitter1", gen::GenerateSocialNetwork(gen::Twitter1Config(0.02))});
+  // Orientation edge cases: an empty hub row, every degree tied (the rank
+  // falls back to id), and a block that is one clique.
+  corpus.push_back({"star+leaf edges", StarWithLeafEdges()});
+  corpus.push_back({"ring lattice", gen::WattsStrogatz(60, 6, 0.0, &rng)});
+  corpus.push_back({"complete12", gen::Complete(12)});
   return corpus;
 }
 

@@ -198,6 +198,7 @@ TEST(InduceTest, AgreesWithBruteForceOnRandomMemberSets) {
       sets.push_back(std::move(s));
     }
   }
+  const DegreeOrientation up(g);
   std::vector<NodeId> local_of(n, kInvalidNode);
   for (const std::vector<NodeId>& nodes : sets) {
     const Graph want = BruteForceInduce(g, nodes);
@@ -209,12 +210,38 @@ TEST(InduceTest, AgreesWithBruteForceOnRandomMemberSets) {
     EXPECT_EQ(one_shot.to_parent, members);
     EXPECT_TRUE(one_shot.graph == want) << nodes.size() << " ids";
 
-    // The block builder's path: a dense parent->local map.
+    // The block builder's path: oriented rows through a dense
+    // parent->local map.
     for (NodeId i = 0; i < members.size(); ++i) local_of[members[i]] = i;
-    EXPECT_TRUE(InduceRows(g, members, local_of) == want)
+    EXPECT_TRUE(InduceOriented(up, members, local_of) == want)
         << nodes.size() << " ids";
     for (NodeId v : members) local_of[v] = kInvalidNode;
   }
+}
+
+TEST(DegreeOrientationTest, KeepsEachEdgeOnceAtItsLowerRankedEnd) {
+  Rng rng(47);
+  for (const Graph& g : {test::Figure1Graph(), test::StarGraph(9),
+                         test::CycleGraph(7),
+                         gen::BarabasiAlbert(120, 3, &rng)}) {
+    const DegreeOrientation up(g);
+    ASSERT_EQ(up.num_nodes(), g.num_nodes());
+    uint64_t kept = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      std::vector<NodeId> want;
+      for (NodeId w : g.Neighbors(v)) {
+        if (std::pair(g.Degree(v), v) < std::pair(g.Degree(w), w)) {
+          want.push_back(w);
+        }
+      }
+      const std::span<const NodeId> got = up.Higher(v);
+      EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), want) << v;
+      kept += got.size();
+    }
+    EXPECT_EQ(kept, g.num_edges());
+  }
+  // No leaf outranks the star's hub.
+  EXPECT_TRUE(DegreeOrientation(test::StarGraph(9)).Higher(0).empty());
 }
 
 TEST(ViewsTest, MatrixMatchesGraph) {
