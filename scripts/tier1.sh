@@ -101,7 +101,10 @@ fi
 
 # Trace leg: run the CLI on a small social graph with tracing on and
 # validate the exported Chrome trace (well-formed JSON, monotonic
-# per-lane timestamps, balanced B/E pairs, all task kinds present).
+# per-lane timestamps, balanced B/E pairs, all task kinds present). The
+# Lemma-1 filter runs inside the BlockTasks, so its exported counters are
+# checked against the same run's report: every hub-level clique checked
+# once, the survivors exactly the emitted hub cliques.
 echo "=== tier-1: trace validation ==="
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
@@ -110,9 +113,28 @@ trap 'rm -rf "$trace_dir"' EXIT
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
   --executor pooled --threads 4 \
   --trace-out="$trace_dir/trace.json" \
-  --metrics-out="$trace_dir/metrics.json" >/dev/null
+  --metrics-out="$trace_dir/metrics.json" \
+  --json true >"$trace_dir/report_trace.json"
 "$build/tools/trace_check" "$trace_dir/trace.json" \
-  --require DecomposeTask,BlockTask,FilterTask,idle
+  --require DecomposeTask,BlockTask,idle
+python3 - "$trace_dir/report_trace.json" "$trace_dir/metrics.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+counters = json.load(open(sys.argv[2]))["counters"]
+checked = counters.get("exec.filter_cliques_checked", 0)
+kept = counters.get("exec.filter_cliques_kept", 0)
+hub_level_cliques = sum(level["cliques"] for level in report["levels"][1:])
+if report["hub_cliques"] <= 0:
+    sys.exit("trace leg input emitted no hub cliques; the Lemma-1 filter "
+             "went unexercised")
+if checked != hub_level_cliques:
+    sys.exit(f"exec.filter_cliques_checked {checked}, want the report's "
+             f"hub-level cliques {hub_level_cliques}")
+if kept != report["hub_cliques"]:
+    sys.exit(f"exec.filter_cliques_kept {kept}, want the report's "
+             f"hub_cliques {report['hub_cliques']}")
+print(f"filter counters match the report: {checked} checked, {kept} kept")
+EOF
 
 # Heartbeat + perf-diff leg: enumerate the same graph with NDJSON
 # heartbeats on, on both executors, and validate the streams (monotone
@@ -167,7 +189,7 @@ echo "=== tier-1: profiling + critical-path validation ==="
   --trace-out="$trace_dir/trace_prof.json" \
   --json true >"$trace_dir/report_prof.json"
 "$build/tools/trace_check" "$trace_dir/trace_prof.json" \
-  --require DecomposeTask,BlockTask,FilterTask --require-counters
+  --require DecomposeTask,BlockTask --require-counters
 "$build/tools/mce_trace_analyze" "$trace_dir/trace_prof.json" \
   --require-critical-path >/dev/null
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \

@@ -70,18 +70,4 @@ CliqueSet FilterNonMaximal(const Graph& g, const CliqueSet& cliques) {
   return out;
 }
 
-void ForEachCliqueInRange(std::span<const CliqueSink* const> sinks,
-                          size_t begin, size_t end, const CliqueCallback& fn) {
-  size_t done = 0;  // cliques covered by sinks walked so far
-  for (const CliqueSink* sink : sinks) {
-    const size_t sink_begin = done;
-    done += sink->size();
-    if (begin >= done) continue;
-    if (end <= sink_begin) break;
-    const size_t lo = begin > sink_begin ? begin - sink_begin : 0;
-    const size_t hi = std::min(end - sink_begin, sink->size());
-    sink->ForRange(lo, hi, fn);
-  }
-}
-
 }  // namespace mce::decomp

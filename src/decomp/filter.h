@@ -14,12 +14,8 @@
 #ifndef MCE_DECOMP_FILTER_H_
 #define MCE_DECOMP_FILTER_H_
 
-#include <cstddef>
-#include <span>
-
 #include "graph/graph.h"
 #include "mce/clique.h"
-#include "mce/clique_sink.h"
 
 namespace mce::decomp {
 
@@ -33,16 +29,6 @@ CliqueSet FilterNonMaximal(const Graph& g, const CliqueSet& cliques);
 
 /// Predicate form of FilterNonMaximal for one clique.
 bool IsMaximalInGraph(const Graph& g, const Clique& clique);
-
-/// Streams cliques [begin, end) of the global concatenation of `sinks`
-/// (append order within each sink, sinks in the given order) to `fn` —
-/// the FilterTask's input iterator. Chunk boundaries are indices into
-/// this concatenation, so the filter partitions identically whether the
-/// sinks are resident or spilled; spilled sinks stream one disk chunk at
-/// a time through a per-call buffer. Thread-safe for concurrent callers
-/// over the same quiesced sinks.
-void ForEachCliqueInRange(std::span<const CliqueSink* const> sinks,
-                          size_t begin, size_t end, const CliqueCallback& fn);
 
 }  // namespace mce::decomp
 

@@ -210,8 +210,8 @@ struct LevelStats {
   double idle_seconds = 0;
   /// Aggregate worker capacity across the gaps of the level's analysis
   /// hull: stretches where none of the level's tasks ran because the pool
-  /// was parked at a cross-level boundary (the next level's decompose, the
-  /// filter plan, the delivery barrier). Kept separate from idle_seconds
+  /// was parked at a cross-level boundary (another level's decompose or
+  /// analysis, the delivery barrier). Kept separate from idle_seconds
   /// so inter-level waits are not charged to the level that just ended.
   double barrier_idle_seconds = 0;
   /// BlockTasks of this level the executor split into kernel-range shards

@@ -11,10 +11,11 @@
 //                     runs the moment DecomposeTask emits its block, so
 //                     memory stays O(graph + largest block).
 //   PooledExecutor  — BlockTasks dispatch to a shared ThreadPool as
-//                     BuildBlocks emits them, FilterTasks chunk across the
-//                     pool behind a completion token, and
-//                     DecomposeTask(h+1) is submitted right after Cut(h)
-//                     so it overlaps the tail of level-h analysis.
+//                     BuildBlocks emits them, each filtering its own
+//                     cliques and buffering the survivors, shallowest
+//                     level first; DecomposeTask(h+1) is submitted right
+//                     after Cut(h) so it overlaps the tail of level-h
+//                     analysis.
 //
 // The simulated-cluster wrapper lives in exec/cluster_executor.h.
 

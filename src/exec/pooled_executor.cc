@@ -11,8 +11,10 @@
 //    submitted before level h's blocks are even built — the next level's
 //    induce/cut/build runs concurrently with the tail of level-h analysis
 //    (the measured window is LevelStats::overlap_seconds).
-//  * The level's FilterTasks are chained behind its last BlockTask with a
-//    ThreadPool::Completion token instead of a pool-wide Wait() barrier.
+//  * Every BlockTask (and shard) runs the serial executor's per-clique
+//    step — MapExpandAndFilterClique, the Lemma-1 check at levels >= 1 —
+//    and buffers only the survivors, so a level is ready the moment its
+//    last block finishes.
 //
 // Delivery (cliques, observer records, stats) happens only on the calling
 // thread, levels in order and blocks in decomposition order, off buffered
@@ -22,7 +24,7 @@
 // Timing: every task records one begin/end window on the obs::NowMicros()
 // timebase. The same windows feed the trace recorder (when one is
 // resolved) and the LevelStats — analyze_seconds is the hull of the
-// level's block+filter spans, overlap_seconds the decompose window
+// level's block spans, overlap_seconds the decompose window
 // clipped against earlier levels' analysis hulls, idle_seconds the
 // worker capacity of the hull minus the block work inside it
 // (obs/span_math.h).
@@ -49,7 +51,6 @@
 #include "decision/block_cost.h"
 #include "decomp/block_analysis.h"
 #include "decomp/cut.h"
-#include "decomp/filter.h"
 #include "exec/executor.h"
 #include "graph/subgraph.h"
 #include "mce/clique_sink.h"
@@ -68,10 +69,11 @@ namespace {
 struct ShardRun {
   decomp::KernelRange range;
   decomp::BlockAnalysisResult result;
-  /// The shard's cliques (parent-graph ids, each sorted), in emission
-  /// order; concatenating the shards in kernel order reproduces the
-  /// undivided task's buffer byte for byte. A CliqueSink so the buffer can
-  /// spill past the level's threshold without changing replay order.
+  /// The shard's surviving cliques (original ids, each sorted — the
+  /// MapExpandAndFilterClique output), in emission order; concatenating
+  /// the shards in kernel order reproduces the undivided task's buffer
+  /// byte for byte. A CliqueSink so the buffer can spill past the level's
+  /// threshold without changing replay order.
   std::unique_ptr<CliqueSink> cliques;
   int64_t begin_us = 0;
   int64_t end_us = 0;
@@ -144,17 +146,6 @@ struct LevelRun {
   double batch_cost = 0;
   bool blocks_final = false;
   size_t blocks_done = 0;
-  bool analysis_signaled = false;
-  ThreadPool::Completion analysis_token;
-
-  // FilterTask state (levels >= 1). Chunks own disjoint clique ranges of
-  // the concatenated shard sinks (block order, shards in kernel order —
-  // the serial emission order) and buffer their survivors in per-chunk
-  // sinks; delivery walks the sinks in chunk order.
-  std::vector<const CliqueSink*> filter_sinks;
-  size_t filter_total = 0;
-  std::vector<std::unique_ptr<CliqueSink>> filter_out;
-  size_t filter_chunks_left = 0;
 
   // m-core fallback: survivors buffered for calling-thread emission.
   bool fallback = false;
@@ -163,10 +154,9 @@ struct LevelRun {
   decomp::LevelStats stats;
 
   // Task windows on the obs::NowMicros() timebase. The block windows live
-  // in `runs`; filter chunk windows are appended under the engine mutex.
+  // in the shard runs.
   int64_t decompose_begin_us = 0;
   int64_t decompose_end_us = 0;
-  std::vector<std::pair<int64_t, int64_t>> filter_spans;
   std::pair<int64_t, int64_t> fallback_window;
 
   bool ready = false;
@@ -337,35 +327,26 @@ class PooledEngine {
       chain_done_ = true;
     }
 
-    // The filter stage chains behind the level's last BlockTask.
-    lr->analysis_token = pool_.CreateCompletion(1);
-    pool_.SubmitAfter(lr->analysis_token, [this, lr] { PlanFilter(lr); });
-
     decomp::BuildBlocksStreaming(
         graph, lr->cut.feasible, blocks_options_,
         [this, lr](decomp::Block&& b) { EmitBlock(lr, std::move(b)); });
     // The tail batch flushes before blocks_final so every emitted block
-    // has a task in flight when the completion check below runs.
+    // has a task in flight when the readiness check below runs.
     FlushBatch(lr);
     // The window closes before blocks_final is published: delivery reads
     // decompose_end_us once the level is ready.
     reporter_.Close(window,
                     [lr] { return MakeDecomposeSpan(lr->level, lr->stats); });
 
-    bool signal = false;
-    ThreadPool::Completion token;
+    bool ready = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       lr->blocks_final = true;
       lr->stats.blocks = lr->blocks.size();
       lr->decompose_end_us = window.end_us();
-      signal = !lr->analysis_signaled && lr->blocks_done == lr->blocks.size();
-      if (signal) {
-        lr->analysis_signaled = true;
-        token = lr->analysis_token;
-      }
+      ready = MarkReadyIfAnalyzed(lr);
     }
-    if (signal) token.Signal();
+    if (ready) cv_.notify_all();
   }
 
   /// Emission of one block by DecomposeTask(level): score it, plan its
@@ -450,12 +431,12 @@ class PooledEngine {
       ShardRun& run = exec->shards[s];
       run.range.begin = kernels * s / shards;
       run.range.end = kernels * (s + 1) / shards;
-      queue_.Push(shard_cost, [this, lr, block, exec, s, index] {
+      queue_.Push(lr->level, shard_cost, [this, lr, block, exec, s, index] {
         ShardTask(lr, block, exec, s, index);
       });
       // One generic pull per queued task: the pool stays FIFO while the
       // queue decides which analysis task each freed worker runs —
-      // highest predicted cost first (DESIGN.md §7).
+      // shallowest level first, then highest predicted cost (DESIGN.md §7).
       pool_.Submit([this] { queue_.RunNext(); });
     }
   }
@@ -466,7 +447,7 @@ class PooledEngine {
   void FlushBatch(LevelRun* lr) {
     if (lr->batch.empty()) return;
     const double cost = lr->batch_cost;
-    queue_.Push(cost, [this, lr, items = std::move(lr->batch)] {
+    queue_.Push(lr->level, cost, [this, lr, items = std::move(lr->batch)] {
       for (const LevelRun::BatchItem& it : items) {
         ShardTask(lr, it.block, it.exec, 0, it.index);
       }
@@ -477,8 +458,9 @@ class PooledEngine {
   }
 
   /// BlockShardTask(level, i, s): Algorithm 4 over the shard's kernel
-  /// range, into the shard's buffer slot. The last-finishing shard
-  /// aggregates the block and advances the level's completion state.
+  /// range, each clique through the per-clique filter step into the
+  /// shard's buffer slot. The last-finishing shard aggregates the block
+  /// and advances the level's completion state.
   void ShardTask(LevelRun* lr, decomp::Block* block, BlockExec* exec,
                  size_t shard, uint64_t index) {
     const size_t worker_index = ThreadPool::CurrentWorkerIndex();
@@ -493,28 +475,20 @@ class PooledEngine {
     // The window opens after the admission stall so a budget wait never
     // shows up as analysis work.
     TaskWindow window(reporter_);
-    // Level-0 buffers are the emission source and must hold each clique
-    // sorted; deeper levels' buffers only feed the filter, which sorts.
-    // With the reduction prepass active, level 0 additionally re-expands
-    // through the twin classes and drops covered cliques here, at
-    // buffering time — level 0 has no filter stage to do it later.
-    const bool canonicalize = lr->level == 0;
-    const reduce::ReductionMap* const expansion = expansion_;
-    Clique expand_tmp;
+    // The serial executor's per-clique step: original ids, re-expansion
+    // under --reduce, and the Lemma-1 check at levels >= 1. The buffer
+    // holds only what delivery emits.
+    Clique scratch;
+    Clique expand_scratch;
+    uint64_t kept = 0;
     run.result = decomp::AnalyzeBlock(
         *block, exec->used,
-        [&run, canonicalize, expansion, &expand_tmp](
-            std::span<const NodeId> c) {
-          if (canonicalize) {
-            if (expansion != nullptr) {
-              if (expansion->ExpandClique(c, &expand_tmp)) {
-                run.cliques->AppendRaw(expand_tmp);  // expansion is sorted
-              }
-            } else {
-              run.cliques->Append(c);
-            }
-          } else {
-            run.cliques->AppendRaw(c);
+        [&](std::span<const NodeId> c) {
+          if (MapExpandAndFilterClique(original_, c, lr->to_original,
+                                       lr->level, expansion_, &expand_scratch,
+                                       &scratch)) {
+            run.cliques->AppendRaw(scratch);
+            ++kept;
           }
         },
         &workspaces_[worker], run.range);
@@ -533,6 +507,7 @@ class PooledEngine {
     run.end_us = window.end_us();
     run.seconds = window.Seconds();
     run.worker = worker;
+    if (lr->level > 0) reporter_.RecordFilter(run.result.num_cliques, kept);
     FinishAnalysis(exec->ws_bytes);
 
     bool block_done = false;
@@ -577,103 +552,23 @@ class PooledEngine {
       ReleaseBlockCharge(exec);
     }
 
-    bool signal = false;
-    ThreadPool::Completion token;
+    bool ready = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++lr->blocks_done;
-      signal = lr->blocks_final && !lr->analysis_signaled &&
-               lr->blocks_done == lr->blocks.size();
-      if (signal) {
-        lr->analysis_signaled = true;
-        token = lr->analysis_token;
-      }
+      ready = MarkReadyIfAnalyzed(lr);
     }
-    if (signal) token.Signal();
+    if (ready) cv_.notify_all();
   }
 
-  /// Runs after the level's last BlockTask: partitions the buffered
-  /// cliques into FilterTask chunks (levels >= 1), or marks the level
-  /// ready directly (level 0 needs no filter).
-  void PlanFilter(LevelRun* lr) {
-    // The completion token ordered this task after every BlockTask of the
-    // level, so the buffers are safe to read without the lock. Shards are
-    // listed in kernel order within each block, so the sink concatenation
-    // is the serial emission order — chunk tasks stream their ranges out
-    // of it with ForEachCliqueInRange, never materializing spans.
-    if (lr->level > 0) {
-      size_t total = 0;
-      for (const BlockExec& exec : lr->execs) {
-        for (const ShardRun& run : exec.shards) {
-          lr->filter_sinks.push_back(run.cliques.get());
-          total += run.cliques->size();
-        }
-      }
-      lr->filter_total = total;
-      const std::vector<std::pair<size_t, size_t>> chunks =
-          FilterChunks(total, pool_.num_threads());
-      if (!chunks.empty()) {
-        lr->filter_out.reserve(chunks.size());
-        for (size_t c = 0; c < chunks.size(); ++c) {
-          lr->filter_out.push_back(MakeCliqueSink(&lr->spill));
-        }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          lr->filter_chunks_left = chunks.size();
-        }
-        for (size_t c = 0; c < chunks.size(); ++c) {
-          const size_t begin = chunks[c].first;
-          const size_t end = chunks[c].second;
-          pool_.Submit([this, lr, begin, end, c] {
-            FilterChunkTask(lr, begin, end, c);
-          });
-        }
-        return;
-      }
+  /// mu_ held. Marks the level ready once its decompose has emitted every
+  /// block and the last of them has finished; true on that transition.
+  bool MarkReadyIfAnalyzed(LevelRun* lr) {
+    if (!lr->blocks_final || lr->blocks_done != lr->blocks.size()) {
+      return false;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      lr->ready = true;
-    }
-    cv_.notify_all();
-  }
-
-  /// FilterTask(level, chunk): the telescoped Lemma-1 checks over one
-  /// contiguous slice of the level's buffered cliques, survivors appended
-  /// in slice order to the chunk's own arena.
-  void FilterChunkTask(LevelRun* lr, size_t begin, size_t end, size_t chunk) {
-    TaskWindow window(reporter_);
-    CliqueSink& out = *lr->filter_out[chunk];
-    Clique scratch;
-    Clique expand_scratch;
-    uint64_t kept = 0;
-    decomp::ForEachCliqueInRange(
-        lr->filter_sinks, begin, end, [&](std::span<const NodeId> c) {
-          if (MapExpandAndFilterClique(original_, c, lr->to_original,
-                                       lr->level, expansion_, &expand_scratch,
-                                       &scratch)) {
-            out.AppendRaw(scratch);
-            ++kept;
-          }
-        });
-    reporter_.Close(window, [&] {
-      obs::TraceEvent e;
-      e.kind = obs::SpanKind::kFilter;
-      e.level = lr->level;
-      e.index = chunk;
-      e.args[0] = end - begin;
-      e.args[1] = kept;
-      return e;
-    });
-    reporter_.RecordFilter(end - begin, kept);
-    bool done = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      lr->filter_spans.emplace_back(window.begin_us(), window.end_us());
-      done = --lr->filter_chunks_left == 0;
-      if (done) lr->ready = true;
-    }
-    if (done) cv_.notify_all();
+    lr->ready = true;
+    return true;
   }
 
   /// The level's FallbackTask on this worker: RunFallbackTask with each
@@ -703,7 +598,7 @@ class PooledEngine {
   void DeliverLevel(LevelRun* lr, decomp::StreamingStats& out) {
     decomp::LevelStats& stats = lr->stats;
     const uint64_t emitted_before = out.cliques_emitted;
-    // The level's analysis spans (block + filter tasks, or the fallback),
+    // The level's analysis spans (block tasks, or the fallback),
     // rebased to seconds since the engine epoch — the exact windows the
     // trace recorder saw.
     std::vector<obs::TimeRange> analyze_spans;
@@ -718,6 +613,8 @@ class PooledEngine {
     } else {
       std::vector<double> worker_seconds(pool_.num_threads(), 0.0);
       uint64_t produced = 0;
+      // Blocks in decomposition order, shards in kernel order: the serial
+      // emission order.
       for (size_t i = 0; i < lr->execs.size(); ++i) {
         const BlockExec& exec = lr->execs[i];
         produced += exec.result.num_cliques;
@@ -726,6 +623,10 @@ class PooledEngine {
         for (const ShardRun& run : exec.shards) {
           worker_seconds[run.worker] += run.seconds;
           analyze_spans.push_back(Range(run.begin_us, run.end_us));
+          run.cliques->ForEach([&](std::span<const NodeId> c) {
+            ++out.cliques_emitted;
+            emit_(c, lr->level);
+          });
         }
         // The observer sees one record per block — the aggregated
         // whole-block result — whether or not it ran as shards, so its
@@ -740,33 +641,7 @@ class PooledEngine {
       stats.busiest_worker_seconds =
           *std::max_element(worker_seconds.begin(), worker_seconds.end());
       stats.analyze_threads = static_cast<uint32_t>(pool_.num_threads());
-      for (const auto& [begin_us, end_us] : lr->filter_spans) {
-        analyze_spans.push_back(Range(begin_us, end_us));
-      }
       stats.analyze_seconds = obs::Hull(analyze_spans).Length();
-
-      if (lr->level == 0) {
-        // Identity mapping and per-clique sorting already happened in the
-        // per-shard buffers, so the merge is a plain replay: blocks in
-        // decomposition order, shards in kernel order.
-        for (const BlockExec& exec : lr->execs) {
-          for (const ShardRun& run : exec.shards) {
-            run.cliques->ForEach([&](std::span<const NodeId> c) {
-              ++out.cliques_emitted;
-              emit_(c, lr->level);
-            });
-          }
-        }
-      } else {
-        // Chunk sinks in chunk order = concatenated-sink order = serial
-        // order.
-        for (const std::unique_ptr<CliqueSink>& chunk : lr->filter_out) {
-          chunk->ForEach([&](std::span<const NodeId> c) {
-            ++out.cliques_emitted;
-            emit_(c, lr->level);
-          });
-        }
-      }
     }
     const obs::TimeRange decompose_window =
         Range(lr->decompose_begin_us, lr->decompose_end_us);
@@ -801,17 +676,12 @@ class PooledEngine {
       ReleaseBlockCharge(&exec);
       for (const ShardRun& run : exec.shards) absorb(run.cliques.get());
     }
-    for (const std::unique_ptr<CliqueSink>& chunk : lr->filter_out) {
-      absorb(chunk.get());
-    }
     absorb(lr->fallback_cliques.get());
 
     // Free the bulky per-level state now that it is delivered. Destroying
     // the sinks releases their residual byte accounting.
     lr->blocks.clear();
     lr->execs.clear();
-    lr->filter_sinks = {};
-    lr->filter_out.clear();
     lr->fallback_cliques.reset();
 
     if (progress_ != nullptr) {
@@ -998,8 +868,9 @@ class PooledEngine {
   std::deque<std::unique_ptr<LevelRun>> levels_;
   bool chain_done_ = false;
   std::vector<BlockWorkspace> workspaces_;
-  /// Ready analysis tasks (shards and unsplit blocks), dispatched largest
-  /// predicted cost first by generic pull thunks on the pool.
+  /// Ready analysis tasks (shards and batches), dispatched shallowest level
+  /// first, then largest predicted cost, by generic pull thunks on the
+  /// pool.
   CostOrderedQueue queue_;
   // Declared last: its destructor drains tasks that touch the state above.
   ThreadPool pool_;

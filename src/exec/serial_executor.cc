@@ -1,8 +1,9 @@
 // SerialExecutor: depth-first execution of the task graph on the calling
 // thread. DecomposeTask(h) streams its blocks and each BlockTask runs the
-// moment its block finishes growing, with the FilterTask applied inline
-// per clique — so at most one block (plus the level graph) is alive at a
-// time and the memory profile is O(graph + largest block).
+// moment its block finishes growing, emitting each clique as it passes
+// the per-clique Lemma-1 step — so at most one block (plus the level
+// graph) is alive at a time and the memory profile is O(graph + largest
+// block).
 
 #include <cstdint>
 #include <memory>

@@ -239,9 +239,10 @@ obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
   return e;
 }
 
-void CostOrderedQueue::Push(double cost, std::function<void()> fn) {
+void CostOrderedQueue::Push(uint32_t level, double cost,
+                            std::function<void()> fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  heap_.push_back(Entry{cost, next_seq_++, std::move(fn)});
+  heap_.push_back(Entry{level, cost, next_seq_++, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end());
 }
 
@@ -421,20 +422,6 @@ void RunReporter::FinishRun(decomp::StreamingStats* out) {
     add("obs.profile.task_clock_ns", total.counters.task_clock_ns);
     add("obs.profile.hardware_runs", out->profile.hardware ? 1 : 0);
   }
-}
-
-std::vector<std::pair<size_t, size_t>> FilterChunks(size_t items,
-                                                    size_t workers) {
-  std::vector<std::pair<size_t, size_t>> chunks;
-  if (items == 0) return chunks;
-  const size_t count = std::min(items, std::max<size_t>(1, workers) * 4);
-  chunks.reserve(count);
-  for (size_t c = 0; c < count; ++c) {
-    const size_t begin = items * c / count;
-    const size_t end = items * (c + 1) / count;
-    if (begin < end) chunks.emplace_back(begin, end);
-  }
-  return chunks;
 }
 
 }  // namespace mce::exec

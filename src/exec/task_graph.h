@@ -1,26 +1,24 @@
 // The task-graph vocabulary of the execution engine.
 //
-// One FIND-MAX-CLIQUES run is a graph of three typed stages per recursion
+// One FIND-MAX-CLIQUES run is a graph of two typed stages per recursion
 // level h:
 //
 //   DecomposeTask(h)  = induce G_h from the parent's hubs (h >= 1), CUT
 //                       (Algorithm 2), and BLOCKS (Algorithm 3). Emits one
 //                       BlockTask per block as the block finishes growing.
-//   BlockTask(h, i)   = BLOCK-ANALYSIS (Algorithm 4) of block i, buffering
-//                       its cliques.
-//   FilterTask(h, c)  = one chunk of the telescoped Lemma-1 maximality
-//                       checks over the level's buffered cliques (h >= 1;
-//                       level-0 cliques are maximal by construction).
+//   BlockTask(h, i)   = BLOCK-ANALYSIS (Algorithm 4) of block i, each
+//                       clique mapped to original ids and, at h >= 1,
+//                       kept only if it passes the telescoped Lemma-1
+//                       maximality check (MapExpandAndFilterClique).
+//                       Level-0 cliques are maximal by construction.
 //
 // Dependency edges:
 //   DecomposeTask(h+1) <- Cut(h)'s hub set only — NOT level h's clique
 //     output, which is what lets an executor overlap level-(h+1)
 //     decomposition with the tail of level-h analysis.
 //   BlockTask(h, i)    <- block i's emission by DecomposeTask(h).
-//   FilterTask(h, *)   <- all BlockTask(h, *) (the chunk partition needs
-//     the full clique count).
-//   Delivery(h)        <- FilterTask(h, *) and Delivery(h-1): cliques and
-//     observer records surface on the calling thread, in block order,
+//   Delivery(h)        <- all BlockTask(h, *) and Delivery(h-1): cliques
+//     and observer records surface on the calling thread, in block order,
 //     levels in order (DESIGN.md §7).
 //
 // This header holds the stage payloads and the pure helpers every executor
@@ -90,11 +88,11 @@ decomp::BlockAnalysisOptions AnalysisOptionsFor(
 std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
                                       const std::vector<NodeId>& to_parent);
 
-/// The FilterTask body for one clique: translates `level_ids` (ids of
-/// G_level) to original ids via `to_original` (empty = identity), sorts,
-/// and applies the telescoped Lemma-1 filter — a clique from level >= 1 is
-/// kept iff it is maximal in the original graph. Returns true and fills
-/// `out` when the clique survives.
+/// The per-clique step of every BlockTask and FallbackTask: translates
+/// `level_ids` (ids of G_level) to original ids via `to_original` (empty =
+/// identity), sorts, and applies the telescoped Lemma-1 filter — a clique
+/// from level >= 1 is kept iff it is maximal in the original graph.
+/// Returns true and fills `out` when the clique survives.
 bool MapAndFilterClique(const Graph& original,
                         std::span<const NodeId> level_ids,
                         const std::vector<NodeId>& to_original, uint32_t level,
@@ -155,13 +153,6 @@ std::pair<int64_t, int64_t> RunFallbackTask(const Graph& graph, uint32_t level,
                                             const CliqueCallback& deliver,
                                             decomp::LevelStats* stats);
 
-/// Chunk partition of a level's FilterTasks: contiguous [begin, end)
-/// ranges covering `items`, at most 4 per worker and never more chunks
-/// than items — in particular no chunks at all when `items` is 0, so tiny
-/// or clique-free levels cannot produce empty or degenerate tasks.
-std::vector<std::pair<size_t, size_t>> FilterChunks(size_t items,
-                                                    size_t workers);
-
 /// Rough bytes one AnalyzeBlock call pins while it runs: the block's
 /// adjacency-list working set plus per-node recursion scratch. This is the
 /// MemoryBudget workspace charge admission is decided against — a
@@ -194,32 +185,36 @@ obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
                                    const MceOptions& used, double cost);
 
 /// Priority dispatch queue for ready analysis tasks. The thread pool runs
-/// plain FIFO; cost-guided scheduling (DESIGN.md §7: largest predicted
-/// cost first, so a giant block emitted last cannot serialize the tail of
-/// a level) is layered on top by submitting generic "pull" thunks to the
-/// pool and letting each pull run the currently most expensive queued
-/// task. Ties dispatch in push (emission) order. Thread-safe.
+/// plain FIFO; cost-guided scheduling (DESIGN.md §7) is layered on top by
+/// submitting generic "pull" thunks to the pool and letting each pull run
+/// the best queued task: the shallowest recursion level first — delivery
+/// is level-ordered, so queued level-h work never waits behind deeper
+/// work — then the largest predicted cost, so a giant block emitted last
+/// cannot serialize the tail of a level, then push (emission) order.
+/// Thread-safe.
 class CostOrderedQueue {
  public:
-  /// Enqueues `fn` with predicted cost `cost`.
-  void Push(double cost, std::function<void()> fn);
+  /// Enqueues `fn`, a task of recursion level `level` with predicted cost
+  /// `cost`.
+  void Push(uint32_t level, double cost, std::function<void()> fn);
 
-  /// Pops and runs the highest-cost queued task; no-op when empty. Callers
-  /// submit exactly one pool thunk per Push, so a non-empty pop is
-  /// guaranteed under that discipline, but RunNext tolerates spurious
-  /// calls.
+  /// Pops and runs the best queued task; no-op when empty. Callers submit
+  /// exactly one pool thunk per Push, so a non-empty pop is guaranteed
+  /// under that discipline, but RunNext tolerates spurious calls.
   void RunNext();
 
   size_t Size() const;
 
  private:
   struct Entry {
+    uint32_t level = 0;
     double cost = 0;
-    uint64_t seq = 0;  // FIFO tiebreak: lower seq wins at equal cost
+    uint64_t seq = 0;  // FIFO tiebreak: lower seq wins at equal key
     std::function<void()> fn;
 
     /// std::push_heap max-heap order: "worse" entries compare less-than.
     bool operator<(const Entry& other) const {
+      if (level != other.level) return level > other.level;
       if (cost != other.cost) return cost < other.cost;
       return seq > other.seq;
     }

@@ -153,20 +153,11 @@ void SpillingCliqueSink::Flush() {
   }
 }
 
-void SpillingCliqueSink::ForRange(size_t begin, size_t end,
-                                  const CliqueCallback& fn) const {
-  MCE_DCHECK_LE(begin, end);
-  MCE_DCHECK_LE(end, size());
-  size_t done = 0;  // cliques covered by chunks walked so far
-  // Per-call buffers: concurrent readers (the filter's chunk tasks) must
-  // not share mutable scratch, and only one spilled chunk is resident per
-  // reader at a time.
+void SpillingCliqueSink::ForEach(const CliqueCallback& fn) const {
+  // Only one spilled chunk is resident at a time, in per-call buffers.
   std::vector<uint64_t> ends;
   std::vector<NodeId> ids;
   for (const Chunk& chunk : chunks_) {
-    const size_t chunk_begin = done;
-    done += chunk.num_cliques;
-    if (begin >= done || end <= chunk_begin) continue;
     ends.resize(chunk.num_cliques);
     ids.resize(chunk.num_ids);
     uint64_t at = chunk.file_offset + 2 * sizeof(uint64_t);
@@ -174,17 +165,13 @@ void SpillingCliqueSink::ForRange(size_t begin, size_t end,
                        at));
     at += chunk.num_cliques * sizeof(uint64_t);
     MCE_CHECK(PreadAll(fd_, ids.data(), chunk.num_ids * sizeof(NodeId), at));
-    const size_t lo = begin > chunk_begin ? begin - chunk_begin : 0;
-    const size_t hi = std::min(end - chunk_begin, chunk.num_cliques);
-    for (size_t i = lo; i < hi; ++i) {
+    for (size_t i = 0; i < chunk.num_cliques; ++i) {
       const uint64_t id_begin = i == 0 ? 0 : ends[i - 1];
       fn({ids.data() + id_begin, ends[i] - id_begin});
     }
   }
-  // The resident tail covers [spilled_cliques_, size()).
-  const size_t lo = begin > spilled_cliques_ ? begin - spilled_cliques_ : 0;
-  const size_t hi = end > spilled_cliques_ ? end - spilled_cliques_ : 0;
-  for (size_t i = lo; i < hi; ++i) fn(buffer_[i]);
+  // The resident tail follows the spilled chunks.
+  for (size_t i = 0; i < buffer_.size(); ++i) fn(buffer_[i]);
 }
 
 std::unique_ptr<CliqueSink> MakeCliqueSink(SpillContext* ctx) {

@@ -1,19 +1,18 @@
 // CliqueSink — ownership-agnostic buffering for per-level clique streams.
 //
-// The pooled executor buffers every clique a level produces (that is what
+// The pooled executor buffers every clique a level emits (that is what
 // makes its delivery byte-identical to the serial walk). On clique-dense
 // graphs those buffers are the largest live allocation of the whole run,
 // so they are the natural spill point for out-of-core execution: a sink
 // either keeps its FlatCliques arena resident, or flushes it to an
-// unlinked temp file in sorted chunks once the level's resident bytes
-// cross a threshold, replaying the chunks in append order on read.
+// unlinked temp file in chunks once the level's resident bytes cross a
+// threshold, replaying the chunks in append order on read.
 //
 // The contract that keeps emission byte-identical with spilling on or off:
-// ForRange(i, j) replays exactly the cliques appended as numbers [i, j), in
-// order, regardless of where flush boundaries fell. Appends are
-// single-writer per sink; reads may run concurrently from many threads
-// once all appends have finished (the engine's analysis-completion token
-// orders the two phases).
+// ForEach replays exactly the cliques appended, in order, regardless of
+// where flush boundaries fell. A sink has one writer, then one reader: the
+// engine replays it on the calling thread once the level's tasks have
+// finished appending.
 //
 // Layering: this header knows nothing about the executors. The engine
 // fills one SpillConfig per run (directory, threshold, budget, trace,
@@ -23,7 +22,6 @@
 #ifndef MCE_MCE_CLIQUE_SINK_H_
 #define MCE_MCE_CLIQUE_SINK_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -46,17 +44,8 @@ namespace mce {
 /// clique-dense graphs; this arena is two vectors total.
 class FlatCliques {
  public:
-  /// Copies the clique and sorts it in place (the CliqueSet::Add
-  /// contract, which the serial emission order is defined in terms of).
-  void Append(std::span<const NodeId> c) {
-    AppendRaw(c);
-    std::sort(ids_.end() - static_cast<ptrdiff_t>(c.size()), ids_.end());
-  }
-
-  /// Copies verbatim, skipping the sort — for buffers whose reader
-  /// canonicalizes anyway (level >= 1 shard buffers feed MapAndFilter-
-  /// Clique, which sorts its output) or whose input already is canonical
-  /// (filter and fallback survivors are MapAndFilterClique output).
+  /// Copies the clique verbatim. The executors append MapAndFilterClique
+  /// output, which is already sorted.
   void AppendRaw(std::span<const NodeId> c) {
     if (ids_.capacity() == 0) {
       // First touch: skip the early doubling steps. Most arenas are
@@ -136,22 +125,19 @@ struct SpillContext {
   std::atomic<uint64_t> resident_bytes{0};
 };
 
-/// Interface the executors buffer through. Append/AppendRaw mirror
-/// FlatCliques; ForRange replays appends [begin, end) in order.
+/// Interface the executors buffer through. AppendRaw mirrors
+/// FlatCliques; ForEach replays every append in order.
 class CliqueSink {
  public:
   virtual ~CliqueSink() = default;
 
-  virtual void Append(std::span<const NodeId> c) = 0;
   virtual void AppendRaw(std::span<const NodeId> c) = 0;
   virtual size_t size() const = 0;
 
-  /// Replays cliques [begin, end) (in append order) to `fn`. Thread-safe
-  /// for concurrent readers once appends have finished; spilled chunks
-  /// stream through a per-call buffer one chunk at a time.
-  virtual void ForRange(size_t begin, size_t end,
-                        const CliqueCallback& fn) const = 0;
-  void ForEach(const CliqueCallback& fn) const { ForRange(0, size(), fn); }
+  /// Replays every clique, in append order, to `fn`. Call once appends
+  /// have finished; spilled chunks stream through a per-call buffer one
+  /// chunk at a time.
+  virtual void ForEach(const CliqueCallback& fn) const = 0;
 
   virtual uint64_t spilled_chunks() const { return 0; }
   virtual uint64_t spilled_bytes() const { return 0; }
@@ -162,12 +148,10 @@ class CliqueSink {
 /// configured.
 class ResidentCliqueSink final : public CliqueSink {
  public:
-  void Append(std::span<const NodeId> c) override { flat_.Append(c); }
   void AppendRaw(std::span<const NodeId> c) override { flat_.AppendRaw(c); }
   size_t size() const override { return flat_.size(); }
-  void ForRange(size_t begin, size_t end,
-                const CliqueCallback& fn) const override {
-    for (size_t i = begin; i < end; ++i) fn(flat_[i]);
+  void ForEach(const CliqueCallback& fn) const override {
+    for (size_t i = 0; i < flat_.size(); ++i) fn(flat_[i]);
   }
 
  private:
@@ -187,17 +171,12 @@ class SpillingCliqueSink final : public CliqueSink {
   explicit SpillingCliqueSink(SpillContext* ctx) : ctx_(ctx) {}
   ~SpillingCliqueSink() override;
 
-  void Append(std::span<const NodeId> c) override {
-    buffer_.Append(c);
-    Account();
-  }
   void AppendRaw(std::span<const NodeId> c) override {
     buffer_.AppendRaw(c);
     Account();
   }
   size_t size() const override { return spilled_cliques_ + buffer_.size(); }
-  void ForRange(size_t begin, size_t end,
-                const CliqueCallback& fn) const override;
+  void ForEach(const CliqueCallback& fn) const override;
 
   uint64_t spilled_chunks() const override { return chunks_.size(); }
   uint64_t spilled_bytes() const override { return spilled_bytes_; }

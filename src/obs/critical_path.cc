@@ -41,21 +41,6 @@ std::vector<size_t> Dependencies(const TaskSpan& cur,
         return s.kind == SpanKind::kDecompose && s.level == cur.level;
       });
       break;
-    case SpanKind::kFilter:
-      collect([&](const TaskSpan& s) {
-        return (s.kind == SpanKind::kBlock ||
-                s.kind == SpanKind::kBlockShard ||
-                s.kind == SpanKind::kFallback) &&
-               s.level == cur.level;
-      });
-      if (deps.empty()) {
-        // A level can produce zero blocks (everything fell to deeper
-        // levels); the filter then hangs off the decompose directly.
-        collect([&](const TaskSpan& s) {
-          return s.kind == SpanKind::kDecompose && s.level == cur.level;
-        });
-      }
-      break;
     default:
       break;  // non-DAG kinds never appear here
   }
@@ -69,7 +54,6 @@ bool IsDagTask(SpanKind kind) {
     case SpanKind::kDecompose:
     case SpanKind::kBlock:
     case SpanKind::kBlockShard:
-    case SpanKind::kFilter:
     case SpanKind::kFallback:
     case SpanKind::kReduce:
       return true;
@@ -254,8 +238,7 @@ std::vector<LevelIdle> AttributeIdle(std::span<const TaskSpan> spans) {
     for (const TaskSpan& s : spans) {
       const bool analysis = s.kind == SpanKind::kBlock ||
                             s.kind == SpanKind::kBlockShard ||
-                            s.kind == SpanKind::kFallback ||
-                            s.kind == SpanKind::kFilter;
+                            s.kind == SpanKind::kFallback;
       if (!analysis || s.level != level) continue;
       ranges.push_back(TimeRange{Micros(s.begin_us), Micros(s.end_us)});
       busy += s.Seconds();

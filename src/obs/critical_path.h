@@ -3,10 +3,10 @@
 // The engine's task DAG is known by construction (DESIGN.md §7): the
 // reduce prepass runs first, DecomposeTask(L) depends on DecomposeTask
 // (L-1) (it is submitted right after Cut(L-1)), every BlockTask /
-// BlockShardTask / FallbackTask of level L depends on DecomposeTask(L),
-// and the level's FilterTask chunks depend on its analysis tasks. This
-// module reconstructs that DAG from a span list — recorded TraceEvents or
-// events parsed back out of a Chrome-trace file — and computes:
+// BlockShardTask / FallbackTask of level L depends on DecomposeTask(L).
+// This module reconstructs that DAG from a span list — recorded
+// TraceEvents or events parsed back out of a Chrome-trace file — and
+// computes:
 //
 //   * the critical path: the dependency chain ending at the last task to
 //     finish, walked backwards picking the latest-finishing predecessor
@@ -41,7 +41,7 @@ namespace mce::obs {
 struct TaskSpan {
   SpanKind kind = SpanKind::kBlock;
   uint32_t level = 0;
-  uint64_t index = 0;   // block / chunk index within the level
+  uint64_t index = 0;   // block index within the level
   int64_t begin_us = 0;
   int64_t end_us = 0;
   int lane_pid = 0;     // display lane the span ran on
@@ -58,16 +58,16 @@ struct TaskSpan {
 };
 
 /// True for kinds that are nodes of the task DAG (decompose, block,
-/// shard, fallback, filter, reduce).
+/// shard, fallback, reduce).
 bool IsDagTask(SpanKind kind);
 
 /// The TaskSpan of one DAG task event — the one place a span's clique
 /// count is read out of its args. Cliques count once, at the span that
-/// enumerated them: a block or shard its enumerated cliques, the fallback
-/// its enumerated cliques, the reduce prepass its trivial cliques. A
-/// FilterTask counts 0: its survivors were already counted at their
-/// block. Lane assignment mirrors ToChromeTraceJson for synthetic lanes;
-/// every other event lands on lane (0, 0).
+/// enumerated them: a block or shard its enumerated cliques (before the
+/// Lemma-1 filter it runs), the fallback its enumerated cliques, the
+/// reduce prepass its trivial cliques. Lane assignment mirrors
+/// ToChromeTraceJson for synthetic lanes; every other event lands on lane
+/// (0, 0).
 TaskSpan TaskSpanFromEvent(const TraceEvent& event);
 
 /// TaskSpanFromEvent over the DAG task kinds of `events`, in order.
@@ -116,13 +116,13 @@ std::vector<Straggler> RankStragglersByDeviation(
 struct LevelIdle {
   uint32_t level = 0;
   int workers = 0;             // distinct lanes observed run-wide
-  double busy_seconds = 0;     // summed analysis+filter span durations
+  double busy_seconds = 0;     // summed analysis span durations
   double idle_seconds = 0;     // parallelism shortfall within the level
   double barrier_idle_seconds = 0;  // parked at task-graph boundaries
 };
 
 /// Splits every level's idle capacity into starvation vs. barrier waits,
-/// using the level's block/shard/fallback/filter spans as the busy set
+/// using the level's block/shard/fallback spans as the busy set
 /// and the run-wide distinct lane count as the worker count.
 std::vector<LevelIdle> AttributeIdle(std::span<const TaskSpan> spans);
 

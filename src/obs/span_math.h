@@ -51,8 +51,8 @@ struct IdleSplit {
   double idle_seconds = 0;
   /// Capacity across the hull's uncovered gaps — stretches where *none* of
   /// the level's tasks ran and its workers were parked at a task-graph
-  /// boundary (waiting on another level's decompose, the filter plan, or
-  /// the delivery barrier): workers * (hull - union). Charging these waits
+  /// boundary (waiting on another level's decompose or analysis, or on the
+  /// delivery barrier): workers * (hull - union). Charging these waits
   /// to idle_seconds would blame the level that just ran out of work for
   /// time its neighbors own, skewing per-level utilization.
   double barrier_idle_seconds = 0;

@@ -34,8 +34,6 @@ const char* ToString(SpanKind kind) {
       return "DecomposeTask";
     case SpanKind::kBlock:
       return "BlockTask";
-    case SpanKind::kFilter:
-      return "FilterTask";
     case SpanKind::kFallback:
       return "FallbackTask";
     case SpanKind::kWorkerIdle:
@@ -56,10 +54,9 @@ const char* ToString(SpanKind kind) {
 
 bool SpanKindFromName(const std::string& name, SpanKind* kind) {
   static constexpr SpanKind kAll[] = {
-      SpanKind::kDecompose, SpanKind::kBlock,      SpanKind::kFilter,
-      SpanKind::kFallback,  SpanKind::kWorkerIdle, SpanKind::kSimBlock,
-      SpanKind::kBlockShard, SpanKind::kReduce,    SpanKind::kSpillFlush,
-      SpanKind::kAdmission};
+      SpanKind::kDecompose,  SpanKind::kBlock,      SpanKind::kFallback,
+      SpanKind::kWorkerIdle, SpanKind::kSimBlock,   SpanKind::kBlockShard,
+      SpanKind::kReduce,     SpanKind::kSpillFlush, SpanKind::kAdmission};
   for (SpanKind k : kAll) {
     if (name == ToString(k)) {
       *kind = k;
@@ -193,13 +190,6 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
       }
       if (e.cost > 0) AppendF(out, ",\"cost\":%.6g", e.cost);
       out += "}";
-      break;
-    case SpanKind::kFilter:
-      AppendF(out,
-              ",\"args\":{\"level\":%u,\"chunk\":%llu,\"checked\":%llu,"
-              "\"kept\":%llu}",
-              e.level, static_cast<ull>(e.index), static_cast<ull>(e.args[0]),
-              static_cast<ull>(e.args[1]));
       break;
     case SpanKind::kFallback:
       AppendF(out,

@@ -1,6 +1,6 @@
 // TraceRecorder — task-level span tracing for the execution engine.
 //
-// Every task the engine runs (DecomposeTask, BlockTask, FilterTask chunks,
+// Every task the engine runs (DecomposeTask, BlockTask and its shards,
 // the m-core fallback, thread-pool worker idle waits, and the simulated
 // cluster's per-lane block placements) can record one begin/end span.
 // Recording is designed so that tracing compiled in but *off* costs one
@@ -43,8 +43,7 @@ namespace mce::obs {
 
 enum class SpanKind : uint8_t {
   kDecompose = 0,  // CUT + BLOCKS of one recursion level
-  kBlock = 1,      // BLOCK-ANALYSIS of one block
-  kFilter = 2,     // one chunk of the telescoped Lemma-1 filter
+  kBlock = 1,      // BLOCK-ANALYSIS of one block, Lemma-1 filter included
   kFallback = 3,   // the indivisible m-core fallback enumeration
   kWorkerIdle = 4, // a pool worker waiting for work
   kSimBlock = 5,   // a block placement on a simulated cluster lane
@@ -66,7 +65,6 @@ bool SpanKindFromName(const std::string& name, SpanKind* kind);
 /// by ToChromeTraceJson):
 ///   kDecompose:  {nodes, edges, feasible, hubs}
 ///   kBlock:      {kernel, border, visited, cliques} + algorithm/storage
-///   kFilter:     {checked, kept, 0, 0}
 ///   kFallback:   {nodes, edges, cliques, 0}
 ///   kWorkerIdle: {} (index = pool worker index)
 ///   kSimBlock:   {worker, lane, cliques, 0}

@@ -17,65 +17,6 @@ thread_local size_t current_worker_index = ThreadPool::kNotAWorker;
 
 size_t ThreadPool::CurrentWorkerIndex() { return current_worker_index; }
 
-struct ThreadPool::Completion::State {
-  std::mutex mutex;
-  ThreadPool* pool = nullptr;
-  size_t remaining = 0;
-  std::vector<std::function<void()>> deferred;
-};
-
-ThreadPool::Completion::Completion() = default;
-ThreadPool::Completion::Completion(const Completion&) = default;
-ThreadPool::Completion::Completion(Completion&&) noexcept = default;
-ThreadPool::Completion& ThreadPool::Completion::operator=(const Completion&) =
-    default;
-ThreadPool::Completion& ThreadPool::Completion::operator=(
-    Completion&&) noexcept = default;
-ThreadPool::Completion::~Completion() = default;
-
-void ThreadPool::Completion::Signal() {
-  MCE_CHECK(state_ != nullptr);
-  std::vector<std::function<void()>> ready;
-  ThreadPool* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    MCE_CHECK(state_->remaining > 0);
-    if (--state_->remaining > 0) return;
-    ready.swap(state_->deferred);
-    pool = state_->pool;
-  }
-  for (std::function<void()>& task : ready) pool->Submit(std::move(task));
-}
-
-bool ThreadPool::Completion::triggered() const {
-  MCE_CHECK(state_ != nullptr);
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->remaining == 0;
-}
-
-ThreadPool::Completion ThreadPool::CreateCompletion(size_t signals) {
-  Completion token;
-  token.state_ = std::make_shared<Completion::State>();
-  token.state_->pool = this;
-  token.state_->remaining = signals;
-  return token;
-}
-
-void ThreadPool::SubmitAfter(const Completion& token,
-                             std::function<void()> task) {
-  MCE_CHECK(token.state_ != nullptr);
-  MCE_CHECK(token.state_->pool == this);
-  MCE_CHECK(task != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(token.state_->mutex);
-    if (token.state_->remaining > 0) {
-      token.state_->deferred.push_back(std::move(task));
-      return;
-    }
-  }
-  Submit(std::move(task));
-}
-
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
   threads_.reserve(num_threads);

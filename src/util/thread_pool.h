@@ -4,13 +4,9 @@
 // their assigned blocks in parallel; the FindMaxCliques pipeline (decomp)
 // uses this pool for the same purpose on the local machine. Tasks are
 // opaque std::function<void()>; Wait() drains the queue. Submit is safe
-// from any thread, including from inside a running task.
-//
-// Dependency-aware scheduling: a Completion token counts outstanding
-// prerequisite signals; tasks attached with SubmitAfter are enqueued the
-// moment the count reaches zero (immediately when it already has). The
-// task-graph execution engine (src/exec) uses tokens to chain filter
-// stages behind a level's last block task without a pool-wide barrier.
+// from any thread, including from inside a running task. Ordering beyond
+// FIFO (the execution engine's cost-ordered dispatch) is layered on top
+// by the caller.
 
 #ifndef MCE_UTIL_THREAD_POOL_H_
 #define MCE_UTIL_THREAD_POOL_H_
@@ -19,7 +15,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,36 +28,6 @@ namespace mce {
 
 class ThreadPool {
  public:
-  /// A counted completion event. Value-semantic handle; copies share the
-  /// same underlying state. Created via CreateCompletion.
-  class Completion {
-   public:
-    Completion();
-    Completion(const Completion&);
-    Completion(Completion&&) noexcept;
-    Completion& operator=(const Completion&);
-    Completion& operator=(Completion&&) noexcept;
-    ~Completion();
-
-    /// True when the handle refers to a token (default-constructed handles
-    /// do not).
-    explicit operator bool() const { return state_ != nullptr; }
-
-    /// Records one prerequisite completion. When the outstanding count
-    /// reaches zero, every task deferred on this token is enqueued on the
-    /// pool, in SubmitAfter order. Signaling more times than the token was
-    /// created with is a checked error. Thread-safe.
-    void Signal();
-
-    /// Whether all signals have arrived.
-    bool triggered() const;
-
-   private:
-    friend class ThreadPool;
-    struct State;
-    std::shared_ptr<State> state_;
-  };
-
   /// Starts `num_threads` workers (at least 1).
   explicit ThreadPool(size_t num_threads);
   /// Drains outstanding tasks, then joins the workers.
@@ -81,17 +46,6 @@ class ThreadPool {
 
   /// Enqueues a task. Never blocks (unbounded queue). Thread-safe.
   void Submit(std::function<void()> task);
-
-  /// Creates a token that triggers after `signals` calls to Signal().
-  /// `signals` may be 0, in which case the token is born triggered.
-  Completion CreateCompletion(size_t signals);
-
-  /// Enqueues `task` once `token` has triggered — immediately when it
-  /// already has, otherwise from the Signal() call that trips it.
-  /// Thread-safe. Tasks still deferred on an unsignaled token when the
-  /// pool shuts down are destroyed without running; Wait() does not count
-  /// deferred tasks until they are enqueued.
-  void SubmitAfter(const Completion& token, std::function<void()> task);
 
   /// Blocks until every submitted task has finished executing.
   void Wait();

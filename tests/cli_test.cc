@@ -4,9 +4,13 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "json_lite.h"
 
 #ifndef MCE_CLI_PATH
 #error "MCE_CLI_PATH must be defined by the build"
@@ -19,9 +23,12 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult RunCli(const std::string& args) {
+/// Runs mce_cli with `args`; stderr joins stdout unless `redirect_stderr`
+/// sends it elsewhere (e.g. " 2>file").
+CommandResult RunCli(const std::string& args,
+                     const std::string& redirect_stderr = " 2>&1") {
   const std::string command =
-      std::string(MCE_CLI_PATH) + " " + args + " 2>&1";
+      std::string(MCE_CLI_PATH) + " " + args + redirect_stderr;
   CommandResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -37,6 +44,13 @@ CommandResult RunCli(const std::string& args) {
 
 std::string TempFile(const std::string& name) {
   return testing::TempDir() + "/mce_cli_test_" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 class CliTest : public ::testing::Test {
@@ -125,6 +139,71 @@ TEST_F(CliTest, EnumerateWritesCliqueFile) {
   ASSERT_NE(f, nullptr);
   fclose(f);
   std::remove(out.c_str());
+}
+
+// --json replaces only the human summary: --output writes the same file
+// in both modes.
+TEST_F(CliTest, EnumerateJsonWritesTheSameOutputFile) {
+  const std::string human = TempFile("human_cliques.txt");
+  const std::string json = TempFile("json_cliques.txt");
+  CommandResult h = RunCli("enumerate --input " + *graph_path_ +
+                           " --ratio 0.5 --output " + human);
+  ASSERT_EQ(h.exit_code, 0) << h.output;
+  CommandResult j = RunCli("enumerate --input " + *graph_path_ +
+                           " --ratio 0.5 --json true --output " + json);
+  ASSERT_EQ(j.exit_code, 0) << j.output;
+  const std::string human_text = ReadFile(human);
+  EXPECT_FALSE(human_text.empty());
+  EXPECT_EQ(ReadFile(json), human_text);
+  std::remove(human.c_str());
+  std::remove(json.c_str());
+}
+
+// --verify runs under --json too; its line goes to stderr, so stdout stays
+// one JSON object.
+TEST_F(CliTest, EnumerateJsonVerifyKeepsStdoutOneJsonObject) {
+  const std::string err = TempFile("verify_stderr.txt");
+  CommandResult r = RunCli("enumerate --input " + *graph_path_ +
+                               " --ratio 0.5 --json true --verify true",
+                           " 2>" + err);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  json_lite::JsonValue report;
+  std::string error;
+  ASSERT_TRUE(json_lite::JsonParser(r.output).Parse(&report, &error))
+      << error << "\n" << r.output;
+  EXPECT_EQ(report.kind, json_lite::JsonValue::Kind::kObject);
+  EXPECT_NE(report.Find("total_cliques"), nullptr);
+  const std::string stderr_text = ReadFile(err);
+  EXPECT_NE(stderr_text.find("verification: "), std::string::npos)
+      << stderr_text;
+  EXPECT_NE(stderr_text.find("[OK]"), std::string::npos) << stderr_text;
+  std::remove(err.c_str());
+}
+
+TEST_F(CliTest, EnumerateJsonUnwritableOutputFails) {
+  CommandResult r = RunCli("enumerate --input " + *graph_path_ +
+                           " --ratio 0.5 --json true --output "
+                           "/nonexistent/dir/cliques.txt");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error"), std::string::npos) << r.output;
+}
+
+// The final heartbeat reports the command's outcome, including the writes
+// that follow the run.
+TEST_F(CliTest, UnwritableOutputEndsHeartbeatWithFailure) {
+  const std::string hb = TempFile("hb.ndjson");
+  CommandResult r = RunCli("enumerate --input " + *graph_path_ +
+                           " --ratio 0.5 --output /nonexistent/dir/x.txt"
+                           " --heartbeat-out " + hb);
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  const std::string stream = ReadFile(hb);
+  ASSERT_FALSE(stream.empty());
+  const size_t last_begin = stream.rfind('\n', stream.size() - 2);
+  const std::string last = stream.substr(
+      last_begin == std::string::npos ? 0 : last_begin + 1);
+  EXPECT_NE(last.find("\"final\":true"), std::string::npos) << last;
+  EXPECT_NE(last.find("\"success\":false"), std::string::npos) << last;
+  std::remove(hb.c_str());
 }
 
 TEST_F(CliTest, EnumerateExecutorFlagSelectsEngine) {

@@ -268,8 +268,8 @@ TEST(ExecutorStatsTest, PooledReportsThreadsAndNonNegativeOverlap) {
 }
 
 // Satellite: a level that produces cliques but emits none of them (all
-// filtered by Lemma 1) must still report correct stats and not derail the
-// chunked filter. StarGraph(20): the center is the only hub, level 1 finds
+// filtered by Lemma 1) must still report correct stats and become ready
+// for delivery. StarGraph(20): the center is the only hub, level 1 finds
 // {center}, which is not maximal in G.
 TEST(ExecutorStatsTest, LevelWithZeroEmittedCliquesReportsCorrectStats) {
   const Graph g = mce::test::StarGraph(20);
@@ -558,15 +558,31 @@ TEST(ShardIdentityTest, FallbackIgnoresSplitThreshold) {
 TEST(CostOrderedQueueTest, DispatchesHighestCostFirstWithFifoTies) {
   CostOrderedQueue queue;
   std::vector<int> ran;
-  queue.Push(1.0, [&ran] { ran.push_back(1); });
-  queue.Push(5.0, [&ran] { ran.push_back(5); });
-  queue.Push(3.0, [&ran] { ran.push_back(3); });
-  queue.Push(5.0, [&ran] { ran.push_back(50); });  // tie: after the first 5
+  queue.Push(0, 1.0, [&ran] { ran.push_back(1); });
+  queue.Push(0, 5.0, [&ran] { ran.push_back(5); });
+  queue.Push(0, 3.0, [&ran] { ran.push_back(3); });
+  queue.Push(0, 5.0, [&ran] { ran.push_back(50); });  // tie: after the first 5
   EXPECT_EQ(queue.Size(), 4u);
   for (int i = 0; i < 4; ++i) queue.RunNext();
   EXPECT_EQ(ran, (std::vector<int>{5, 50, 3, 1}));
   EXPECT_EQ(queue.Size(), 0u);
   queue.RunNext();  // empty pop is a tolerated no-op
+}
+
+// Delivery is level-ordered, so the queue runs every queued task of a
+// shallower level before any deeper one, however costly; within a level
+// the cost order and the emission-order tiebreak hold.
+TEST(CostOrderedQueueTest, DispatchesShallowestLevelFirst) {
+  CostOrderedQueue queue;
+  std::vector<int> ran;
+  queue.Push(1, 1000.0, [&ran] { ran.push_back(10); });
+  queue.Push(0, 1.0, [&ran] { ran.push_back(1); });
+  queue.Push(2, 9.0, [&ran] { ran.push_back(20); });
+  queue.Push(1, 1000.0, [&ran] { ran.push_back(11); });  // tie: after 10
+  queue.Push(0, 2.0, [&ran] { ran.push_back(2); });
+  queue.Push(0, 1.0, [&ran] { ran.push_back(3); });  // tie: after 1
+  for (int i = 0; i < 6; ++i) queue.RunNext();
+  EXPECT_EQ(ran, (std::vector<int>{2, 1, 3, 10, 11, 20}));
 }
 
 // Satellite: largest-predicted-first scheduling. A level whose giant task
@@ -587,10 +603,10 @@ TEST(CostOrderedQueueTest, GiantTaskEmittedLastFinishesNearCriticalPath) {
   // Emission order: all smalls first, the giant last — the adversarial
   // order that defeats FIFO.
   for (int i = 0; i < kSmallCount; ++i) {
-    queue.Push(1.0, [kSmall] { std::this_thread::sleep_for(kSmall); });
+    queue.Push(0, 1.0, [kSmall] { std::this_thread::sleep_for(kSmall); });
     pool.Submit([&queue] { queue.RunNext(); });
   }
-  queue.Push(1000.0, [kGiant] { std::this_thread::sleep_for(kGiant); });
+  queue.Push(0, 1000.0, [kGiant] { std::this_thread::sleep_for(kGiant); });
   pool.Submit([&queue] { queue.RunNext(); });
   const auto begin = std::chrono::steady_clock::now();
   pool.Wait();

@@ -50,8 +50,8 @@ Captured RunWith(const Graph& g, decomp::FindMaxCliquesOptions options,
 }
 
 /// Forces sinks to spill on nearly every block: a threshold this small is
-/// crossed by a handful of cliques, so the replay path (chunk merge in the
-/// Lemma-1 filter and in delivery) runs constantly.
+/// crossed by a handful of cliques, so delivery's chunk replay runs
+/// constantly.
 decomp::FindMaxCliquesOptions SpillForced(uint32_t m) {
   decomp::FindMaxCliquesOptions options;
   options.max_block_size = m;

@@ -20,47 +20,6 @@
 namespace mce::exec {
 namespace {
 
-TEST(FilterChunksTest, EmptyPendingProducesNoChunks) {
-  EXPECT_TRUE(FilterChunks(0, 1).empty());
-  EXPECT_TRUE(FilterChunks(0, 8).empty());
-  EXPECT_TRUE(FilterChunks(0, 0).empty());
-}
-
-TEST(FilterChunksTest, TinyLevelsNeverExceedItemCount) {
-  // A tiny pending set with many workers must not be split into empty or
-  // degenerate chunks (the num_threads * 4 sizing guard).
-  for (size_t items : {1, 2, 3, 7}) {
-    for (size_t workers : {1, 4, 8, 64}) {
-      const auto chunks = FilterChunks(items, workers);
-      EXPECT_LE(chunks.size(), items);
-      size_t expected_begin = 0;
-      for (const auto& [begin, end] : chunks) {
-        EXPECT_EQ(begin, expected_begin);
-        EXPECT_LT(begin, end);
-        expected_begin = end;
-      }
-      EXPECT_EQ(expected_begin, items);
-    }
-  }
-}
-
-TEST(FilterChunksTest, LargeLevelsUseFourChunksPerWorker) {
-  const auto chunks = FilterChunks(1000, 4);
-  EXPECT_EQ(chunks.size(), 16u);
-  EXPECT_EQ(chunks.front().first, 0u);
-  EXPECT_EQ(chunks.back().second, 1000u);
-  size_t expected_begin = 0;
-  for (const auto& [begin, end] : chunks) {
-    EXPECT_EQ(begin, expected_begin);
-    expected_begin = end;
-  }
-}
-
-TEST(FilterChunksTest, ZeroWorkersAreClampedToOne) {
-  const auto chunks = FilterChunks(100, 0);
-  EXPECT_EQ(chunks.size(), 4u);
-}
-
 // The emission-time plan must be exactly what scoring and analyzing the
 // block on its own would give: the cost model's score and the combination
 // AnalyzeBlock's own bestfit reports — tree leaves, the dense-storage

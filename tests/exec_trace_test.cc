@@ -51,7 +51,7 @@ TracedRun RunTraced(const Graph& g, decomp::ExecutorKind kind,
 /// The spans of one recursion level, split by kind.
 struct LevelSpans {
   std::vector<obs::TimeRange> decompose;
-  std::vector<obs::TimeRange> analyze;  // block + filter (+ fallback)
+  std::vector<obs::TimeRange> analyze;  // block (+ fallback)
   double block_seconds = 0;
 };
 
@@ -71,9 +71,6 @@ std::map<uint32_t, LevelSpans> SplitByLevel(
       case obs::SpanKind::kFallback:
         ls.analyze.push_back(r);
         ls.block_seconds += r.Length();
-        break;
-      case obs::SpanKind::kFilter:
-        ls.analyze.push_back(r);
         break;
       default:
         break;  // pool idle / sim lanes carry no level timing
@@ -190,25 +187,77 @@ TEST(ExecTraceTest, PooledStatsAreRecomputableFromSpans) {
   }
 }
 
-TEST(ExecTraceTest, PooledRecordsFilterChunkSpans) {
+// The Lemma-1 filter runs per clique inside the BlockTask that found it,
+// so its counters are the only record of it: every hub-level clique is
+// checked once, the survivors are exactly the hub-level emission, and
+// both executors count the same — with the reduction prepass expanding
+// cliques before the check, and with the pooled sinks spilling the
+// survivors under a budget.
+TEST(ExecTraceTest, FilterCountersMatchHubLevelEmission) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
-  obs::TraceRecorder recorder;
-  TracedRun run = RunTraced(g, decomp::ExecutorKind::kPooled, 4, &recorder,
-                            nullptr, /*m=*/40);
-  ASSERT_GE(run.stats.levels.size(), 2u);
-  uint64_t hub_cliques = 0;
-  for (size_t l = 1; l < run.stats.levels.size(); ++l) {
-    hub_cliques += run.stats.levels[l].cliques;
+  struct Config {
+    const char* name;
+    bool reduce;
+    bool spill;
+  };
+  for (const Config& config : {Config{"plain", false, false},
+                               Config{"reduce", true, false},
+                               Config{"spilling budget", false, true}}) {
+    SCOPED_TRACE(config.name);
+    std::vector<std::pair<Clique, uint32_t>> serial_emission;
+    uint64_t serial_checked = 0, serial_kept = 0;
+    for (const decomp::ExecutorKind kind :
+         {decomp::ExecutorKind::kSerial, decomp::ExecutorKind::kPooled}) {
+      const bool serial = kind == decomp::ExecutorKind::kSerial;
+      SCOPED_TRACE(serial ? "serial" : "pooled");
+      obs::MetricsRegistry registry;
+      decomp::FindMaxCliquesOptions options;
+      options.max_block_size = 40;
+      options.reduce = config.reduce;
+      if (config.spill) {
+        // A threshold this small flushes every sink past a few cliques, so
+        // the pooled survivors replay from disk whatever the timing.
+        options.memory_budget_bytes = 64 << 10;
+        options.spill_threshold_bytes = 128;
+        options.spill_dir = testing::TempDir();
+      }
+      options.executor = kind;
+      options.num_threads = serial ? 1 : 4;
+      options.metrics = &registry;
+      std::vector<std::pair<Clique, uint32_t>> emission;
+      const decomp::StreamingStats stats = decomp::FindMaxCliquesStreaming(
+          g, options, [&emission](std::span<const NodeId> c, uint32_t level) {
+            emission.emplace_back(Clique(c.begin(), c.end()), level);
+          });
+      ASSERT_GE(stats.levels.size(), 2u);
+      uint64_t hub_cliques = 0;
+      for (size_t l = 1; l < stats.levels.size(); ++l) {
+        hub_cliques += stats.levels[l].cliques;
+      }
+      ASSERT_GT(hub_cliques, 0u) << "corpus must exercise the Lemma-1 filter";
+      const uint64_t hub_emitted = static_cast<uint64_t>(std::count_if(
+          emission.begin(), emission.end(),
+          [](const auto& e) { return e.second >= 1; }));
+      const uint64_t checked =
+          registry.GetCounter("exec.filter_cliques_checked").value();
+      const uint64_t kept =
+          registry.GetCounter("exec.filter_cliques_kept").value();
+      EXPECT_EQ(checked, hub_cliques);
+      EXPECT_EQ(kept, hub_emitted);
+      if (serial) {
+        serial_emission = std::move(emission);
+        serial_checked = checked;
+        serial_kept = kept;
+      } else {
+        if (config.spill) {
+          EXPECT_GT(stats.memory.spill_chunks, 0u);
+        }
+        EXPECT_EQ(checked, serial_checked);
+        EXPECT_EQ(kept, serial_kept);
+        EXPECT_EQ(emission, serial_emission);
+      }
+    }
   }
-  ASSERT_GT(hub_cliques, 0u) << "corpus must exercise the Lemma-1 filter";
-  uint64_t filter_spans = 0, filter_checked = 0;
-  for (const obs::TraceEvent& e : run.events) {
-    if (e.kind != obs::SpanKind::kFilter) continue;
-    ++filter_spans;
-    filter_checked += e.args[0];
-  }
-  EXPECT_GT(filter_spans, 0u);
-  EXPECT_EQ(filter_checked, hub_cliques);
 }
 
 TEST(ExecTraceTest, TracedRunsKeepEmissionIdentical) {

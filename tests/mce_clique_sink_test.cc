@@ -1,6 +1,6 @@
-// CliqueSink: spilled-vs-resident replay identity, ForRange partitioning
-// across chunk boundaries, and budget accounting. Plus the saturating
-// storage estimates the MemoryBudget charges are built from.
+// CliqueSink: spilled-vs-resident replay identity and budget accounting.
+// Plus the saturating storage estimates the MemoryBudget charges are built
+// from.
 
 #include <cstdint>
 #include <string>
@@ -32,10 +32,9 @@ std::vector<std::vector<NodeId>> TestCliques(size_t count) {
   return out;
 }
 
-std::vector<std::vector<NodeId>> Replay(const CliqueSink& sink, size_t begin,
-                                        size_t end) {
+std::vector<std::vector<NodeId>> Replay(const CliqueSink& sink) {
   std::vector<std::vector<NodeId>> got;
-  sink.ForRange(begin, end, [&](std::span<const NodeId> c) {
+  sink.ForEach([&](std::span<const NodeId> c) {
     got.emplace_back(c.begin(), c.end());
   });
   return got;
@@ -73,53 +72,7 @@ TEST(CliqueSinkTest, SpilledReplayIsIdenticalToResident) {
   ASSERT_EQ(spilling.size(), resident.size());
   EXPECT_GT(spilling.spilled_chunks(), 1u);
   EXPECT_GT(spilling.spilled_bytes(), 0u);
-  EXPECT_EQ(Replay(spilling, 0, spilling.size()),
-            Replay(resident, 0, resident.size()));
-}
-
-TEST(CliqueSinkTest, ForRangePartitionsConcatenateToFullStream) {
-  const auto cliques = TestCliques(257);  // prime-ish, odd chunk splits
-  MemoryBudget budget;
-  SpillConfig config;
-  config.threshold_bytes = 200;
-  config.budget = &budget;
-  SpillContext ctx;
-  ctx.config = &config;
-  SpillingCliqueSink sink(&ctx);
-  for (const auto& c : cliques) sink.AppendRaw(c);
-  ASSERT_GT(sink.spilled_chunks(), 0u);
-
-  const auto whole = Replay(sink, 0, sink.size());
-  // Any partition of [0, n) must concatenate byte-identically, whatever
-  // relation its cut points have to the spill-chunk boundaries.
-  for (size_t step : {1u, 3u, 50u, 256u}) {
-    std::vector<std::vector<NodeId>> stitched;
-    for (size_t b = 0; b < sink.size(); b += step) {
-      const size_t e = std::min(b + step, sink.size());
-      auto part = Replay(sink, b, e);
-      stitched.insert(stitched.end(), part.begin(), part.end());
-    }
-    EXPECT_EQ(stitched, whole) << "step " << step;
-  }
-}
-
-TEST(CliqueSinkTest, AppendSortsLikeResidentSink) {
-  MemoryBudget budget;
-  SpillConfig config;
-  config.threshold_bytes = 64;
-  config.budget = &budget;
-  SpillContext ctx;
-  ctx.config = &config;
-  SpillingCliqueSink spilling(&ctx);
-  ResidentCliqueSink resident;
-  const std::vector<NodeId> unsorted = {9, 2, 7, 1};
-  for (int i = 0; i < 50; ++i) {
-    spilling.Append(unsorted);
-    resident.Append(unsorted);
-  }
-  EXPECT_EQ(Replay(spilling, 0, spilling.size()),
-            Replay(resident, 0, resident.size()));
-  EXPECT_EQ(Replay(spilling, 0, 1)[0], (std::vector<NodeId>{1, 2, 7, 9}));
+  EXPECT_EQ(Replay(spilling), Replay(resident));
 }
 
 TEST(CliqueSinkTest, AccountingReleasesOnFlushAndDestruction) {
@@ -158,7 +111,7 @@ TEST(CliqueSinkTest, EmptyCliquesSurviveSpilling) {
     sink.AppendRaw(one);
   }
   ASSERT_EQ(sink.size(), 80u);
-  const auto got = Replay(sink, 0, sink.size());
+  const auto got = Replay(sink);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], (i % 2 == 0 ? empty : one)) << i;
   }

@@ -31,25 +31,23 @@ TaskSpan Task(SpanKind kind, uint32_t level, int64_t begin_us,
   return s;
 }
 
-// decompose -> {fast block, slow block} -> filter. The path must route
-// through the slow branch and cover the wall exactly.
-TEST(CriticalPathTest, DiamondRoutesThroughTheSlowBranch) {
+// decompose -> {fast block, slow shard, slow block}. The path must end
+// at the slow block — the last finisher — and cover the wall exactly.
+TEST(CriticalPathTest, FanOutRoutesThroughTheSlowBranch) {
   std::vector<TaskSpan> spans = {
       Task(SpanKind::kDecompose, 0, 0, 100),
-      Task(SpanKind::kBlock, 0, 100, 300),   // fast branch
-      Task(SpanKind::kBlock, 0, 100, 500),   // slow branch
-      Task(SpanKind::kFilter, 0, 500, 600),
+      Task(SpanKind::kBlock, 0, 100, 300),       // fast branch
+      Task(SpanKind::kBlockShard, 0, 100, 450),  // slower branch
+      Task(SpanKind::kBlock, 0, 150, 600),       // slowest branch
   };
   const CriticalPathResult r = ComputeCriticalPath(spans);
-  ASSERT_EQ(r.path.size(), 3u);
+  ASSERT_EQ(r.path.size(), 2u);
   EXPECT_EQ(r.path[0].span, 0u);  // decompose
-  EXPECT_EQ(r.path[1].span, 2u);  // the slow block, not the fast one
-  EXPECT_EQ(r.path[2].span, 3u);  // filter
+  EXPECT_EQ(r.path[1].span, 3u);  // the slowest block, not the others
   EXPECT_DOUBLE_EQ(r.path[0].seconds, 100e-6);
-  EXPECT_DOUBLE_EQ(r.path[1].seconds, 400e-6);
-  EXPECT_DOUBLE_EQ(r.path[2].seconds, 100e-6);
-  EXPECT_DOUBLE_EQ(r.span_seconds, 600e-6);
-  EXPECT_DOUBLE_EQ(r.wait_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(r.path[1].seconds, 450e-6);
+  EXPECT_DOUBLE_EQ(r.span_seconds, 550e-6);
+  EXPECT_DOUBLE_EQ(r.wait_seconds, 50e-6);
   EXPECT_DOUBLE_EQ(r.wall_seconds, 600e-6);
   EXPECT_DOUBLE_EQ(r.coverage, 1.0);
 }
@@ -157,7 +155,7 @@ TEST(StragglerTest, RankByDeviationFlagsUnderPredictedBlocks) {
 
 // Cliques count once, at the span that enumerated them: a block, a
 // fallback, a shard, the reduce prepass's trivial cliques — and a
-// FilterTask none, its survivors were counted at their block.
+// DecomposeTask none, whatever its args.
 TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   std::vector<TraceEvent> events(7);
   events[0].kind = SpanKind::kBlock;
@@ -173,9 +171,9 @@ TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   events[2].kind = SpanKind::kFallback;
   events[2].args[2] = 4;  // cliques
   events[3].kind = SpanKind::kAdmission;   // observability, not DAG
-  events[4].kind = SpanKind::kFilter;
-  events[4].args[0] = 9;  // checked
-  events[4].args[1] = 6;  // kept
+  events[4].kind = SpanKind::kDecompose;
+  events[4].args[2] = 9;  // feasible
+  events[4].args[3] = 6;  // hubs
   events[5].kind = SpanKind::kReduce;
   events[5].args[2] = 3;  // trivial cliques
   events[6].kind = SpanKind::kBlockShard;
@@ -191,7 +189,7 @@ TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   EXPECT_EQ(spans[0].prof.task_clock_ns, 123u);
   EXPECT_EQ(spans[1].kind, SpanKind::kFallback);
   EXPECT_EQ(spans[1].cliques, 4u);
-  EXPECT_EQ(spans[2].kind, SpanKind::kFilter);
+  EXPECT_EQ(spans[2].kind, SpanKind::kDecompose);
   EXPECT_EQ(spans[2].cliques, 0u);
   EXPECT_EQ(spans[3].cliques, 3u);
   EXPECT_EQ(spans[4].cliques, 5u);
@@ -261,8 +259,8 @@ void ExpectSameProfile(const ProfileStats& live, const ProfileStats& refold) {
 // profile is the fold of the run's own spans, so it equals a re-fold of
 // the recorded trace, and both executors count the same cliques. m = 10
 // makes the graph its own m-core (decompose + fallback); m = 40 gives
-// three levels, split shards and pooled filter chunks; reduce adds the
-// ReduceTask.
+// three levels, split shards and hub-level Lemma-1 checks; reduce adds
+// the ReduceTask.
 TEST(CriticalPathIntegrationTest, SerialAndPooledTracesCoverTheWall) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
   for (const uint32_t m : {10u, 40u}) {

@@ -33,7 +33,7 @@ size_t Count(const std::string& haystack, const std::string& needle) {
 TEST(TraceRecorderTest, SpanKindNames) {
   EXPECT_STREQ(ToString(SpanKind::kDecompose), "DecomposeTask");
   EXPECT_STREQ(ToString(SpanKind::kBlock), "BlockTask");
-  EXPECT_STREQ(ToString(SpanKind::kFilter), "FilterTask");
+  EXPECT_STREQ(ToString(SpanKind::kBlockShard), "BlockShardTask");
   EXPECT_STREQ(ToString(SpanKind::kFallback), "FallbackTask");
   EXPECT_STREQ(ToString(SpanKind::kWorkerIdle), "idle");
   EXPECT_STREQ(ToString(SpanKind::kSimBlock), "SimBlockTask");
@@ -42,13 +42,13 @@ TEST(TraceRecorderTest, SpanKindNames) {
 TEST(TraceRecorderTest, RecordsInOrderPerThread) {
   TraceRecorder recorder;
   recorder.Record(Span(10, 20));
-  recorder.Record(Span(30, 40, SpanKind::kFilter));
+  recorder.Record(Span(30, 40, SpanKind::kFallback));
   std::vector<TraceEvent> events = recorder.Events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].begin_us, 10);
   EXPECT_EQ(events[0].kind, SpanKind::kBlock);
   EXPECT_EQ(events[1].begin_us, 30);
-  EXPECT_EQ(events[1].kind, SpanKind::kFilter);
+  EXPECT_EQ(events[1].kind, SpanKind::kFallback);
   EXPECT_EQ(recorder.dropped_events(), 0u);
 }
 
@@ -118,7 +118,7 @@ TEST(TraceRecorderTest, ChromeJsonIsBalancedAndRebased) {
   TraceRecorder recorder;
   recorder.Record(Span(1000, 5000, SpanKind::kDecompose));
   recorder.Record(Span(2000, 3000));  // nested inside the decompose span
-  recorder.Record(Span(6000, 7000, SpanKind::kFilter));
+  recorder.Record(Span(6000, 7000, SpanKind::kFallback));
   std::string json = recorder.ToChromeTraceJson();
 
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -129,7 +129,7 @@ TEST(TraceRecorderTest, ChromeJsonIsBalancedAndRebased) {
             std::string::npos);
   EXPECT_NE(json.find("\"name\":\"DecomposeTask\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"BlockTask\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"FilterTask\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"FallbackTask\""), std::string::npos);
   // Track metadata for the recording thread.
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);

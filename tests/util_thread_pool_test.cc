@@ -127,105 +127,5 @@ TEST(ThreadPoolTest, TasksCanSubmitResults) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(results[i], i * i);
 }
 
-TEST(ThreadPoolCompletionTest, ZeroSignalTokenIsBornTriggered) {
-  ThreadPool pool(2);
-  ThreadPool::Completion token = pool.CreateCompletion(0);
-  EXPECT_TRUE(token.triggered());
-  std::atomic<bool> ran{false};
-  pool.SubmitAfter(token, [&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolCompletionTest, DefaultConstructedHandleIsEmpty) {
-  ThreadPool::Completion empty;
-  EXPECT_FALSE(static_cast<bool>(empty));
-  ThreadPool pool(1);
-  ThreadPool::Completion token = pool.CreateCompletion(1);
-  EXPECT_TRUE(static_cast<bool>(token));
-  token.Signal();
-}
-
-TEST(ThreadPoolCompletionTest, DeferredTasksWaitForEverySignal) {
-  ThreadPool pool(2);
-  ThreadPool::Completion token = pool.CreateCompletion(3);
-  std::atomic<int> order{0};
-  std::atomic<int> deferred_saw{-1};
-  pool.SubmitAfter(token, [&] { deferred_saw = order.load(); });
-  EXPECT_FALSE(token.triggered());
-  order = 1;
-  token.Signal();
-  EXPECT_FALSE(token.triggered());
-  order = 2;
-  token.Signal();
-  EXPECT_FALSE(token.triggered());
-  order = 3;
-  token.Signal();
-  EXPECT_TRUE(token.triggered());
-  pool.Wait();
-  // The deferred task ran only after the third signal.
-  EXPECT_EQ(deferred_saw.load(), 3);
-}
-
-TEST(ThreadPoolCompletionTest, SubmitAfterTriggeredRunsImmediately) {
-  ThreadPool pool(2);
-  ThreadPool::Completion token = pool.CreateCompletion(1);
-  token.Signal();
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.SubmitAfter(token, [&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPoolCompletionTest, DeferredTasksRunInSubmitAfterOrder) {
-  ThreadPool pool(1);  // one worker => pool order is execution order
-  ThreadPool::Completion token = pool.CreateCompletion(1);
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    pool.SubmitAfter(token, [&order, i] { order.push_back(i); });
-  }
-  token.Signal();
-  pool.Wait();
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPoolCompletionTest, SignalsFromPoolTasksChainStages) {
-  // The exec-engine shape: N block tasks signal a token; the filter stage
-  // chained behind it runs exactly once, after all of them.
-  ThreadPool pool(4);
-  constexpr int kBlocks = 32;
-  ThreadPool::Completion token = pool.CreateCompletion(kBlocks);
-  std::atomic<int> blocks_done{0};
-  std::atomic<int> filter_runs{0};
-  std::atomic<int> filter_saw{-1};
-  pool.SubmitAfter(token, [&] {
-    filter_runs.fetch_add(1);
-    filter_saw = blocks_done.load();
-  });
-  for (int i = 0; i < kBlocks; ++i) {
-    pool.Submit([&blocks_done, token]() mutable {
-      blocks_done.fetch_add(1);
-      token.Signal();
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(filter_runs.load(), 1);
-  EXPECT_EQ(filter_saw.load(), kBlocks);
-  EXPECT_TRUE(token.triggered());
-}
-
-TEST(ThreadPoolCompletionTest, CopiesShareState) {
-  ThreadPool pool(2);
-  ThreadPool::Completion token = pool.CreateCompletion(2);
-  ThreadPool::Completion copy = token;
-  copy.Signal();
-  token.Signal();
-  EXPECT_TRUE(token.triggered());
-  EXPECT_TRUE(copy.triggered());
-}
-
 }  // namespace
 }  // namespace mce

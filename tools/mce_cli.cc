@@ -275,9 +275,11 @@ int CmdEnumerate(const Flags& flags) {
   }
   mce::MaxCliqueFinder finder(options);
   Result<mce::FindResult> result = finder.Find(*g);
-  sampler.Finish(result.ok());
   mce::obs::TraceRecorder::Install(nullptr);
   mce::obs::MetricsRegistry::Install(nullptr);
+  // The final heartbeat comes after every write and the verification: an
+  // error return below ends the stream through the sampler's destructor,
+  // Finish(false), so only a command that exits 0 reports success.
   if (!result.ok()) {
     std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return 1;
@@ -301,26 +303,31 @@ int CmdEnumerate(const Flags& flags) {
     }
     std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
   }
-  if (flags.Get("json", "") == "true") {
+  // --json replaces only the human summary and the --top listing.
+  // --output and --verify run in both modes; under --json their status
+  // lines go to stderr so stdout stays one JSON object.
+  const bool json = flags.Get("json", "") == "true";
+  FILE* const status_out = json ? stderr : stdout;
+  if (json) {
     std::printf("%s\n", mce::RunReportJson(*result).c_str());
-    return 0;
-  }
-  std::printf("%s\n", mce::RunSummaryLine(result->stats, *result).c_str());
-  if (result->cluster.has_value()) {
-    std::printf("cluster: %d workers, makespan %.4fs, compute speedup "
-                "%.2fx, skew %.2f\n",
-                result->cluster->workers, result->cluster->makespan_seconds,
-                result->cluster->compute_speedup,
-                result->cluster->max_level_skew);
-  }
-  const int top = flags.GetInt("top", 0);
-  if (top > 0) {
-    for (size_t idx : mce::LargestCliqueIndices(result->cliques, top)) {
-      const mce::Clique& c = result->cliques.cliques()[idx];
-      std::printf("clique[%zu members]%s:", c.size(),
-                  result->origin_level[idx] >= 1 ? " (hub-only)" : "");
-      for (NodeId v : c) std::printf(" %u", v);
-      std::printf("\n");
+  } else {
+    std::printf("%s\n", mce::RunSummaryLine(result->stats, *result).c_str());
+    if (result->cluster.has_value()) {
+      std::printf("cluster: %d workers, makespan %.4fs, compute speedup "
+                  "%.2fx, skew %.2f\n",
+                  result->cluster->workers, result->cluster->makespan_seconds,
+                  result->cluster->compute_speedup,
+                  result->cluster->max_level_skew);
+    }
+    const int top = flags.GetInt("top", 0);
+    if (top > 0) {
+      for (size_t idx : mce::LargestCliqueIndices(result->cliques, top)) {
+        const mce::Clique& c = result->cliques.cliques()[idx];
+        std::printf("clique[%zu members]%s:", c.size(),
+                    result->origin_level[idx] >= 1 ? " (hub-only)" : "");
+        for (NodeId v : c) std::printf(" %u", v);
+        std::printf("\n");
+      }
     }
   }
   const std::string output = flags.Get("output", "");
@@ -330,15 +337,17 @@ int CmdEnumerate(const Flags& flags) {
       std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %zu cliques to %s\n", result->cliques.size(),
-                output.c_str());
+    std::fprintf(status_out, "wrote %zu cliques to %s\n",
+                 result->cliques.size(), output.c_str());
   }
   if (flags.Get("verify", "") == "true") {
     mce::VerificationReport report =
         mce::VerifyAgainstReference(*g, result->cliques);
-    std::printf("verification: %s\n", report.ToString().c_str());
+    std::fprintf(status_out, "verification: %s\n",
+                 report.ToString().c_str());
     if (!report.ok()) return 1;
   }
+  sampler.Finish(true);
   return 0;
 }
 

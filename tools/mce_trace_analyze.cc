@@ -2,12 +2,11 @@
 // Chrome traces written by mce_cli --trace-out.
 //
 // The pipeline's task DAG is known by construction (DESIGN.md §7, §14):
-// ReduceTask first, DecomposeTask(L) after DecomposeTask(L-1), each
-// Block/BlockShard/FallbackTask after its level's DecomposeTask, and the
-// FilterTasks after the level's analysis tasks. The tool parses the
-// trace back into task spans (merging the B-event args with the counter
-// args the E event carries under --perf-counters), rebuilds the DAG, and
-// reports:
+// ReduceTask first, DecomposeTask(L) after DecomposeTask(L-1), and each
+// Block/BlockShard/FallbackTask after its level's DecomposeTask. The tool
+// parses the trace back into task spans (merging the B-event args with
+// the counter args the E event carries under --perf-counters), rebuilds
+// the DAG, and reports:
 //
 //   * per-kind and per-level counter attribution (cycles, IPC, miss
 //     rates, ns/clique) — sums reproduce the run totals exactly;
@@ -143,8 +142,7 @@ bool ParseSpans(const JsonValue& root, std::vector<ParsedSpan>* out,
 
 /// Maps the closed spans onto DAG TaskSpans, pulling level / index /
 /// cost / clique counts out of the kind-specific B args. Cliques follow
-/// obs::TaskSpanFromEvent: they count at the span that enumerated them,
-/// so a FilterTask counts none.
+/// obs::TaskSpanFromEvent: they count at the span that enumerated them.
 std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
   std::vector<TaskSpan> out;
   for (const ParsedSpan& s : spans) {
@@ -169,9 +167,6 @@ std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
       case SpanKind::kFallback:
         t.cliques = U64(s.args, "cliques");
         break;
-      case SpanKind::kFilter:
-        t.index = U64(s.args, "chunk");
-        break;
       case SpanKind::kReduce:
         t.cliques = U64(s.args, "trivial_cliques");
         break;
@@ -186,8 +181,7 @@ std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
 std::string Label(const TaskSpan& t) {
   std::ostringstream os;
   os << mce::obs::ToString(t.kind) << "(L" << t.level;
-  if (t.kind == SpanKind::kBlock || t.kind == SpanKind::kBlockShard ||
-      t.kind == SpanKind::kFilter) {
+  if (t.kind == SpanKind::kBlock || t.kind == SpanKind::kBlockShard) {
     os << "/" << t.index;
   }
   os << ")";
