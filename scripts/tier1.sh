@@ -52,7 +52,9 @@ else
   # kernels recycle grow-only buffers across blocks and recursion depths,
   # and the block builder indexes flat per-level arrays by parent id —
   # exactly the patterns where an out-of-bounds write or a stale-span read
-  # would otherwise go unnoticed.
+  # would otherwise go unnoticed. exec_test and obs_test cover the run
+  # reporter, which holds each level's spans until the pooled engine
+  # delivers the level.
   asan_build="$build-asan"
   echo "=== tier-1: ASan+UBSan+DCHECK build ($asan_build) ==="
   cmake -B "$asan_build" -S "$repo" \
@@ -63,12 +65,12 @@ else
     -DMCE_BUILD_EXAMPLES=OFF
   cmake --build "$asan_build" -j "$(nproc)" \
     --target graph_test mce_algorithms_test mce_alloc_test decomp_test \
-             reduce_test mce_cli mce_convert
+             reduce_test exec_test obs_test mce_cli mce_convert
 
   echo "=== tier-1: ASan run (graph_test, mce_algorithms_test," \
-       "mce_alloc_test, decomp_test, reduce_test) ==="
+       "mce_alloc_test, decomp_test, reduce_test, exec_test, obs_test) ==="
   ctest --test-dir "$asan_build" --output-on-failure -j "$(nproc)" \
-    -R '^(graph_test|mce_algorithms_test|mce_alloc_test|decomp_test|reduce_test)$'
+    -R '^(graph_test|mce_algorithms_test|mce_alloc_test|decomp_test|reduce_test|exec_test|obs_test)$'
 
   # Budgeted out-of-core leg: generate → convert to MCECSR02 → enumerate
   # the mmapped graph under a deliberately tiny memory budget with sinks
@@ -180,8 +182,10 @@ echo "perf-diff gate trips on injected regression: ok"
 # recorded totals. The sums are checked on pooled, serial and pooled
 # --reduce runs; both executors must count the same cliques (each clique
 # once, at the span that enumerated it), and the analyzer's tables over a
-# trace must equal the --json profile of the same run. The same binary
-# must degrade cleanly to the software clock when perf_event_open is
+# trace must equal the --json profile of the same run. The analyzer's
+# level table is the fold the executors run live, so on each of the three
+# runs it must equal the run's --json "levels". The same binary must
+# degrade cleanly to the software clock when perf_event_open is
 # unavailable (MCE_FORCE_NO_PERF=1).
 echo "=== tier-1: profiling + critical-path validation ==="
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
@@ -191,10 +195,13 @@ echo "=== tier-1: profiling + critical-path validation ==="
 "$build/tools/trace_check" "$trace_dir/trace_prof.json" \
   --require DecomposeTask,BlockTask --require-counters
 "$build/tools/mce_trace_analyze" "$trace_dir/trace_prof.json" \
-  --require-critical-path >/dev/null
+  --require-critical-path >"$trace_dir/analyze_prof.txt"
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
   --executor serial --perf-counters true \
+  --trace-out="$trace_dir/trace_prof_serial.json" \
   --json true >"$trace_dir/report_prof_serial.json"
+"$build/tools/mce_trace_analyze" "$trace_dir/trace_prof_serial.json" \
+  >"$trace_dir/analyze_prof_serial.txt"
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
   --executor pooled --threads 4 --reduce true --perf-counters true \
   --trace-out="$trace_dir/trace_prof_reduce.json" \
@@ -203,9 +210,11 @@ echo "=== tier-1: profiling + critical-path validation ==="
   >"$trace_dir/analyze_prof_reduce.txt"
 python3 - "$trace_dir/report_prof.json" "$trace_dir/report_prof_serial.json" \
   "$trace_dir/report_prof_reduce.json" \
-  "$trace_dir/analyze_prof_reduce.txt" <<'EOF'
+  "$trace_dir/analyze_prof_reduce.txt" "$trace_dir/analyze_prof.txt" \
+  "$trace_dir/analyze_prof_serial.txt" <<'EOF'
 import json, re, sys
 pooled, serial, reduced, analyzed = sys.argv[1:5]
+analyzed_pooled, analyzed_serial = sys.argv[5:7]
 profiles = {}
 for path in (pooled, serial, reduced):
     profile = json.load(open(path))["profile"]
@@ -262,6 +271,44 @@ for name, bucket in want.items():
                  f"{bucket['spans']} spans {bucket['seconds']}s "
                  f"{bucket['cliques']} cliques")
 print(f"mce_trace_analyze tables match the --json profile ({len(want)} rows)")
+# The level table: one row per level under a header of --json "levels"
+# keys, times in seconds to 6 decimals.
+def level_table(path):
+    lines = open(path).read().splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if line.startswith("level stats")), None)
+    if start is None:
+        sys.exit(f"{path}: mce_trace_analyze printed no level stats table")
+    header = lines[start + 1].split()
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.strip():
+            break
+        rows.append(dict(zip(header, line.split())))
+    return header, rows
+for report_path, table_path in ((pooled, analyzed_pooled),
+                                (serial, analyzed_serial),
+                                (reduced, analyzed)):
+    levels = json.load(open(report_path))["levels"]
+    header, rows = level_table(table_path)
+    if len(rows) != len(levels):
+        sys.exit(f"{table_path}: {len(rows)} level rows, --json has "
+                 f"{len(levels)} levels")
+    for i, (row, level) in enumerate(zip(rows, levels)):
+        for key in header[1:]:
+            got, want = row[key], level[key]
+            if key.endswith("_seconds"):
+                ok = abs(float(got) - want) <= 1e-6
+            else:
+                ok = int(got) == want
+            if not ok:
+                sys.exit(f"{table_path} level {i} {key}: analyzer {got}, "
+                         f"--json {want}")
+    if report_path == serial and any(
+            level["barrier_idle_seconds"] != 0 for level in levels):
+        sys.exit(f"{report_path}: serial run reports barrier idle")
+print("mce_trace_analyze level tables match the --json levels "
+      "(pooled, serial, pooled --reduce)")
 EOF
 software_hw="$(MCE_FORCE_NO_PERF=1 "$build/tools/mce_cli" enumerate \
   --input "$trace_dir/fb.txt" --executor pooled --threads 4 \

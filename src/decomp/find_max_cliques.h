@@ -26,6 +26,7 @@
 #include "decomp/blocks.h"
 #include "mce/clique.h"
 #include "mce/enumerator.h"
+#include "obs/critical_path.h"
 #include "obs/perf_counters.h"
 #include "obs/progress.h"
 #include "reduce/reduction.h"
@@ -179,45 +180,9 @@ inline uint64_t EffectiveSpillThreshold(const FindMaxCliquesOptions& options) {
                                              : 1;
 }
 
-/// Per-recursion-level telemetry (drives Figures 7-11).
-struct LevelStats {
-  uint64_t num_nodes = 0;       // |G_l|
-  uint64_t num_edges = 0;
-  uint64_t feasible = 0;        // |N_f|
-  uint64_t hubs = 0;            // |N_h|
-  uint64_t blocks = 0;
-  uint64_t cliques = 0;         // cliques emitted by this level's blocks
-                                // (before the maximality filter)
-  double decompose_seconds = 0; // CUT + BLOCKS (+ induced subgraph)
-  double analyze_seconds = 0;   // BLOCK-ANALYSIS wall time over all blocks
-  /// Worker utilization of the analyze phase: the serial-equivalent work
-  /// (sum of per-block analysis times) vs. the busiest worker's share of
-  /// it. block_seconds / busiest_worker_seconds is the achieved per-level
-  /// analysis speedup; dividing that by analyze_threads gives utilization
-  /// in (0, 1]. With one thread the two times coincide.
-  double block_seconds = 0;
-  double busiest_worker_seconds = 0;
-  uint32_t analyze_threads = 1; // workers that ran this level's analysis
-  /// Wall-clock time this level's decomposition ran concurrently with the
-  /// analysis of earlier levels (the intersection of the decompose window
-  /// with the union of all earlier levels' analysis windows). Pooled
-  /// executor only; the serial executor never overlaps and reports 0.
-  double overlap_seconds = 0;
-  /// Aggregate work-starved worker idle time during this level's analyze
-  /// phase — capacity inside the union of the level's own task spans minus
-  /// the block work performed (obs::SplitIdle). Waits at level boundaries
-  /// are excluded; they land in barrier_idle_seconds.
-  double idle_seconds = 0;
-  /// Aggregate worker capacity across the gaps of the level's analysis
-  /// hull: stretches where none of the level's tasks ran because the pool
-  /// was parked at a cross-level boundary (another level's decompose or
-  /// analysis, the delivery barrier). Kept separate from idle_seconds
-  /// so inter-level waits are not charged to the level that just ended.
-  double barrier_idle_seconds = 0;
-  /// BlockTasks of this level the executor split into kernel-range shards
-  /// (0 when splitting is disabled or nothing crossed the cost threshold).
-  uint64_t block_splits = 0;
-};
+/// Per-recursion-level telemetry (drives Figures 7-11), folded from the
+/// run's task spans (obs/critical_path.h).
+using LevelStats = obs::LevelStats;
 
 /// Memory-budget telemetry for one run (see
 /// FindMaxCliquesOptions::memory_budget_bytes). peak_tracked_bytes is the

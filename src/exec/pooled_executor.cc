@@ -21,13 +21,9 @@
 // per-block results — which is what makes the emission byte-identical to
 // the serial executor.
 //
-// Timing: every task records one begin/end window on the obs::NowMicros()
-// timebase. The same windows feed the trace recorder (when one is
-// resolved) and the LevelStats — analyze_seconds is the hull of the
-// level's block spans, overlap_seconds the decompose window
-// clipped against earlier levels' analysis hulls, idle_seconds the
-// worker capacity of the hull minus the block work inside it
-// (obs/span_math.h).
+// Timing: every task closes one window through the RunReporter, whose span
+// fold (obs::LevelFold) yields each level's LevelStats at delivery and
+// which retires progress and counts the filter and split work.
 //
 // Synchronization: all cross-task state hangs off LevelRun records owned
 // by a deque guarded by one engine mutex. Tasks receive stable element
@@ -36,7 +32,6 @@
 // before the mutex-protected state transition the reader observed.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -55,7 +50,6 @@
 #include "graph/subgraph.h"
 #include "mce/clique_sink.h"
 #include "mce/workspace.h"
-#include "obs/span_math.h"
 #include "util/check.h"
 #include "util/memory_budget.h"
 #include "util/thread_pool.h"
@@ -65,7 +59,7 @@ namespace mce::exec {
 namespace {
 
 /// One kernel-range shard of a BlockTask: its range, buffered cliques, and
-/// measured window. An unsplit block is the degenerate single-shard case.
+/// measured seconds. An unsplit block is the degenerate single-shard case.
 struct ShardRun {
   decomp::KernelRange range;
   decomp::BlockAnalysisResult result;
@@ -75,10 +69,7 @@ struct ShardRun {
   /// byte for byte. A CliqueSink so the buffer can spill past the level's
   /// threshold without changing replay order.
   std::unique_ptr<CliqueSink> cliques;
-  int64_t begin_us = 0;
-  int64_t end_us = 0;
   double seconds = 0;
-  size_t worker = 0;
 };
 
 /// Execution state of one BlockTask. The shard vector is sized at block
@@ -91,11 +82,6 @@ struct BlockExec {
   /// The block's classification, fixed at emission from the same features
   /// as `cost`; every shard runs it.
   MceOptions used;
-  /// Progress units already retired by this block's finished shards
-  /// (engine mutex). The last shard retires `cost - cost_retired`, so the
-  /// retired total sums exactly to the registered cost however the block
-  /// was split.
-  double cost_retired = 0;
   /// The block's EstimatedBytes(), charged to the MemoryBudget at
   /// emission; zeroed wherever the charge is released.
   uint64_t block_bytes = 0;
@@ -148,16 +134,7 @@ struct LevelRun {
   size_t blocks_done = 0;
 
   // m-core fallback: survivors buffered for calling-thread emission.
-  bool fallback = false;
   std::unique_ptr<CliqueSink> fallback_cliques;
-
-  decomp::LevelStats stats;
-
-  // Task windows on the obs::NowMicros() timebase. The block windows live
-  // in the shard runs.
-  int64_t decompose_begin_us = 0;
-  int64_t decompose_end_us = 0;
-  std::pair<int64_t, int64_t> fallback_window;
 
   bool ready = false;
 };
@@ -245,17 +222,7 @@ class PooledEngine {
     ReleaseTracked(pipeline_graph_bytes);
     out.memory.budget_bytes = budget_.limit();
     out.memory.peak_tracked_bytes = budget_.peak();
-    out.memory.admission_stalls =
-        admission_stalls_.load(std::memory_order_relaxed);
-    out.memory.admission_stall_seconds =
-        static_cast<double>(
-            admission_stall_micros_.load(std::memory_order_relaxed)) *
-        1e-6;
     reporter_.FinishRun(&out);
-    if (progress_ != nullptr) {
-      progress_->MarkComplete();
-      out.progress = progress_->Accounting();
-    }
     return out;
   }
 
@@ -263,11 +230,9 @@ class PooledEngine {
   /// DecomposeTask(level): induce (levels >= 1), Cut, dispatch the child
   /// level's decompose, then stream blocks into BlockTasks.
   void DecomposeTask(LevelRun* lr, LevelRun* parent) {
-    // The whole task — induce, cut, block growth, cost scoring — runs on
-    // this one worker in one window, closed before the m-core fallback
-    // (its own task kind) starts.
+    // The whole task — induce, cut, block growth, cost scoring, or the
+    // m-core fallback — runs on this one worker in one window.
     TaskWindow window(reporter_);
-    lr->decompose_begin_us = window.begin_us();
     if (progress_ != nullptr) progress_->BeginLevel(lr->level);
     if (parent != nullptr) {
       InducedSubgraph sub = Induce(*parent->graph, parent->cut.hubs);
@@ -281,33 +246,11 @@ class PooledEngine {
       MaybeReleaseInputs(parent);
     }
     const Graph& graph = *lr->graph;
-    lr->stats.num_nodes = graph.num_nodes();
-    lr->stats.num_edges = graph.num_edges();
     lr->cut = decomp::Cut(graph, options_.max_block_size);
-    lr->stats.feasible = lr->cut.feasible.size();
-    lr->stats.hubs = lr->cut.hubs.size();
+    // Sparsity precondition violated: the level graph is its own m-core.
+    const bool fallback = lr->cut.feasible.empty() && graph.num_nodes() > 0;
 
-    if (lr->cut.feasible.empty() && graph.num_nodes() > 0) {
-      // Sparsity precondition violated: enumerate the m-core directly as
-      // one indivisible task on this worker, buffering the survivors.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        chain_done_ = true;
-      }
-      lr->fallback = true;
-      reporter_.Close(window,
-                      [lr] { return MakeDecomposeSpan(lr->level, lr->stats); });
-      lr->decompose_end_us = window.end_us();
-      RunFallback(lr);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        lr->ready = true;
-      }
-      cv_.notify_all();
-      return;
-    }
-
-    if (!lr->cut.hubs.empty()) {
+    if (!fallback && !lr->cut.hubs.empty()) {
       // Cross-level pipelining: the child depends only on this cut's hub
       // set, so its decomposition is dispatched before this level's
       // blocks are built, overlapping the tail of this level's analysis.
@@ -327,23 +270,23 @@ class PooledEngine {
       chain_done_ = true;
     }
 
-    decomp::BuildBlocksStreaming(
-        graph, lr->cut.feasible, blocks_options_,
-        [this, lr](decomp::Block&& b) { EmitBlock(lr, std::move(b)); });
-    // The tail batch flushes before blocks_final so every emitted block
-    // has a task in flight when the readiness check below runs.
-    FlushBatch(lr);
-    // The window closes before blocks_final is published: delivery reads
-    // decompose_end_us once the level is ready.
-    reporter_.Close(window,
-                    [lr] { return MakeDecomposeSpan(lr->level, lr->stats); });
+    if (fallback) {
+      RunFallback(lr);
+    } else {
+      decomp::BuildBlocksStreaming(
+          graph, lr->cut.feasible, blocks_options_,
+          [this, lr](decomp::Block&& b) { EmitBlock(lr, std::move(b)); });
+      // The tail batch flushes before blocks_final so every emitted block
+      // has a task in flight when the readiness check below runs.
+      FlushBatch(lr);
+    }
+    // The span folds before the level can be ready and delivered.
+    reporter_.Close(window, MakeDecomposeSpan(lr->level, graph, lr->cut));
 
     bool ready = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       lr->blocks_final = true;
-      lr->stats.blocks = lr->blocks.size();
-      lr->decompose_end_us = window.end_us();
       ready = MarkReadyIfAnalyzed(lr);
     }
     if (ready) cv_.notify_all();
@@ -403,7 +346,6 @@ class PooledEngine {
     for (ShardRun& run : exec->shards) {
       run.cliques = MakeCliqueSink(&lr->spill);
     }
-    if (shards > 1) reporter_.RecordSplit(shards);
     if (shards == 1 && splittable && cost < options_.max_block_cost) {
       // Tiny block: coalesce instead of dispatching. The batch flushes
       // once it accumulates a split threshold's worth of predicted work
@@ -493,44 +435,24 @@ class PooledEngine {
         },
         &workspaces_[worker], run.range);
     const size_t total = exec->shards.size();
-    reporter_.Close(window, [&] {
-      // Equal predicted share per shard — matching the dispatch queue.
-      return total > 1
-                 ? MakeBlockShardSpan(lr->level, index, run.range,
-                                      run.result.num_cliques, total,
-                                      run.result.used,
-                                      exec->cost / static_cast<double>(total))
-                 : MakeBlockSpan(*block, run.result, lr->level, index,
-                                 exec->cost);
-    });
-    run.begin_us = window.begin_us();
-    run.end_us = window.end_us();
+    // A shard carries an equal predicted share of its block — matching the
+    // dispatch queue — and the reporter retires it as progress.
+    const double share = exec->cost / static_cast<double>(total);
+    reporter_.Close(
+        window, total > 1
+                    ? MakeBlockShardSpan(lr->level, index, run.range,
+                                         run.result.num_cliques, kept, total,
+                                         run.result.used, share)
+                    : MakeBlockSpan(*block, run.result, lr->level, index,
+                                    exec->cost, kept,
+                                    reporter_.exports_spans()));
     run.seconds = window.Seconds();
-    run.worker = worker;
-    if (lr->level > 0) reporter_.RecordFilter(run.result.num_cliques, kept);
     FinishAnalysis(exec->ws_bytes);
 
     bool block_done = false;
-    double retire = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       block_done = ++exec->shards_done == total;
-      if (progress_ != nullptr) {
-        // Equal predicted share per shard; the last shard retires the
-        // exact residual so the block's retired total equals its
-        // registered cost bit for bit.
-        retire = block_done
-                     ? std::max(exec->cost - exec->cost_retired, 0.0)
-                     : exec->cost / static_cast<double>(total);
-        exec->cost_retired += retire;
-      }
-    }
-    if (progress_ != nullptr) {
-      if (block_done) {
-        progress_->RetireBlock(lr->level, retire);
-      } else {
-        progress_->RetireCost(retire);
-      }
     }
     if (!block_done) return;
 
@@ -571,97 +493,55 @@ class PooledEngine {
     return true;
   }
 
-  /// The level's FallbackTask on this worker: RunFallbackTask with each
-  /// clique filtered here and the survivors buffered for calling-thread
-  /// emission.
+  /// The level's FallbackTask, inside its DecomposeTask on this worker:
+  /// RunFallbackTask with each clique filtered here and the survivors
+  /// buffered for calling-thread emission.
   void RunFallback(LevelRun* lr) {
     lr->fallback_cliques = MakeCliqueSink(&lr->spill);
     Clique scratch;
     Clique expand_scratch;
-    uint64_t kept = 0;
-    lr->fallback_window = RunFallbackTask(
-        *lr->graph, lr->level, reporter_, progress_,
-        [&](std::span<const NodeId> c) {
-          if (MapExpandAndFilterClique(original_, c, lr->to_original,
-                                       lr->level, expansion_, &expand_scratch,
-                                       &scratch)) {
-            lr->fallback_cliques->AppendRaw(scratch);
-            ++kept;
-          }
-        },
-        &lr->stats);
-    if (lr->level > 0) reporter_.RecordFilter(lr->stats.cliques, kept);
+    RunFallbackTask(*lr->graph, lr->level, reporter_, progress_,
+                    [&](std::span<const NodeId> c) {
+                      if (!MapExpandAndFilterClique(
+                              original_, c, lr->to_original, lr->level,
+                              expansion_, &expand_scratch, &scratch)) {
+                        return false;
+                      }
+                      lr->fallback_cliques->AppendRaw(scratch);
+                      return true;
+                    });
   }
 
   /// Calling thread only. Emits the level's cliques, replays the observer
-  /// in block order, and finalizes the level's stats.
+  /// in block order, and finishes the level's stats.
   void DeliverLevel(LevelRun* lr, decomp::StreamingStats& out) {
-    decomp::LevelStats& stats = lr->stats;
     const uint64_t emitted_before = out.cliques_emitted;
-    // The level's analysis spans (block tasks, or the fallback),
-    // rebased to seconds since the engine epoch — the exact windows the
-    // trace recorder saw.
-    std::vector<obs::TimeRange> analyze_spans;
-    if (lr->fallback) {
+    if (lr->fallback_cliques != nullptr) {
       out.used_fallback = true;
-      analyze_spans.push_back(
-          Range(lr->fallback_window.first, lr->fallback_window.second));
       lr->fallback_cliques->ForEach([&](std::span<const NodeId> c) {
         ++out.cliques_emitted;
         emit_(c, lr->level);
       });
-    } else {
-      std::vector<double> worker_seconds(pool_.num_threads(), 0.0);
-      uint64_t produced = 0;
-      // Blocks in decomposition order, shards in kernel order: the serial
-      // emission order.
-      for (size_t i = 0; i < lr->execs.size(); ++i) {
-        const BlockExec& exec = lr->execs[i];
-        produced += exec.result.num_cliques;
-        stats.block_seconds += exec.seconds;
-        if (exec.shards.size() > 1) ++stats.block_splits;
-        for (const ShardRun& run : exec.shards) {
-          worker_seconds[run.worker] += run.seconds;
-          analyze_spans.push_back(Range(run.begin_us, run.end_us));
-          run.cliques->ForEach([&](std::span<const NodeId> c) {
-            ++out.cliques_emitted;
-            emit_(c, lr->level);
-          });
-        }
-        // The observer sees one record per block — the aggregated
-        // whole-block result — whether or not it ran as shards, so its
-        // stream matches the serial executor's.
-        if (options_.block_observer) {
-          options_.block_observer(MakeBlockTaskRecord(
-              lr->blocks[i], exec.result, exec.seconds, lr->level, i,
-              exec.cost));
-        }
-      }
-      stats.cliques = produced;
-      stats.busiest_worker_seconds =
-          *std::max_element(worker_seconds.begin(), worker_seconds.end());
-      stats.analyze_threads = static_cast<uint32_t>(pool_.num_threads());
-      stats.analyze_seconds = obs::Hull(analyze_spans).Length();
     }
-    const obs::TimeRange decompose_window =
-        Range(lr->decompose_begin_us, lr->decompose_end_us);
-    stats.decompose_seconds = decompose_window.Length();
-    // The pipelining win: how long this level's decomposition ran while
-    // an earlier level was still analyzing — the decompose span clipped
-    // against the union of earlier levels' analysis hulls.
-    stats.overlap_seconds = obs::OverlapLength(decompose_window,
-                                               analyze_windows_);
-    const obs::TimeRange analyze_hull = obs::Hull(analyze_spans);
-    if (!analyze_hull.Empty()) analyze_windows_.push_back(analyze_hull);
-    // Idle capacity, attributed by cause: work starvation inside the
-    // level's own spans vs. hull gaps where the pool was parked at a
-    // task-graph boundary (obs/span_math.h).
-    const obs::IdleSplit idle =
-        obs::SplitIdle(analyze_spans, stats.block_seconds,
-                       static_cast<int>(stats.analyze_threads));
-    stats.idle_seconds = idle.idle_seconds;
-    stats.barrier_idle_seconds = idle.barrier_idle_seconds;
-    out.levels.push_back(stats);
+    // Blocks in decomposition order, shards in kernel order: the serial
+    // emission order.
+    for (size_t i = 0; i < lr->execs.size(); ++i) {
+      const BlockExec& exec = lr->execs[i];
+      for (const ShardRun& run : exec.shards) {
+        run.cliques->ForEach([&](std::span<const NodeId> c) {
+          ++out.cliques_emitted;
+          emit_(c, lr->level);
+        });
+      }
+      // The observer sees one record per block — the aggregated
+      // whole-block result — whether or not it ran as shards, so its
+      // stream matches the serial executor's.
+      if (options_.block_observer) {
+        options_.block_observer(MakeBlockTaskRecord(
+            lr->blocks[i], exec.result, exec.seconds, lr->level, i,
+            exec.cost));
+      }
+    }
 
     // Spill totals of every sink this level created, absorbed before the
     // sinks are destroyed.
@@ -684,19 +564,13 @@ class PooledEngine {
     lr->execs.clear();
     lr->fallback_cliques.reset();
 
+    // Cliques count at delivery (post-filter, the emission the caller
+    // saw), levels finish in delivery order — matching the serial walk.
     if (progress_ != nullptr) {
-      // Cliques count at delivery (post-filter, the emission the caller
-      // saw), levels finish in delivery order — matching the serial walk.
       progress_->AddCliques(out.cliques_emitted - emitted_before);
-      progress_->FinishLevel(lr->level);
     }
-  }
-
-  /// A microsecond window rebased to seconds since the engine epoch.
-  obs::TimeRange Range(int64_t begin_us, int64_t end_us) const {
-    return obs::TimeRange{
-        static_cast<double>(begin_us - epoch_us_) * 1e-6,
-        static_cast<double>(end_us - epoch_us_) * 1e-6};
+    out.levels.push_back(reporter_.FinishLevel(
+        lr->level, static_cast<uint32_t>(pool_.num_threads())));
   }
 
   /// mu_ held. The level's graph feeds its child's Induce, so it is freed
@@ -774,24 +648,9 @@ class PooledEngine {
         while (must_wait()) {
           admit_cv_.wait_for(lock, std::chrono::milliseconds(2));
         }
-        const int64_t end_us = obs::NowMicros();
-        admission_stalls_.fetch_add(1, std::memory_order_relaxed);
-        admission_stall_micros_.fetch_add(
-            static_cast<uint64_t>(end_us - begin_us),
-            std::memory_order_relaxed);
-        reporter_.RecordAdmissionStall(
-            static_cast<uint64_t>(end_us - begin_us));
-        if (obs::TraceRecorder* trace = reporter_.trace()) {
-          obs::TraceEvent e;
-          e.begin_us = begin_us;
-          e.end_us = end_us;
-          e.kind = obs::SpanKind::kAdmission;
-          e.level = level;
-          e.args[0] = bytes;
-          e.args[1] = budget_.charged();
-          e.args[2] = budget_.limit();
-          trace->Record(e);
-        }
+        reporter_.RecordAdmissionStall(level, begin_us, obs::NowMicros(),
+                                       bytes, budget_.charged(),
+                                       budget_.limit());
       }
       if (admit_analysis) {
         ++analyses_in_flight_;
@@ -854,15 +713,7 @@ class PooledEngine {
   std::condition_variable admit_cv_;
   size_t analyses_in_flight_ = 0;   // admit_mu_
   size_t blocks_outstanding_ = 0;   // admit_mu_; blocks charged, not freed
-  std::atomic<uint64_t> admission_stalls_{0};
-  std::atomic<uint64_t> admission_stall_micros_{0};
 
-  /// Zero point of the run's stats timebase (spans stay absolute; only
-  /// the derived LevelStats windows are rebased).
-  const int64_t epoch_us_ = obs::NowMicros();
-  /// Analysis hulls of delivered levels, in level order (calling thread
-  /// only); feeds the overlap stat of the levels below them.
-  std::vector<obs::TimeRange> analyze_windows_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::unique_ptr<LevelRun>> levels_;

@@ -17,7 +17,6 @@
 #include "mce/workspace.h"
 #include "util/check.h"
 #include "util/memory_budget.h"
-#include "util/timer.h"
 
 namespace mce::exec {
 
@@ -74,107 +73,78 @@ class SerialExecutor final : public Executor {
     const decomp::BlockAnalysisOptions analysis_options =
         AnalysisOptionsFor(options);
 
+    // The per-clique step of every analysis task; true when the clique
+    // is kept and emitted.
     auto deliver = [&](std::span<const NodeId> c) {
-      const bool kept = MapExpandAndFilterClique(
-          g, c, to_original, level, expansion, &expand_scratch, &scratch);
-      // Level 0 needs no maximality check, so only deeper levels count as
-      // filter work.
-      if (level > 0) reporter.RecordFilter(1, kept ? 1 : 0);
-      if (kept) {
-        ++out.cliques_emitted;
-        if (progress != nullptr) progress->AddCliques(1);
-        emit(scratch, level);
+      if (!MapExpandAndFilterClique(g, c, to_original, level, expansion,
+                                    &expand_scratch, &scratch)) {
+        return false;
       }
+      ++out.cliques_emitted;
+      if (progress != nullptr) progress->AddCliques(1);
+      emit(scratch, level);
+      return true;
+    };
+
+    // BlockTask(level, block_index), run the moment its block is emitted.
+    uint64_t block_index = 0;
+    auto analyze_block = [&](decomp::Block&& block) {
+      // The block plus its analysis workspace are live for exactly this
+      // call.
+      const uint64_t block_charge =
+          block.EstimatedBytes() + EstimateAnalysisBytes(block);
+      charge(block_charge);
+      // One feature pass serves every consumer: the classification the
+      // analysis runs, the progress denominator (registered before the
+      // analysis so a sampler sees the work as pending, not invisible),
+      // the observer record, and the block span. The serial walk never
+      // reorders or splits, but plans blocks exactly as the pooled engine
+      // does.
+      const BlockPlan plan = PlanBlock(block, analysis_options);
+      if (progress != nullptr) progress->RegisterBlock(level, plan.cost);
+      TaskWindow block_window(reporter);
+      uint64_t kept = 0;
+      decomp::BlockAnalysisResult result = decomp::AnalyzeBlock(
+          block, plan.used,
+          [&](std::span<const NodeId> c) {
+            if (deliver(c)) ++kept;
+          },
+          &workspace, decomp::KernelRange{0, block.kernel_local.size()});
+      budget.Release(block_charge);
+      reporter.Close(block_window,
+                     MakeBlockSpan(block, result, level, block_index,
+                                   plan.cost, kept, reporter.exports_spans()));
+      reporter.RecordBlock(block, result, block_window.Seconds());
+      if (options.block_observer) {
+        options.block_observer(
+            MakeBlockTaskRecord(block, result, block_window.Seconds(), level,
+                                block_index, plan.cost));
+      }
+      ++block_index;
     };
 
     for (;;) {
-      decomp::LevelStats stats;
-      stats.num_nodes = current->num_nodes();
-      stats.num_edges = current->num_edges();
-      // One worker (this thread) runs everything; JSON consumers divide by
-      // this, so it must never read 0.
-      stats.analyze_threads = 1;
-
-      // The level's DecomposeTask window covers CUT plus the block growth.
-      // The inline BlockTask windows nest inside it on this thread, so its
-      // counters hold only the decompose's self work.
+      // The level's DecomposeTask window covers CUT, the block growth and
+      // the level's analysis: the inline BlockTask (or fallback) windows
+      // nest inside it on this thread, so its span's self time and
+      // counters hold only the decompose's own work.
       TaskWindow decompose_window(reporter);
       if (progress != nullptr) progress->BeginLevel(level);
-      // The decompose clock accumulates Cut plus the block-growth
-      // segments between block emissions.
-      Timer segment;
       decomp::CutResult cut = decomp::Cut(*current, options.max_block_size);
-      stats.feasible = cut.feasible.size();
-      stats.hubs = cut.hubs.size();
-
-      if (cut.feasible.empty() && current->num_nodes() > 0) {
-        // Sparsity precondition violated: the remaining graph is its own
-        // m-core. Enumerate it directly as one indivisible task.
-        out.used_fallback = true;
-        stats.decompose_seconds = segment.ElapsedSeconds();
-        reporter.Close(decompose_window,
-                       [&] { return MakeDecomposeSpan(level, stats); });
-        RunFallbackTask(*current, level, reporter, progress, deliver, &stats);
-        out.levels.push_back(stats);
-        if (progress != nullptr) progress->FinishLevel(level);
-        break;
+      // Sparsity precondition violated: the remaining graph is its own
+      // m-core. Enumerate it directly as one indivisible task.
+      const bool fallback = cut.feasible.empty() && current->num_nodes() > 0;
+      out.used_fallback = fallback;
+      block_index = 0;
+      if (fallback) {
+        RunFallbackTask(*current, level, reporter, progress, deliver);
+      } else {
+        decomp::BuildBlocksStreaming(*current, cut.feasible, blocks_options,
+                                     analyze_block);
       }
-
-      uint64_t produced = 0;
-      uint64_t block_index = 0;
-      decomp::BuildBlocksStreaming(
-          *current, cut.feasible, blocks_options,
-          [&](decomp::Block&& block) {
-            stats.decompose_seconds += segment.ElapsedSeconds();
-            // The block plus its analysis workspace are live for exactly
-            // this callback.
-            const uint64_t block_charge =
-                block.EstimatedBytes() + EstimateAnalysisBytes(block);
-            charge(block_charge);
-            // One feature pass serves every consumer: the classification
-            // the analysis runs, the progress denominator (registered
-            // before the analysis so a sampler sees the work as pending,
-            // not invisible), the observer record, and the block span.
-            // The serial walk never reorders or splits, but plans blocks
-            // exactly as the pooled engine does.
-            const BlockPlan plan = PlanBlock(block, analysis_options);
-            if (progress != nullptr) progress->RegisterBlock(level, plan.cost);
-            TaskWindow block_window(reporter);
-            Timer block_timer;
-            decomp::BlockAnalysisResult result = decomp::AnalyzeBlock(
-                block, plan.used, deliver, &workspace,
-                decomp::KernelRange{0, block.kernel_local.size()});
-            const double block_seconds = block_timer.ElapsedSeconds();
-            budget.Release(block_charge);
-            reporter.Close(block_window, [&] {
-              return MakeBlockSpan(block, result, level, block_index,
-                                   plan.cost);
-            });
-            reporter.RecordBlock(block, result, block_seconds);
-            produced += result.num_cliques;
-            stats.block_seconds += block_seconds;
-            stats.analyze_seconds += block_seconds;
-            if (options.block_observer) {
-              options.block_observer(
-                  MakeBlockTaskRecord(block, result, block_seconds, level,
-                                      block_index, plan.cost));
-            }
-            if (progress != nullptr) {
-              progress->RetireBlock(level, plan.cost);
-            }
-            ++block_index;
-            segment.Reset();
-          });
-      stats.decompose_seconds += segment.ElapsedSeconds();
-      stats.blocks = block_index;
-      stats.cliques = produced;
-      stats.busiest_worker_seconds = stats.block_seconds;
-      reporter.Close(decompose_window,
-                     [&] { return MakeDecomposeSpan(level, stats); });
-      out.levels.push_back(stats);
-      if (progress != nullptr) progress->FinishLevel(level);
-
-      if (cut.hubs.empty()) break;
+      reporter.Close(decompose_window, MakeDecomposeSpan(level, *current, cut));
+      out.levels.push_back(reporter.FinishLevel(level, 1));
+      if (fallback || cut.hubs.empty()) break;
 
       // Recursive step: continue on the hub-induced subgraph.
       InducedSubgraph sub = Induce(*current, cut.hubs);
@@ -192,10 +162,6 @@ class SerialExecutor final : public Executor {
     out.memory.budget_bytes = budget.limit();
     out.memory.peak_tracked_bytes = budget.peak();
     reporter.FinishRun(&out);
-    if (progress != nullptr) {
-      progress->MarkComplete();
-      out.progress = progress->Accounting();
-    }
     return out;
   }
 };

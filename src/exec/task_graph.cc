@@ -1,13 +1,14 @@
 #include "exec/task_graph.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "decision/block_cost.h"
 #include "decision/features.h"
 #include "decomp/filter.h"
 #include "mce/storage.h"
-#include "obs/critical_path.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace mce::exec {
 
@@ -139,22 +140,19 @@ void ReducePrepass::Run(const Graph& g,
   if (options.progress != nullptr) {
     options.progress->AddCliques(result_.map.num_trivial_cliques());
   }
-  reporter.Close(window, [this] {
-    obs::TraceEvent e;
-    e.kind = obs::SpanKind::kReduce;
-    e.args[0] = result_.stats.vertices_removed;
-    e.args[1] = result_.stats.edges_removed;
-    e.args[2] = result_.stats.trivial_cliques;
-    e.args[3] = result_.stats.rounds;
-    return e;
-  });
+  obs::TraceEvent e;
+  e.kind = obs::SpanKind::kReduce;
+  e.args[0] = result_.stats.vertices_removed;
+  e.args[1] = result_.stats.edges_removed;
+  e.args[2] = result_.stats.trivial_cliques;
+  e.args[3] = result_.stats.rounds;
+  reporter.Close(window, e);
 }
 
-std::pair<int64_t, int64_t> RunFallbackTask(const Graph& graph, uint32_t level,
-                                            RunReporter& reporter,
-                                            obs::ProgressEstimator* progress,
-                                            const CliqueCallback& deliver,
-                                            decomp::LevelStats* stats) {
+void RunFallbackTask(
+    const Graph& graph, uint32_t level, RunReporter& reporter,
+    obs::ProgressEstimator* progress,
+    const std::function<bool(std::span<const NodeId>)>& deliver) {
   double cost = 0;
   if (progress != nullptr) {
     // One indivisible unit of work, scored with the block cost model so
@@ -164,27 +162,21 @@ std::pair<int64_t, int64_t> RunFallbackTask(const Graph& graph, uint32_t level,
   }
   TaskWindow window(reporter);
   uint64_t produced = 0;
+  uint64_t kept = 0;
   EnumerateMaximalCliques(graph, decomp::kFallbackMce,
                           [&](std::span<const NodeId> c) {
                             ++produced;
-                            deliver(c);
+                            if (deliver(c)) ++kept;
                           });
-  reporter.Close(window, [&] {
-    obs::TraceEvent e;
-    e.kind = obs::SpanKind::kFallback;
-    e.level = level;
-    e.args[0] = graph.num_nodes();
-    e.args[1] = graph.num_edges();
-    e.args[2] = produced;
-    return e;
-  });
-  if (progress != nullptr) progress->RetireBlock(level, cost);
-  stats->cliques = produced;
-  stats->analyze_seconds = window.Seconds();
-  stats->block_seconds = stats->analyze_seconds;
-  stats->busiest_worker_seconds = stats->analyze_seconds;
-  stats->analyze_threads = 1;  // one worker ran the indivisible task
-  return {window.begin_us(), window.end_us()};
+  obs::TraceEvent e;
+  e.kind = obs::SpanKind::kFallback;
+  e.level = level;
+  e.args[0] = graph.num_nodes();
+  e.args[1] = graph.num_edges();
+  e.args[2] = produced;
+  e.kept = kept;
+  e.cost = cost;
+  reporter.Close(window, e);
 }
 
 obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options) {
@@ -192,29 +184,33 @@ obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options) {
                                   : obs::TraceRecorder::installed();
 }
 
-obs::TraceEvent MakeDecomposeSpan(uint32_t level,
-                                  const decomp::LevelStats& stats) {
+obs::TraceEvent MakeDecomposeSpan(uint32_t level, const Graph& graph,
+                                  const decomp::CutResult& cut) {
   obs::TraceEvent e;
   e.kind = obs::SpanKind::kDecompose;
   e.level = level;
-  e.args[0] = stats.num_nodes;
-  e.args[1] = stats.num_edges;
-  e.args[2] = stats.feasible;
-  e.args[3] = stats.hubs;
+  e.args[0] = graph.num_nodes();
+  e.args[1] = graph.num_edges();
+  e.args[2] = cut.feasible.size();
+  e.args[3] = cut.hubs.size();
   return e;
 }
 
 obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
                               const decomp::BlockAnalysisResult& result,
-                              uint32_t level, uint64_t index, double cost) {
+                              uint32_t level, uint64_t index, double cost,
+                              uint64_t kept, bool roles) {
   obs::TraceEvent e;
   e.kind = obs::SpanKind::kBlock;
   e.level = level;
   e.index = index;
-  e.args[0] = block.CountRole(decomp::NodeRole::kKernel);
-  e.args[1] = block.CountRole(decomp::NodeRole::kBorder);
-  e.args[2] = block.CountRole(decomp::NodeRole::kVisited);
+  if (roles) {
+    e.args[0] = block.CountRole(decomp::NodeRole::kKernel);
+    e.args[1] = block.CountRole(decomp::NodeRole::kBorder);
+    e.args[2] = block.CountRole(decomp::NodeRole::kVisited);
+  }
   e.args[3] = result.num_cliques;
+  e.kept = kept;
   e.algorithm = static_cast<uint8_t>(result.used.algorithm);
   e.storage = static_cast<uint8_t>(result.used.storage);
   e.cost = cost;
@@ -223,8 +219,9 @@ obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
 
 obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
                                    const decomp::KernelRange& range,
-                                   uint64_t cliques, uint64_t shards,
-                                   const MceOptions& used, double cost) {
+                                   uint64_t cliques, uint64_t kept,
+                                   uint64_t shards, const MceOptions& used,
+                                   double cost) {
   obs::TraceEvent e;
   e.kind = obs::SpanKind::kBlockShard;
   e.level = level;
@@ -233,6 +230,7 @@ obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
   e.args[1] = range.end;
   e.args[2] = cliques;
   e.args[3] = shards;
+  e.kept = kept;
   e.algorithm = static_cast<uint8_t>(used.algorithm);
   e.storage = static_cast<uint8_t>(used.storage);
   e.cost = cost;
@@ -271,7 +269,8 @@ thread_local TaskWindow* t_open_window = nullptr;
 }  // namespace
 
 TaskWindow::TaskWindow(const RunReporter& reporter)
-    : begin_us_(obs::NowMicros()) {
+    : begin_us_(obs::NowMicros()),
+      lane_(static_cast<int>(ThreadPool::CurrentWorkerIndex())) {
   if (!reporter.profiling()) return;
   parent_ = t_open_window;
   t_open_window = this;
@@ -298,6 +297,7 @@ void TaskWindow::Stop() {
 RunReporter::RunReporter(const decomp::FindMaxCliquesOptions& options)
     : trace_(ResolveTrace(options)),
       profiling_(options.profile),
+      progress_(options.progress),
       registry_(options.metrics != nullptr
                     ? options.metrics
                     : obs::MetricsRegistry::installed()) {
@@ -320,9 +320,6 @@ RunReporter::RunReporter(const decomp::FindMaxCliquesOptions& options)
   block_ns_per_clique_ =
       &registry_->GetHistogram("exec.block_ns_per_clique", ns_bounds);
   mem_bytes_charged_ = &registry_->GetCounter("mem.bytes_charged");
-  mem_admission_stalls_ = &registry_->GetCounter("mem.admission_stalls");
-  mem_admission_stall_micros_ =
-      &registry_->GetCounter("mem.admission_stall_micros");
   mem_spill_chunks_ = &registry_->GetCounter("mem.spill_chunks");
   mem_spill_bytes_ = &registry_->GetCounter("mem.spill_bytes");
   const std::vector<double> chunk_bounds = obs::ExponentialBuckets(1024, 4, 16);
@@ -330,13 +327,52 @@ RunReporter::RunReporter(const decomp::FindMaxCliquesOptions& options)
       &registry_->GetHistogram("mem.spill_chunk_bytes", chunk_bounds);
 }
 
-void RunReporter::Report(const TaskWindow& window, obs::TraceEvent e) {
+void RunReporter::Close(TaskWindow& window, obs::TraceEvent e) {
+  window.Stop();
   MCE_DCHECK(obs::IsDagTask(e.kind));
   e.begin_us = window.begin_us_;
   e.end_us = window.end_us_;
   e.prof = window.self_;
-  if (profiling_) profile_.Add(obs::TaskSpanFromEvent(e));
+  obs::TaskSpan span = obs::TaskSpanFromEvent(e);
+  span.lane_tid = window.lane_;
+  obs::LevelFold::BlockStep step;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    step = fold_.Add(span);
+  }
+  if (obs::IsAnalysisTask(e.kind)) {
+    if (progress_ != nullptr) {
+      if (step.done) {
+        progress_->RetireBlock(e.level, e.cost);
+      } else {
+        progress_->RetireCost(e.cost);
+      }
+    }
+    if (registry_ != nullptr) {
+      // Level-0 cliques are maximal by construction: only deeper levels
+      // run the Lemma-1 check.
+      if (e.level > 0) {
+        filter_checked_->Add(span.cliques);
+        filter_kept_->Add(span.kept);
+      }
+      if (e.kind == obs::SpanKind::kBlockShard && step.first) {
+        blocks_split_->Increment();
+        block_shards_->Add(span.shards);
+      }
+    }
+  }
+  if (profiling_) profile_.Add(span);
   if (trace_ != nullptr) trace_->Record(e);
+}
+
+decomp::LevelStats RunReporter::FinishLevel(uint32_t level, uint32_t workers) {
+  decomp::LevelStats stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats = fold_.Finish(level, workers);
+  }
+  if (progress_ != nullptr) progress_->FinishLevel(level);
+  return stats;
 }
 
 void RunReporter::RecordCharge(uint64_t bytes) {
@@ -344,10 +380,22 @@ void RunReporter::RecordCharge(uint64_t bytes) {
   mem_bytes_charged_->Add(bytes);
 }
 
-void RunReporter::RecordAdmissionStall(uint64_t micros) {
-  if (registry_ == nullptr) return;
-  mem_admission_stalls_->Increment();
-  mem_admission_stall_micros_->Add(micros);
+void RunReporter::RecordAdmissionStall(uint32_t level, int64_t begin_us,
+                                       int64_t end_us, uint64_t bytes,
+                                       uint64_t charged, uint64_t budget) {
+  admission_stalls_.fetch_add(1, std::memory_order_relaxed);
+  admission_stall_micros_.fetch_add(static_cast<uint64_t>(end_us - begin_us),
+                                    std::memory_order_relaxed);
+  if (trace_ == nullptr) return;
+  obs::TraceEvent e;
+  e.begin_us = begin_us;
+  e.end_us = end_us;
+  e.kind = obs::SpanKind::kAdmission;
+  e.level = level;
+  e.args[0] = bytes;
+  e.args[1] = charged;
+  e.args[2] = budget;
+  trace_->Record(e);
 }
 
 SpillMetrics RunReporter::SpillInstruments() const {
@@ -377,20 +425,18 @@ void RunReporter::RecordBlock(const decomp::Block& block,
   }
 }
 
-void RunReporter::RecordSplit(uint64_t shards) {
-  if (registry_ == nullptr) return;
-  blocks_split_->Increment();
-  block_shards_->Add(shards);
-}
-
-void RunReporter::RecordFilter(uint64_t checked, uint64_t kept) {
-  if (registry_ == nullptr) return;
-  filter_checked_->Add(checked);
-  filter_kept_->Add(kept);
-}
-
 void RunReporter::FinishRun(decomp::StreamingStats* out) {
+  const uint64_t stall_micros =
+      admission_stall_micros_.load(std::memory_order_relaxed);
+  out->memory.admission_stalls =
+      admission_stalls_.load(std::memory_order_relaxed);
+  out->memory.admission_stall_seconds =
+      static_cast<double>(stall_micros) * 1e-6;
   if (profiling_) out->profile = profile_.Snapshot();
+  if (progress_ != nullptr) {
+    progress_->MarkComplete();
+    out->progress = progress_->Accounting();
+  }
   if (registry_ == nullptr) return;
   levels_->Add(out->levels.size());
   cliques_emitted_->Add(out->cliques_emitted);
@@ -400,6 +446,8 @@ void RunReporter::FinishRun(decomp::StreamingStats* out) {
   const auto add = [this](const char* name, uint64_t value) {
     registry_->GetCounter(name).Add(value);
   };
+  add("mem.admission_stalls", out->memory.admission_stalls);
+  add("mem.admission_stall_micros", stall_micros);
   const reduce::ReductionStats& r = out->reduction;
   if (r.enabled) {
     add("reduce.isolated_removed", r.isolated_removed);

@@ -27,21 +27,25 @@
 #ifndef MCE_EXEC_TASK_GRAPH_H_
 #define MCE_EXEC_TASK_GRAPH_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "decomp/block.h"
 #include "decomp/block_analysis.h"
 #include "decomp/blocks.h"
+#include "decomp/cut.h"
 #include "decomp/find_max_cliques.h"
 #include "graph/graph.h"
 #include "mce/clique.h"
 #include "mce/clique_sink.h"
 #include "mce/enumerator.h"
+#include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/progress.h"
@@ -143,15 +147,13 @@ class ReducePrepass {
 
 /// The FallbackTask shared by the executors: the level graph `graph` is
 /// its own m-core, so it is enumerated directly, on the calling thread, as
-/// one indivisible task, each clique (ids of `graph`) going to `deliver`.
-/// The task is scored with the block cost model for `progress` (may be
-/// null), reports its span, and fills the analysis fields of `stats`.
-/// Returns the task's [begin_us, end_us] window.
-std::pair<int64_t, int64_t> RunFallbackTask(const Graph& graph, uint32_t level,
-                                            RunReporter& reporter,
-                                            obs::ProgressEstimator* progress,
-                                            const CliqueCallback& deliver,
-                                            decomp::LevelStats* stats);
+/// one indivisible task, each clique (ids of `graph`) going to `deliver`,
+/// which returns whether it kept the clique. The task is scored with the
+/// block cost model for `progress` (may be null) and reports its span.
+void RunFallbackTask(
+    const Graph& graph, uint32_t level, RunReporter& reporter,
+    obs::ProgressEstimator* progress,
+    const std::function<bool(std::span<const NodeId>)>& deliver);
 
 /// Rough bytes one AnalyzeBlock call pins while it runs: the block's
 /// adjacency-list working set plus per-node recursion scratch. This is the
@@ -165,24 +167,26 @@ uint64_t EstimateAnalysisBytes(const decomp::Block& block);
 obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options);
 
 /// A level's DecomposeTask span: the level graph's size and its cut.
-obs::TraceEvent MakeDecomposeSpan(uint32_t level,
-                                  const decomp::LevelStats& stats);
+obs::TraceEvent MakeDecomposeSpan(uint32_t level, const Graph& graph,
+                                  const decomp::CutResult& cut);
 
-/// A finished BlockTask's span: kernel/border/visited sizes, clique count,
-/// the MCE combination that ran and the predicted cost, tagged with level
-/// and block index.
+/// A finished BlockTask's span: clique and kept counts, the MCE combination
+/// that ran and the predicted cost, tagged with level and block index; the
+/// kernel/border/visited sizes (a scan of the block) only with `roles`.
 obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
                               const decomp::BlockAnalysisResult& result,
-                              uint32_t level, uint64_t index, double cost);
+                              uint32_t level, uint64_t index, double cost,
+                              uint64_t kept, bool roles);
 
 /// One kernel-range shard of a split BlockTask: a kBlockShard span tagged
 /// with the block it belongs to, the half-open kernel range it enumerated,
-/// its clique count, the block's total shard count, and its share of the
-/// block's predicted cost.
+/// its clique and kept counts, the block's total shard count, and its
+/// share of the block's predicted cost.
 obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
                                    const decomp::KernelRange& range,
-                                   uint64_t cliques, uint64_t shards,
-                                   const MceOptions& used, double cost);
+                                   uint64_t cliques, uint64_t kept,
+                                   uint64_t shards, const MceOptions& used,
+                                   double cost);
 
 /// Priority dispatch queue for ready analysis tasks. The thread pool runs
 /// plain FIFO; cost-guided scheduling (DESIGN.md §7) is layered on top by
@@ -227,8 +231,8 @@ class CostOrderedQueue {
 
 /// One task's window on the calling thread, from construction to
 /// RunReporter::Close. It always stamps its begin and end on the
-/// obs::NowMicros() timebase (the pooled engine derives LevelStats from
-/// them) and opens a counter window only when the run profiles. Windows
+/// obs::NowMicros() timebase and its lane (the level fold reads them), and
+/// opens a counter window only when the run profiles. Windows
 /// opened on the same thread while this one is open are its children:
 /// their counter deltas are subtracted from this window's, so every span
 /// carries its self work. Neither copyable nor movable — children link to
@@ -240,9 +244,7 @@ class TaskWindow {
   TaskWindow(const TaskWindow&) = delete;
   TaskWindow& operator=(const TaskWindow&) = delete;
 
-  int64_t begin_us() const { return begin_us_; }
   /// Valid once RunReporter::Close has run.
-  int64_t end_us() const { return end_us_; }
   double Seconds() const {
     return static_cast<double>(end_us_ - begin_us_) * 1e-6;
   }
@@ -255,71 +257,70 @@ class TaskWindow {
 
   int64_t begin_us_ = 0;
   int64_t end_us_ = 0;
+  int lane_ = 0;  // the pool worker index, or -1 off the pool
   obs::ScopedCounters counters_;
   obs::CounterDelta children_;  // full deltas of the closed child windows
   obs::CounterDelta self_;      // this window's delta minus children_
   TaskWindow* parent_ = nullptr;
 };
 
-/// The run's one reporting path: the resolved trace sink, the profile
-/// accumulator and the engine's well-known workload metric handles. Every
-/// DAG task (obs::IsDagTask) reports by closing its TaskWindow here, so
-/// the live profile is the same fold over the same spans that
-/// obs::TaskSpansFromEvents and mce_trace_analyze compute from a trace.
-/// Instrument lookups happen once, at construction; the Record* calls are
-/// lock-free and no-ops when no registry is bound. Thread-safe.
+/// The run's one reporting path. Every DAG task (obs::IsDagTask) reports
+/// by closing its TaskWindow here, so LevelStats, progress retirement, the
+/// filter/split counters and the profile are folds over the spans
+/// mce_trace_analyze reads back from a trace. Instrument lookups happen
+/// once, at construction. Thread-safe.
 class RunReporter {
  public:
   explicit RunReporter(const decomp::FindMaxCliquesOptions& options);
 
   /// True when task windows count (options.profile).
   bool profiling() const { return profiling_; }
+  /// True when spans leave the reporter (tracing or profiling).
+  bool exports_spans() const { return trace_ != nullptr || profiling_; }
   /// The resolved trace sink (may be null), for observability spans that
   /// are not DAG tasks.
   obs::TraceRecorder* trace() const { return trace_; }
 
-  /// Closes `window` with its task's span. The end is always stamped;
-  /// only when tracing or profiling is `make_span()` called — the off path
-  /// builds no TraceEvent. The span is stamped with the window and its
-  /// self counter delta, recorded when tracing, and folded into the
-  /// profile when profiling.
-  template <typename MakeSpan>
-  void Close(TaskWindow& window, MakeSpan&& make_span) {
-    window.Stop();
-    if (trace_ != nullptr || profiling_) Report(window, make_span());
-  }
+  /// Closes `window` with its task's span `e` (stamped with the window and
+  /// its self counter delta) and folds it: into its level, into progress
+  /// and the filter/split counters (analysis spans), into the trace when
+  /// tracing and into the profile when profiling.
+  void Close(TaskWindow& window, obs::TraceEvent e);
 
   /// One analyzed block: counts it, its cliques, and observes the block
   /// size / edge-density / ns-per-clique histograms.
   void RecordBlock(const decomp::Block& block,
                    const decomp::BlockAnalysisResult& result, double seconds);
-  /// One BlockTask split into `shards` kernel-range shards (shards >= 2):
-  /// bumps exec.blocks_split by one and exec.block_shards by `shards`.
-  void RecordSplit(uint64_t shards);
-  /// One Lemma-1 filter batch: `checked` cliques tested, `kept` survivors.
-  void RecordFilter(uint64_t checked, uint64_t kept);
   /// Bytes charged to the MemoryBudget (mem.bytes_charged; sink deltas
   /// flow through SpillInstruments instead).
   void RecordCharge(uint64_t bytes);
-  /// One admission stall resolved after `micros` of waiting
-  /// (mem.admission_stalls / mem.admission_stall_micros).
-  void RecordAdmissionStall(uint64_t micros);
+  /// One admission stall: a task of `level` waited [begin_us, end_us) to
+  /// charge `bytes` with `charged` of `budget` bytes in use. Counted for
+  /// MemoryStats and recorded as an AdmissionStall span.
+  void RecordAdmissionStall(uint32_t level, int64_t begin_us, int64_t end_us,
+                            uint64_t bytes, uint64_t charged, uint64_t budget);
   /// The mem.* handles clique sinks record flushes against (null handles
   /// when no registry is bound).
   SpillMetrics SpillInstruments() const;
 
-  /// Ends the run: snapshots the profile into out->profile when profiling,
-  /// then writes the end-of-run metrics from *out — the pipeline totals,
-  /// the reduce.* counters when the prepass ran, and the obs.profile.*
-  /// totals when profiling.
+  /// Level `level`'s stats with `workers` analysis lanes, once all its
+  /// spans have closed; marks the level finished for progress.
+  decomp::LevelStats FinishLevel(uint32_t level, uint32_t workers);
+
+  /// Ends the run: fills out's admission totals, profile and final
+  /// progress accounting, then writes the end-of-run metrics from *out
+  /// (pipeline, admission, reduce.* and obs.profile.* totals).
   void FinishRun(decomp::StreamingStats* out);
 
  private:
-  void Report(const TaskWindow& window, obs::TraceEvent e);
-
   obs::TraceRecorder* const trace_;
   const bool profiling_;
   obs::ProfileAccumulator profile_;
+  obs::ProgressEstimator* const progress_;
+  std::mutex mu_;
+  obs::LevelFold fold_;  // mu_
+  std::atomic<uint64_t> admission_stalls_{0};
+  std::atomic<uint64_t> admission_stall_micros_{0};
   obs::MetricsRegistry* const registry_;
   obs::Counter* blocks_ = nullptr;
   obs::Counter* blocks_split_ = nullptr;
@@ -331,8 +332,6 @@ class RunReporter {
   obs::Counter* cliques_emitted_ = nullptr;
   obs::Counter* fallback_runs_ = nullptr;
   obs::Counter* mem_bytes_charged_ = nullptr;
-  obs::Counter* mem_admission_stalls_ = nullptr;
-  obs::Counter* mem_admission_stall_micros_ = nullptr;
   obs::Counter* mem_spill_chunks_ = nullptr;
   obs::Counter* mem_spill_bytes_ = nullptr;
   obs::Histogram* block_nodes_ = nullptr;

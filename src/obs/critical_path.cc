@@ -4,8 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "obs/span_math.h"
-
 namespace mce::obs {
 
 namespace {
@@ -62,6 +60,11 @@ bool IsDagTask(SpanKind kind) {
   }
 }
 
+bool IsAnalysisTask(SpanKind kind) {
+  return kind == SpanKind::kBlock || kind == SpanKind::kBlockShard ||
+         kind == SpanKind::kFallback;
+}
+
 TaskSpan TaskSpanFromEvent(const TraceEvent& e) {
   TaskSpan s;
   s.kind = e.kind;
@@ -75,11 +78,21 @@ TaskSpan TaskSpanFromEvent(const TraceEvent& e) {
   s.lane_tid = e.lane_tid >= 0 ? e.lane_tid : 0;
   s.cost = e.cost;
   s.prof = e.prof;
+  s.kept = e.kept;
   switch (e.kind) {
+    case SpanKind::kDecompose:
+      s.nodes = e.args[0];
+      s.edges = e.args[1];
+      s.feasible = e.args[2];
+      s.hubs = e.args[3];
+      break;
     case SpanKind::kBlock:
       s.cliques = e.args[3];
       break;
     case SpanKind::kBlockShard:
+      s.cliques = e.args[2];
+      s.shards = e.args[3];
+      break;
     case SpanKind::kFallback:
     case SpanKind::kReduce:
       s.cliques = e.args[2];
@@ -216,41 +229,88 @@ std::vector<Straggler> RankStragglersByDeviation(
   return all;
 }
 
-std::vector<LevelIdle> AttributeIdle(std::span<const TaskSpan> spans) {
-  std::set<std::pair<int, int>> lanes;
-  uint32_t max_level = 0;
-  bool any = false;
+LevelFold::BlockStep LevelFold::Add(const TaskSpan& span) {
+  if (!IsDagTask(span.kind) || span.kind == SpanKind::kReduce) return {};
+  Level& level = levels_[span.level];
+  // Microseconds held as doubles: every sum of them is exact, so the
+  // serial walk's idle, barrier and overlap come out exactly 0.
+  const Window window{TimeRange{static_cast<double>(span.begin_us),
+                                static_cast<double>(span.end_us)},
+                      {span.lane_pid, span.lane_tid}};
+  if (span.kind == SpanKind::kDecompose) {
+    level.decompose = window;
+    level.stats.num_nodes = span.nodes;
+    level.stats.num_edges = span.edges;
+    level.stats.feasible = span.feasible;
+    level.stats.hubs = span.hubs;
+    return {};
+  }
+  level.analysis.push_back(window);
+  level.stats.cliques += span.cliques;
+  BlockStep step{true, true};
+  if (span.kind == SpanKind::kBlockShard) {
+    uint64_t& folded = level.shards_folded[span.index];
+    step = {folded == 0, ++folded == span.shards};
+    if (step.done) level.shards_folded.erase(span.index);
+    if (step.first) ++level.stats.block_splits;
+  }
+  // The m-core fallback enumerates the level graph itself: no block.
+  if (span.kind == SpanKind::kFallback) {
+    level.fallback = true;
+  } else if (step.first) {
+    ++level.stats.blocks;
+  }
+  return step;
+}
+
+LevelStats LevelFold::Finish(uint32_t level_index, uint32_t workers) {
+  const Level& level = levels_[level_index];
+  LevelStats stats = level.stats;
+  const Window& d = level.decompose;
+  double total = 0, nested = 0, busiest = 0;
+  std::map<std::pair<int, int>, double> lane_total;
+  std::vector<TimeRange> ranges;
+  for (const Window& a : level.analysis) {
+    const double us = a.range.Length();
+    total += us;
+    busiest = std::max(busiest, lane_total[a.lane] += us);
+    if (a.lane == d.lane && a.range.begin >= d.range.begin &&
+        a.range.end <= d.range.end) {
+      nested += us;
+    }
+    ranges.push_back(a.range);
+  }
+  const TimeRange hull = Hull(ranges);
+  const double self = d.range.Length() - nested;
+  stats.decompose_seconds = self * 1e-6;
+  stats.analyze_seconds = UnionLength(ranges) * 1e-6;
+  stats.block_seconds = total * 1e-6;
+  stats.busiest_worker_seconds = busiest * 1e-6;
+  stats.analyze_threads = level.fallback ? 1 : workers;
+  stats.overlap_seconds = OverlapLength(d.range, analysis_hulls_) * 1e-6;
+  ranges.push_back(d.range);
+  const IdleSplit idle = SplitIdle(ranges, self + total,
+                                   static_cast<int>(stats.analyze_threads));
+  stats.idle_seconds = idle.idle_seconds * 1e-6;
+  stats.barrier_idle_seconds = idle.barrier_idle_seconds * 1e-6;
+  if (!hull.Empty()) analysis_hulls_.push_back(hull);
+  levels_.erase(level_index);
+  return stats;
+}
+
+std::vector<LevelStats> FoldLevels(std::span<const TaskSpan> spans,
+                                   uint32_t workers) {
+  LevelFold fold;
+  uint32_t levels = 0;
   for (const TaskSpan& s : spans) {
-    if (!IsDagTask(s.kind)) continue;
-    lanes.insert({s.lane_pid, s.lane_tid});
-    if (s.kind != SpanKind::kReduce) {
-      max_level = std::max(max_level, s.level);
-      any = true;
+    fold.Add(s);
+    if (IsDagTask(s.kind) && s.kind != SpanKind::kReduce) {
+      levels = std::max(levels, s.level + 1);
     }
   }
-  if (!any) return {};
-  const int workers = static_cast<int>(lanes.size());
-
-  std::vector<LevelIdle> out;
-  for (uint32_t level = 0; level <= max_level; ++level) {
-    std::vector<TimeRange> ranges;
-    double busy = 0;
-    for (const TaskSpan& s : spans) {
-      const bool analysis = s.kind == SpanKind::kBlock ||
-                            s.kind == SpanKind::kBlockShard ||
-                            s.kind == SpanKind::kFallback;
-      if (!analysis || s.level != level) continue;
-      ranges.push_back(TimeRange{Micros(s.begin_us), Micros(s.end_us)});
-      busy += s.Seconds();
-    }
-    LevelIdle li;
-    li.level = level;
-    li.workers = workers;
-    li.busy_seconds = busy;
-    const IdleSplit split = SplitIdle(ranges, busy, workers);
-    li.idle_seconds = split.idle_seconds;
-    li.barrier_idle_seconds = split.barrier_idle_seconds;
-    out.push_back(li);
+  std::vector<LevelStats> out;
+  for (uint32_t level = 0; level < levels; ++level) {
+    out.push_back(fold.Finish(level, workers));
   }
   return out;
 }

@@ -18,8 +18,8 @@
 //   * stragglers: top-K spans by measured duration, and by deviation
 //     from the decision::EstimateBlockCost prediction (the cost model's
 //     measured error signal);
-//   * per-level idle attribution via obs::SplitIdle — parallelism
-//     shortfall vs. task-graph barrier waits.
+//   * the per-level fold (LevelFold) of every LevelStats field, the one
+//     the executors run live, so a trace re-folds to the run's stats.
 //
 // Pool idle, admission stalls, spill flushes, and simulated-cluster
 // placements are observability spans, not DAG tasks; they are excluded
@@ -29,10 +29,13 @@
 #define MCE_OBS_CRITICAL_PATH_H_
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/perf_counters.h"
+#include "obs/span_math.h"
 #include "obs/trace.h"
 
 namespace mce::obs {
@@ -48,6 +51,10 @@ struct TaskSpan {
   int lane_tid = 0;
   double cost = 0;      // EstimateBlockCost prediction; 0 = none
   uint64_t cliques = 0;
+  uint64_t kept = 0;    // analysis spans: survivors of the per-clique step
+  uint64_t shards = 0;  // BlockShardTask: its block's shard count
+  // DecomposeTask: the level graph and its cut.
+  uint64_t nodes = 0, edges = 0, feasible = 0, hubs = 0;
   CounterDelta prof;
 
   double Seconds() const {
@@ -61,8 +68,11 @@ struct TaskSpan {
 /// shard, fallback, reduce).
 bool IsDagTask(SpanKind kind);
 
-/// The TaskSpan of one DAG task event — the one place a span's clique
-/// count is read out of its args. Cliques count once, at the span that
+/// True for a level's analysis kinds: block, shard and fallback.
+bool IsAnalysisTask(SpanKind kind);
+
+/// The TaskSpan of one DAG task event — the one place a span's args are
+/// read out by kind. Cliques count once, at the span that
 /// enumerated them: a block or shard its enumerated cliques (before the
 /// Lemma-1 filter it runs), the fallback its enumerated cliques, the
 /// reduce prepass its trivial cliques. Lane assignment mirrors
@@ -112,19 +122,85 @@ std::vector<Straggler> RankStragglersBySeconds(
 std::vector<Straggler> RankStragglersByDeviation(
     std::span<const TaskSpan> spans, size_t k);
 
-/// Idle attribution of one recursion level (see obs::SplitIdle).
-struct LevelIdle {
-  uint32_t level = 0;
-  int workers = 0;             // distinct lanes observed run-wide
-  double busy_seconds = 0;     // summed analysis span durations
-  double idle_seconds = 0;     // parallelism shortfall within the level
-  double barrier_idle_seconds = 0;  // parked at task-graph boundaries
+/// Per-recursion-level telemetry (drives Figures 7-11), folded from the
+/// level's task spans by LevelFold (definitions: DESIGN.md §7). D is the
+/// level's DecomposeTask span, A its analysis spans, W analyze_threads;
+/// self(D) is D's window minus the level's spans nested in it on its lane
+/// (the serial walk runs its analysis inside D).
+struct LevelStats {
+  uint64_t num_nodes = 0;       // |G_l|; these four come from D's args
+  uint64_t num_edges = 0;
+  uint64_t feasible = 0;        // |N_f|
+  uint64_t hubs = 0;            // |N_h|
+  uint64_t blocks = 0;          // a split block counts once
+  uint64_t cliques = 0;         // cliques emitted by this level's blocks
+                                // (before the maximality filter)
+  double decompose_seconds = 0; // self(D)
+  double analyze_seconds = 0;   // |union(A)|
+  /// Σ|A| (the serial-equivalent work) and the largest Σ|A| of one lane:
+  /// block_seconds / (busiest_worker_seconds · W) is the level's worker
+  /// utilization, in (0, 1].
+  double block_seconds = 0;
+  double busiest_worker_seconds = 0;
+  /// W: the pool size, or 1 on the serial executor and on a fallback
+  /// level.
+  uint32_t analyze_threads = 1;
+  /// |D ∩ the union of earlier levels' hull(A)|: decomposition pipelined
+  /// under earlier analysis.
+  double overlap_seconds = 0;
+  /// max(0, W·|union(D ∪ A)| − self(D) − Σ|A|): the level's own idle
+  /// capacity; D counts as busy.
+  double idle_seconds = 0;
+  /// W·(|hull(D ∪ A)| − |union(D ∪ A)|): lanes parked at a cross-level
+  /// boundary while none of the level's tasks ran. This and the two above
+  /// are exactly 0 on the serial executor.
+  double barrier_idle_seconds = 0;
+  /// Blocks split into kernel-range shards.
+  uint64_t block_splits = 0;
 };
 
-/// Splits every level's idle capacity into starvation vs. barrier waits,
-/// using the level's block/shard/fallback spans as the busy set
-/// and the run-wide distinct lane count as the worker count.
-std::vector<LevelIdle> AttributeIdle(std::span<const TaskSpan> spans);
+/// The one fold from task spans to LevelStats, run live by
+/// exec::RunReporter and over a recorded trace by mce_trace_analyze.
+/// Spans arrive in any order; lanes are (lane_pid, lane_tid), one per
+/// thread. Not thread-safe.
+class LevelFold {
+ public:
+  /// Where an analysis span leaves its block: a split block's shards may
+  /// close in any order; any other analysis span is first and done.
+  struct BlockStep {
+    bool first = false;  // the first of the block's spans to fold
+    bool done = false;   // the last: every shard of the block has closed
+  };
+
+  /// Folds one DAG span. A ReduceTask belongs to no level.
+  BlockStep Add(const TaskSpan& span);
+
+  /// Level `level`'s stats with W = `workers`, once all its spans are in;
+  /// drops its spans. Levels finish in order (overlap reads the earlier
+  /// levels' analysis hulls).
+  LevelStats Finish(uint32_t level, uint32_t workers);
+
+ private:
+  struct Window {
+    TimeRange range;  // in microseconds
+    std::pair<int, int> lane;
+  };
+  struct Level {
+    LevelStats stats;  // the counts, as spans arrive
+    Window decompose;
+    std::vector<Window> analysis;
+    std::map<uint64_t, uint64_t> shards_folded;  // per open split block
+    bool fallback = false;
+  };
+
+  std::map<uint32_t, Level> levels_;
+  std::vector<TimeRange> analysis_hulls_;  // of the finished levels
+};
+
+/// LevelFold over a whole run: one LevelStats per level, in level order,
+/// each with W = `workers` (1 on a fallback level).
+std::vector<LevelStats> FoldLevels(std::span<const TaskSpan> spans,
+                                   uint32_t workers);
 
 }  // namespace mce::obs
 

@@ -57,9 +57,9 @@ void ProgressEstimator::RetireCost(double units) {
   FetchAdd(completed_cost_, units);
 }
 
-void ProgressEstimator::RetireBlock(uint32_t level, double residual) {
-  MCE_DCHECK(residual >= 0);
-  FetchAdd(completed_cost_, residual);
+void ProgressEstimator::RetireBlock(uint32_t level, double units) {
+  MCE_DCHECK(units >= 0);
+  FetchAdd(completed_cost_, units);
   std::lock_guard<std::mutex> lock(mu_);
   ++LevelAt(level).blocks_done;
   ++blocks_done_;

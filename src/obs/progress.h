@@ -101,11 +101,11 @@ class ProgressEstimator {
   /// block). Lock-free; `units` must be >= 0.
   void RetireCost(double units);
 
-  /// The last piece of a block at `level` finished; `residual` is
-  /// whatever cost the per-piece RetireCost calls have not yet covered,
-  /// so the retired total sums exactly to the registered total no matter
-  /// how the block was split.
-  void RetireBlock(uint32_t level, double residual);
+  /// The last piece of a block at `level` finished: retires its `units`
+  /// (the whole cost of an unsplit block, or the last shard's share) and
+  /// counts the block done. The pieces' shares sum to the registered
+  /// cost up to floating-point rounding.
+  void RetireBlock(uint32_t level, double units);
 
   void AddCliques(uint64_t n);
   void AddSpillChunk(uint64_t bytes);

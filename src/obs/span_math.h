@@ -1,10 +1,10 @@
 // Interval arithmetic over measured time spans.
 //
-// The execution engine (src/exec) derives its pipeline statistics —
-// LevelStats::overlap_seconds and idle_seconds — from the same begin/end
-// spans it hands to the trace recorder, instead of keeping a second ad-hoc
-// set of clocks. These helpers are the shared span math: hulls, clipped
-// unions, and the decompose-vs-analysis overlap measure of DESIGN.md §7.
+// The level fold (obs::LevelFold) derives LevelStats — analyze, overlap
+// and idle times — from the same begin/end spans the trace recorder gets,
+// instead of keeping a second ad-hoc set of clocks. These helpers are the
+// shared span math: hulls, clipped unions, and the decompose-vs-analysis
+// overlap measure of DESIGN.md §7.
 
 #ifndef MCE_OBS_SPAN_MATH_H_
 #define MCE_OBS_SPAN_MATH_H_

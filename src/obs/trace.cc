@@ -179,10 +179,11 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
     case SpanKind::kBlock:
       AppendF(out,
               ",\"args\":{\"level\":%u,\"block\":%llu,\"kernel\":%llu,"
-              "\"border\":%llu,\"visited\":%llu,\"cliques\":%llu",
+              "\"border\":%llu,\"visited\":%llu,\"cliques\":%llu,"
+              "\"kept\":%llu",
               e.level, static_cast<ull>(e.index), static_cast<ull>(e.args[0]),
               static_cast<ull>(e.args[1]), static_cast<ull>(e.args[2]),
-              static_cast<ull>(e.args[3]));
+              static_cast<ull>(e.args[3]), static_cast<ull>(e.kept));
       if (e.algorithm != TraceEvent::kNoCombo) {
         AppendF(out, ",\"algorithm\":%u,\"storage\":%u",
                 static_cast<unsigned>(e.algorithm),
@@ -194,9 +195,10 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
     case SpanKind::kFallback:
       AppendF(out,
               ",\"args\":{\"level\":%u,\"nodes\":%llu,\"edges\":%llu,"
-              "\"cliques\":%llu}",
+              "\"cliques\":%llu,\"kept\":%llu}",
               e.level, static_cast<ull>(e.args[0]),
-              static_cast<ull>(e.args[1]), static_cast<ull>(e.args[2]));
+              static_cast<ull>(e.args[1]), static_cast<ull>(e.args[2]),
+              static_cast<ull>(e.kept));
       break;
     case SpanKind::kWorkerIdle:
       AppendF(out, ",\"args\":{\"worker\":%llu}", static_cast<ull>(e.index));
@@ -211,10 +213,11 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
     case SpanKind::kBlockShard:
       AppendF(out,
               ",\"args\":{\"level\":%u,\"block\":%llu,\"kernel_begin\":%llu,"
-              "\"kernel_end\":%llu,\"cliques\":%llu,\"shards\":%llu",
+              "\"kernel_end\":%llu,\"cliques\":%llu,\"shards\":%llu,"
+              "\"kept\":%llu",
               e.level, static_cast<ull>(e.index), static_cast<ull>(e.args[0]),
               static_cast<ull>(e.args[1]), static_cast<ull>(e.args[2]),
-              static_cast<ull>(e.args[3]));
+              static_cast<ull>(e.args[3]), static_cast<ull>(e.kept));
       if (e.algorithm != TraceEvent::kNoCombo) {
         AppendF(out, ",\"algorithm\":%u,\"storage\":%u",
                 static_cast<unsigned>(e.algorithm),

@@ -65,11 +65,13 @@ bool SpanKindFromName(const std::string& name, SpanKind* kind);
 /// by ToChromeTraceJson):
 ///   kDecompose:  {nodes, edges, feasible, hubs}
 ///   kBlock:      {kernel, border, visited, cliques} + algorithm/storage
-///   kFallback:   {nodes, edges, cliques, 0}
+///                + kept
+///   kFallback:   {nodes, edges, cliques, 0} + kept
 ///   kWorkerIdle: {} (index = pool worker index)
 ///   kSimBlock:   {worker, lane, cliques, 0}
-///   kBlockShard: {kernel_begin, kernel_end, cliques, shards} (index =
-///                block index; one span per shard of a split BlockTask)
+///   kBlockShard: {kernel_begin, kernel_end, cliques, shards} + kept
+///                (index = block index; one span per shard of a split
+///                BlockTask)
 ///   kReduce:     {vertices_removed, edges_removed, trivial_cliques,
 ///                rounds}
 ///   kSpillFlush: {cliques, bytes, level_resident_after, file_bytes}
@@ -82,6 +84,9 @@ struct TraceEvent {
   uint32_t level = 0;    // recursion level of the task (0 for pool spans)
   uint64_t index = 0;    // block index / chunk index / worker index
   uint64_t args[4] = {0, 0, 0, 0};
+  /// Cliques of a kBlock / kBlockShard / kFallback span that survived the
+  /// per-clique step (MapExpandAndFilterClique): the ones it delivers.
+  uint64_t kept = 0;
   /// MCE combination that ran a kBlock span (values of mce::Algorithm /
   /// mce::StorageKind); kNoCombo on every other kind.
   static constexpr uint8_t kNoCombo = 0xff;

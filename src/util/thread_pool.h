@@ -40,7 +40,8 @@ class ThreadPool {
 
   /// Index of the calling pool worker in [0, num_threads()), or
   /// kNotAWorker when the caller is not one of this process's pool worker
-  /// threads. Used to attribute per-task time to workers (LevelStats).
+  /// threads. Used to give each worker its own scratch (the pooled
+  /// engine's per-worker workspaces).
   static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
   static size_t CurrentWorkerIndex();
 

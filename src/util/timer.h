@@ -1,5 +1,5 @@
-// Wall-clock timing helpers: the finder's wall time, the serial engine's
-// LevelStats phase clocks, and the benchmark harnesses.
+// Wall-clock timing helpers: the finder's wall time and the benchmark
+// harnesses.
 
 #ifndef MCE_UTIL_TIMER_H_
 #define MCE_UTIL_TIMER_H_

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -294,6 +295,41 @@ TEST_F(CliTest, BlockBoundBelowOneFails) {
         RunCli("enumerate --input " + *graph_path_ + " --m " + m);
     EXPECT_EQ(r.exit_code, 1) << "--m " << m << ": " << r.output;
     EXPECT_NE(r.output.find("error: --m"), std::string::npos) << r.output;
+  }
+}
+
+// A numeric flag must parse completely and fit its type, so a garbage
+// value never silently becomes 0 (all cores, no splitting) or its numeric
+// prefix.
+TEST_F(CliTest, MalformedNumericFlagsFail) {
+  const std::pair<std::string, std::string> bad[] = {
+      {"--threads", "abc"},        {"--max-block-cost", "abc"},
+      {"--m", "5x"},               {"--heartbeat-interval-ms", "10abc"},
+      {"--threads", "99999999999"}, {"--ratio", "0.5.0"},
+      {"--top", "3x"}};
+  for (const auto& [flag, value] : bad) {
+    CommandResult r = RunCli("enumerate --input " + *graph_path_ + " " +
+                             flag + " " + value);
+    EXPECT_EQ(r.exit_code, 1) << flag << " " << value << ": " << r.output;
+    EXPECT_NE(r.output.find("error: " + flag + " expects"), std::string::npos)
+        << r.output;
+  }
+  const std::string out = TempFile("garbage_nodes.txt");
+  std::remove(out.c_str());
+  CommandResult r =
+      RunCli("generate --model er --nodes 12abc --output " + out);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error: --nodes expects"), std::string::npos)
+      << r.output;
+  EXPECT_FALSE(std::ifstream(out).good()) << "wrote a graph anyway";
+}
+
+TEST_F(CliTest, WellFormedNumericFlagsParse) {
+  for (const char* flags : {"--threads=4 --ratio 0.5", "--ratio 0.25",
+                            "--threads 4 --max-block-cost 1e4"}) {
+    CommandResult r = RunCli("enumerate --input " + *graph_path_ + " " +
+                             flags + " --json true");
+    EXPECT_EQ(r.exit_code, 0) << flags << ": " << r.output;
   }
 }
 

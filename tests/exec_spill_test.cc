@@ -228,6 +228,9 @@ TEST(SpillObservabilityTest, SpillSpansAndCountersMatchRunStats) {
   const decomp::MemoryStats& mem = out.stats.memory;
   ASSERT_GT(mem.spill_chunks, 0u);
   ASSERT_GT(mem.spill_bytes, 0u);
+  // A budget this tight holds analyses back, so the admission instruments
+  // are exercised too.
+  ASSERT_GT(mem.admission_stalls, 0u);
 
   uint64_t flush_spans = 0, flush_bytes = 0, admission_spans = 0;
   for (const obs::TraceEvent& e : recorder.Events()) {
@@ -245,6 +248,11 @@ TEST(SpillObservabilityTest, SpillSpansAndCountersMatchRunStats) {
   EXPECT_EQ(registry.GetCounter("mem.spill_bytes").value(), mem.spill_bytes);
   EXPECT_EQ(registry.GetCounter("mem.admission_stalls").value(),
             mem.admission_stalls);
+  EXPECT_DOUBLE_EQ(
+      static_cast<double>(
+          registry.GetCounter("mem.admission_stall_micros").value()) *
+          1e-6,
+      mem.admission_stall_seconds);
   EXPECT_GT(registry.GetCounter("mem.bytes_charged").value(), 0u);
 }
 

@@ -14,6 +14,9 @@
 #include "gen/generators.h"
 #include "gen/social.h"
 #include "gen/special.h"
+#include "obs/metrics.h"
+#include "obs/progress.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -162,6 +165,76 @@ TEST(MakeBlockTaskRecordTest, CarriesBlockShapeAndCostEstimate) {
   EXPECT_DOUBLE_EQ(r.seconds, 0.5);
   EXPECT_EQ(r.used.algorithm, Algorithm::kXPivot);
   EXPECT_EQ(r.used.storage, StorageKind::kMatrix);
+}
+
+/// An analysis span as an executor closes it: `cliques` enumerated, `kept`
+/// surviving the per-clique step, `cost` predicted.
+obs::TraceEvent AnalysisSpan(obs::SpanKind kind, uint32_t level, uint64_t index,
+                             uint64_t cliques, uint64_t kept, double cost) {
+  obs::TraceEvent e;
+  e.kind = kind;
+  e.level = level;
+  e.index = index;
+  e.args[kind == obs::SpanKind::kBlock ? 3 : 2] = cliques;
+  e.kept = kept;
+  e.cost = cost;
+  return e;
+}
+
+// The filter and split counters, progress retirement and the level counts
+// come from the spans RunReporter::Close folds: only levels >= 1 count
+// filter work, and a split block counts its split once and retires once,
+// whatever order its shards close in.
+TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
+  obs::MetricsRegistry registry;
+  obs::ProgressEstimator progress;
+  decomp::FindMaxCliquesOptions options;
+  options.metrics = &registry;
+  options.progress = &progress;
+  RunReporter reporter(options);
+  const auto close = [&reporter](const obs::TraceEvent& e) {
+    TaskWindow window(reporter);
+    reporter.Close(window, e);
+  };
+  progress.RegisterBlock(0, 4.0);
+  close(AnalysisSpan(obs::SpanKind::kBlock, 0, 0, 5, 5, 4.0));
+  progress.RegisterBlock(1, 2.0);
+  progress.RegisterBlock(1, 3.0);
+  close(AnalysisSpan(obs::SpanKind::kBlock, 1, 0, 4, 1, 2.0));
+  for (const uint64_t shard : {2u, 0u, 1u}) {
+    obs::TraceEvent e = AnalysisSpan(obs::SpanKind::kBlockShard, 1, 1,
+                                     shard + 1, shard % 2, 1.0);
+    e.args[3] = 3;  // shards
+    close(e);
+  }
+  progress.RegisterBlock(2, 6.0);
+  close(AnalysisSpan(obs::SpanKind::kFallback, 2, 0, 3, 2, 6.0));
+
+  // Checked: 4 + (3 + 1 + 2) + 3 at levels >= 1; kept: 1 + 1 + 2.
+  EXPECT_EQ(registry.GetCounter("exec.filter_cliques_checked").value(), 13u);
+  EXPECT_EQ(registry.GetCounter("exec.filter_cliques_kept").value(), 4u);
+  EXPECT_EQ(registry.GetCounter("exec.blocks_split").value(), 1u);
+  EXPECT_EQ(registry.GetCounter("exec.block_shards").value(), 3u);
+
+  const obs::ProgressSnapshot snapshot = progress.TakeSnapshot();
+  EXPECT_EQ(snapshot.blocks_done, snapshot.blocks);
+  for (const obs::LevelProgress& level : snapshot.levels) {
+    EXPECT_EQ(level.blocks_done, level.blocks) << "level " << level.level;
+  }
+  EXPECT_NEAR(progress.completed_cost(), progress.registered_cost(),
+              1e-9 * progress.registered_cost());
+
+  const decomp::LevelStats level0 = reporter.FinishLevel(0, 4);
+  EXPECT_EQ(level0.blocks, 1u);
+  EXPECT_EQ(level0.analyze_threads, 4u);
+  const decomp::LevelStats level1 = reporter.FinishLevel(1, 4);
+  EXPECT_EQ(level1.blocks, 2u);
+  EXPECT_EQ(level1.block_splits, 1u);
+  EXPECT_EQ(level1.cliques, 10u);
+  const decomp::LevelStats level2 = reporter.FinishLevel(2, 4);
+  EXPECT_EQ(level2.blocks, 0u);
+  EXPECT_EQ(level2.cliques, 3u);
+  EXPECT_EQ(level2.analyze_threads, 1u);
 }
 
 }  // namespace

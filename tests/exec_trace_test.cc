@@ -1,10 +1,9 @@
-// The executors and the trace recorder must agree: LevelStats'
-// span-derived timings (decompose/analyze/overlap/idle) are recomputable
-// from the exported spans, and the metrics registry reflects the workload.
+// The executors and the trace recorder must agree: LevelStats are the
+// fold of the recorded spans, and the metrics registry reflects the
+// workload.
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -14,8 +13,8 @@
 #include "exec/executor.h"
 #include "gen/generators.h"
 #include "gen/social.h"
+#include "obs/critical_path.h"
 #include "obs/metrics.h"
-#include "obs/span_math.h"
 #include "obs/trace.h"
 #include "util/random.h"
 
@@ -48,35 +47,20 @@ TracedRun RunTraced(const Graph& g, decomp::ExecutorKind kind,
   return out;
 }
 
-/// The spans of one recursion level, split by kind.
-struct LevelSpans {
-  std::vector<obs::TimeRange> decompose;
-  std::vector<obs::TimeRange> analyze;  // block (+ fallback)
-  double block_seconds = 0;
-};
-
-std::map<uint32_t, LevelSpans> SplitByLevel(
-    const std::vector<obs::TraceEvent>& events) {
-  std::map<uint32_t, LevelSpans> levels;
-  for (const obs::TraceEvent& e : events) {
-    const obs::TimeRange r{static_cast<double>(e.begin_us) * 1e-6,
-                           static_cast<double>(e.end_us) * 1e-6};
-    LevelSpans& ls = levels[e.level];
-    switch (e.kind) {
-      case obs::SpanKind::kDecompose:
-        ls.decompose.push_back(r);
-        break;
-      case obs::SpanKind::kBlock:
-      case obs::SpanKind::kBlockShard:
-      case obs::SpanKind::kFallback:
-        ls.analyze.push_back(r);
-        ls.block_seconds += r.Length();
-        break;
-      default:
-        break;  // pool idle / sim lanes carry no level timing
+/// The recorded DAG spans, each on its recording thread's track — the
+/// lanes the live fold kept apart.
+std::vector<obs::TaskSpan> SpansOnTrackLanes(
+    const obs::TraceRecorder& recorder) {
+  std::vector<obs::TaskSpan> spans;
+  for (const obs::TraceRecorder::ThreadTrack& track : recorder.Tracks()) {
+    for (const obs::TraceEvent& e : track.events) {
+      if (!obs::IsDagTask(e.kind)) continue;
+      obs::TaskSpan span = obs::TaskSpanFromEvent(e);
+      span.lane_tid = track.tid;
+      spans.push_back(span);
     }
   }
-  return levels;
+  return spans;
 }
 
 TEST(ExecTraceTest, SerialExecutorRecordsEveryTask) {
@@ -139,49 +123,72 @@ TEST(ExecTraceTest, SerialExecutorRecordsEveryTask) {
   }
 }
 
-TEST(ExecTraceTest, PooledStatsAreRecomputableFromSpans) {
+// Every LevelStats field is the fold of the run's own spans: re-folding
+// the recorded trace, one lane per recording thread, reproduces the stats
+// both executors report — with the reduce prepass, with split blocks, and
+// on an m-core fallback level. The serial walk nests its analysis in the
+// decompose, so it never idles, waits at a barrier or overlaps.
+TEST(ExecTraceTest, LevelStatsAreTheFoldOfTheRecordedSpans) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
-  for (uint32_t threads : {2u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "threads " << threads);
+  struct Case {
+    const char* name;
+    decomp::ExecutorKind kind;
+    uint32_t threads;
+    uint32_t m;
+    bool reduce;
+  };
+  const decomp::ExecutorKind kSerial = decomp::ExecutorKind::kSerial;
+  const decomp::ExecutorKind kPooled = decomp::ExecutorKind::kPooled;
+  // m = 10 makes the graph its own m-core: decompose, then the fallback.
+  for (const Case& c : {Case{"serial", kSerial, 1, 40, false},
+                        Case{"pooled@2", kPooled, 2, 40, false},
+                        Case{"pooled@4", kPooled, 4, 40, false},
+                        Case{"pooled@4 reduce", kPooled, 4, 40, true},
+                        Case{"serial fallback", kSerial, 1, 10, false},
+                        Case{"pooled@4 fallback", kPooled, 4, 10, false}}) {
+    SCOPED_TRACE(c.name);
     obs::TraceRecorder recorder;
     obs::MetricsRegistry registry;
-    TracedRun run = RunTraced(g, decomp::ExecutorKind::kPooled, threads,
-                              &recorder, &registry, /*m=*/40);
-    ASSERT_GE(run.stats.levels.size(), 2u);
+    TracedRun run =
+        RunTraced(g, c.kind, c.threads, &recorder, &registry, c.m, c.reduce);
+    ASSERT_GE(run.stats.levels.size(), c.m == 10 ? 1u : 2u);
+    EXPECT_EQ(run.stats.used_fallback, c.m == 10);
 
-    std::map<uint32_t, LevelSpans> levels = SplitByLevel(run.events);
-    // Overlap is defined against the union of earlier levels' analysis
-    // hulls — rebuild it in delivery (= level) order, exactly as the
-    // engine does.
-    std::vector<obs::TimeRange> earlier_hulls;
-    for (uint32_t l = 0; l < run.stats.levels.size(); ++l) {
+    const std::vector<decomp::LevelStats> refold =
+        obs::FoldLevels(SpansOnTrackLanes(recorder), c.threads);
+    ASSERT_EQ(refold.size(), run.stats.levels.size());
+    uint64_t total_blocks = 0, total_splits = 0;
+    for (size_t l = 0; l < refold.size(); ++l) {
       SCOPED_TRACE(testing::Message() << "level " << l);
-      const decomp::LevelStats& stats = run.stats.levels[l];
-      const LevelSpans& spans = levels[l];
-
-      ASSERT_EQ(spans.decompose.size(), 1u);
-      const obs::TimeRange decompose_window = spans.decompose.front();
-      EXPECT_NEAR(stats.decompose_seconds, decompose_window.Length(), 1e-6);
-
-      const obs::TimeRange analyze_hull = obs::Hull(spans.analyze);
-      EXPECT_NEAR(stats.analyze_seconds, analyze_hull.Length(), 1e-6);
-      EXPECT_NEAR(stats.block_seconds, spans.block_seconds, 1e-6);
-      EXPECT_NEAR(stats.overlap_seconds,
-                  obs::OverlapLength(decompose_window, earlier_hulls), 1e-6);
-      const obs::IdleSplit idle =
-          obs::SplitIdle(spans.analyze, spans.block_seconds,
-                         static_cast<int>(stats.analyze_threads));
-      EXPECT_NEAR(stats.idle_seconds, idle.idle_seconds, 1e-6);
-      EXPECT_NEAR(stats.barrier_idle_seconds, idle.barrier_idle_seconds,
+      const decomp::LevelStats& live = run.stats.levels[l];
+      const decomp::LevelStats& want = refold[l];
+      EXPECT_EQ(live.num_nodes, want.num_nodes);
+      EXPECT_EQ(live.num_edges, want.num_edges);
+      EXPECT_EQ(live.feasible, want.feasible);
+      EXPECT_EQ(live.hubs, want.hubs);
+      EXPECT_EQ(live.blocks, want.blocks);
+      EXPECT_EQ(live.block_splits, want.block_splits);
+      EXPECT_EQ(live.cliques, want.cliques);
+      EXPECT_EQ(live.analyze_threads, want.analyze_threads);
+      EXPECT_NEAR(live.decompose_seconds, want.decompose_seconds, 1e-6);
+      EXPECT_NEAR(live.analyze_seconds, want.analyze_seconds, 1e-6);
+      EXPECT_NEAR(live.block_seconds, want.block_seconds, 1e-6);
+      EXPECT_NEAR(live.busiest_worker_seconds, want.busiest_worker_seconds,
                   1e-6);
-      if (!analyze_hull.Empty()) earlier_hulls.push_back(analyze_hull);
+      EXPECT_NEAR(live.overlap_seconds, want.overlap_seconds, 1e-6);
+      EXPECT_NEAR(live.idle_seconds, want.idle_seconds, 1e-6);
+      EXPECT_NEAR(live.barrier_idle_seconds, want.barrier_idle_seconds, 1e-6);
+      if (c.kind == kSerial) {
+        EXPECT_EQ(live.idle_seconds, 0.0);
+        EXPECT_EQ(live.barrier_idle_seconds, 0.0);
+        EXPECT_EQ(live.overlap_seconds, 0.0);
+      }
+      total_blocks += live.blocks;
+      total_splits += live.block_splits;
     }
 
-    uint64_t total_blocks = 0;
-    for (const decomp::LevelStats& level : run.stats.levels) {
-      total_blocks += level.blocks;
-    }
     EXPECT_EQ(run.counter(registry, "exec.blocks_analyzed"), total_blocks);
+    EXPECT_EQ(run.counter(registry, "exec.blocks_split"), total_splits);
     EXPECT_EQ(run.counter(registry, "pipeline.cliques_emitted"),
               run.stats.cliques_emitted);
   }

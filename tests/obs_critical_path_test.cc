@@ -195,20 +195,176 @@ TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   EXPECT_EQ(spans[4].cliques, 5u);
 }
 
-TEST(IdleAttributionTest, SplitsLevelCapacityAcrossLanes) {
-  std::vector<TaskSpan> spans = {
-      Task(SpanKind::kDecompose, 0, 0, 100),
-      Task(SpanKind::kBlock, 0, 100, 300),
-      Task(SpanKind::kBlock, 0, 100, 200),
+/// An analysis span of `kind` at `level` on lane `lane`.
+TaskSpan Analysis(SpanKind kind, uint32_t level, int64_t begin_us,
+                  int64_t end_us, int lane, uint64_t cliques = 0) {
+  TaskSpan s = Task(kind, level, begin_us, end_us);
+  s.lane_tid = lane;
+  s.cliques = cliques;
+  return s;
+}
+
+TaskSpan Decompose(uint32_t level, int64_t begin_us, int64_t end_us,
+                   int lane) {
+  TaskSpan s = Task(SpanKind::kDecompose, level, begin_us, end_us);
+  s.lane_tid = lane;
+  s.nodes = 50;
+  s.edges = 120;
+  s.feasible = 40;
+  s.hubs = 10;
+  return s;
+}
+
+// The serial walk: blocks nested in the decompose window on one lane. The
+// decompose is charged its self time only, and with one lane nothing idles.
+TEST(LevelFoldTest, SerialShapedLevelHasNoIdle) {
+  const std::vector<TaskSpan> spans = {
+      Analysis(SpanKind::kBlock, 0, 100, 300, 0, 4),
+      Analysis(SpanKind::kBlock, 0, 400, 700, 0, 2),
+      Decompose(0, 0, 1000, 0),
   };
-  spans[2].lane_tid = 1;  // second worker lane
-  const std::vector<LevelIdle> idle = AttributeIdle(spans);
-  ASSERT_EQ(idle.size(), 1u);
-  EXPECT_EQ(idle[0].level, 0u);
-  EXPECT_EQ(idle[0].workers, 2);
-  EXPECT_DOUBLE_EQ(idle[0].busy_seconds, 300e-6);
-  EXPECT_GE(idle[0].idle_seconds, 0.0);
-  EXPECT_GE(idle[0].barrier_idle_seconds, 0.0);
+  const std::vector<LevelStats> levels = FoldLevels(spans, 1);
+  ASSERT_EQ(levels.size(), 1u);
+  const LevelStats& l = levels[0];
+  EXPECT_EQ(l.num_nodes, 50u);
+  EXPECT_EQ(l.num_edges, 120u);
+  EXPECT_EQ(l.feasible, 40u);
+  EXPECT_EQ(l.hubs, 10u);
+  EXPECT_EQ(l.blocks, 2u);
+  EXPECT_EQ(l.cliques, 6u);
+  EXPECT_EQ(l.analyze_threads, 1u);
+  EXPECT_DOUBLE_EQ(l.decompose_seconds, 500e-6);
+  EXPECT_DOUBLE_EQ(l.analyze_seconds, 500e-6);
+  EXPECT_DOUBLE_EQ(l.block_seconds, 500e-6);
+  EXPECT_DOUBLE_EQ(l.busiest_worker_seconds, 500e-6);
+  EXPECT_EQ(l.idle_seconds, 0.0);
+  EXPECT_EQ(l.barrier_idle_seconds, 0.0);
+  EXPECT_EQ(l.overlap_seconds, 0.0);
+}
+
+// The pooled engine: analysis starts while the level is still
+// decomposing, on other lanes. The gaps between its blocks lie inside the
+// decompose, so they are the level's own idle capacity, not a barrier.
+TEST(LevelFoldTest, GapsInsideTheDecomposeAreIdleNotBarrier) {
+  const std::vector<TaskSpan> spans = {
+      Decompose(0, 0, 1000, 0),
+      Analysis(SpanKind::kBlock, 0, 100, 200, 1),
+      Analysis(SpanKind::kBlock, 0, 500, 600, 1),
+      Analysis(SpanKind::kBlock, 0, 150, 400, 2),
+  };
+  const std::vector<LevelStats> levels = FoldLevels(spans, 4);
+  ASSERT_EQ(levels.size(), 1u);
+  const LevelStats& l = levels[0];
+  EXPECT_EQ(l.analyze_threads, 4u);
+  EXPECT_DOUBLE_EQ(l.decompose_seconds, 1000e-6);
+  EXPECT_DOUBLE_EQ(l.block_seconds, 450e-6);
+  EXPECT_DOUBLE_EQ(l.busiest_worker_seconds, 250e-6);
+  EXPECT_DOUBLE_EQ(l.analyze_seconds, 400e-6);  // union, not the hull
+  EXPECT_EQ(l.barrier_idle_seconds, 0.0);
+  // 4 lanes × 1000 µs, less the decompose's 1000 and the blocks' 450.
+  EXPECT_DOUBLE_EQ(l.idle_seconds, 2550e-6);
+}
+
+// A stretch where no task of the level runs is a barrier wait: every lane
+// of the level is parked at a task-graph boundary.
+TEST(LevelFoldTest, GapWithNoTaskOfTheLevelIsBarrier) {
+  const std::vector<TaskSpan> spans = {
+      Decompose(0, 0, 100, 0),
+      Analysis(SpanKind::kBlock, 0, 100, 200, 1),
+      Analysis(SpanKind::kBlock, 0, 300, 400, 1),
+  };
+  const std::vector<LevelStats> levels = FoldLevels(spans, 2);
+  ASSERT_EQ(levels.size(), 1u);
+  EXPECT_DOUBLE_EQ(levels[0].barrier_idle_seconds, 200e-6);  // 2 × 100
+  EXPECT_DOUBLE_EQ(levels[0].idle_seconds, 300e-6);  // 2 × 300 − 100 − 200
+}
+
+// The prepass runs outside the recursion: it adds no level and its lane
+// carries no analysis work.
+TEST(LevelFoldTest, ReduceTaskIsNoWorkerAndNoLevel) {
+  const std::vector<TaskSpan> level = {
+      Decompose(0, 100, 200, 1),
+      Analysis(SpanKind::kBlock, 0, 150, 300, 2, 3),
+  };
+  std::vector<TaskSpan> with_reduce = level;
+  TaskSpan reduce = Task(SpanKind::kReduce, 0, 0, 100);
+  reduce.lane_tid = 9;
+  reduce.cliques = 5;
+  with_reduce.insert(with_reduce.begin(), reduce);
+  const std::vector<LevelStats> plain = FoldLevels(level, 2);
+  const std::vector<LevelStats> reduced = FoldLevels(with_reduce, 2);
+  ASSERT_EQ(reduced.size(), 1u);
+  ASSERT_EQ(plain.size(), 1u);
+  EXPECT_EQ(reduced[0].cliques, plain[0].cliques);
+  EXPECT_EQ(reduced[0].blocks, plain[0].blocks);
+  EXPECT_EQ(reduced[0].busiest_worker_seconds,
+            plain[0].busiest_worker_seconds);
+  EXPECT_EQ(reduced[0].idle_seconds, plain[0].idle_seconds);
+  EXPECT_EQ(reduced[0].barrier_idle_seconds, plain[0].barrier_idle_seconds);
+}
+
+// One worker runs the indivisible m-core fallback, whatever the pool
+// size, and the fallback is no block.
+TEST(LevelFoldTest, FallbackLevelRunsOnOneLane) {
+  const std::vector<TaskSpan> spans = {
+      Decompose(0, 0, 100, 0),
+      Decompose(1, 100, 150, 1),
+      Analysis(SpanKind::kFallback, 1, 150, 400, 1, 7),
+  };
+  const std::vector<LevelStats> levels = FoldLevels(spans, 4);
+  ASSERT_EQ(levels.size(), 2u);
+  EXPECT_EQ(levels[0].analyze_threads, 4u);
+  const LevelStats& fallback = levels[1];
+  EXPECT_EQ(fallback.analyze_threads, 1u);
+  EXPECT_EQ(fallback.blocks, 0u);
+  EXPECT_EQ(fallback.cliques, 7u);
+  EXPECT_DOUBLE_EQ(fallback.analyze_seconds, 250e-6);
+  EXPECT_EQ(fallback.idle_seconds, 0.0);
+  EXPECT_EQ(fallback.barrier_idle_seconds, 0.0);
+}
+
+// A split block's shards close in any order: the block counts once, at
+// the first shard folded, and is done exactly once, at the last.
+TEST(LevelFoldTest, SplitBlockCountsOnceWhateverTheCloseOrder) {
+  LevelFold fold;
+  fold.Add(Decompose(0, 0, 100, 0));
+  int firsts = 0;
+  int dones = 0;
+  for (const uint64_t shard : {2u, 0u, 1u}) {
+    TaskSpan s = Analysis(SpanKind::kBlockShard, 0, 100 + 10 * shard,
+                          150 + 10 * shard, static_cast<int>(shard), 2);
+    s.index = 3;
+    s.shards = 3;
+    const LevelFold::BlockStep step = fold.Add(s);
+    firsts += step.first ? 1 : 0;
+    dones += step.done ? 1 : 0;
+    EXPECT_EQ(step.done, shard == 1u);
+  }
+  const LevelFold::BlockStep whole =
+      fold.Add(Analysis(SpanKind::kBlock, 0, 120, 130, 0, 1));
+  EXPECT_TRUE(whole.first);
+  EXPECT_TRUE(whole.done);
+  EXPECT_EQ(firsts, 1);
+  EXPECT_EQ(dones, 1);
+  const LevelStats l = fold.Finish(0, 3);
+  EXPECT_EQ(l.blocks, 2u);
+  EXPECT_EQ(l.block_splits, 1u);
+  EXPECT_EQ(l.cliques, 7u);
+}
+
+// Overlap is the decompose window against the hulls of the earlier
+// levels' analysis — the pipelining win.
+TEST(LevelFoldTest, OverlapClipsTheDecomposeAgainstEarlierAnalysis) {
+  const std::vector<TaskSpan> spans = {
+      Decompose(0, 0, 100, 0),
+      Analysis(SpanKind::kBlock, 0, 100, 400, 1),
+      Decompose(1, 300, 600, 0),
+      Analysis(SpanKind::kBlock, 1, 600, 700, 1),
+  };
+  const std::vector<LevelStats> levels = FoldLevels(spans, 2);
+  ASSERT_EQ(levels.size(), 2u);
+  EXPECT_EQ(levels[0].overlap_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(levels[1].overlap_seconds, 100e-6);
 }
 
 void ExpectSameBucket(const ProfileBucket& live, const ProfileBucket& refold) {

@@ -15,6 +15,8 @@
 //   mce_cli convert --input t1.txt --output t1.bin --to binary
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -72,19 +74,36 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  /// Parses --key into *out, or stores `fallback` when the flag is
+  /// absent. The value must parse completely as an int that fits;
+  /// otherwise prints "error: --key expects an integer" and returns false.
+  bool GetInt(const std::string& key, int fallback, int* out) const {
+    return Parse(key, fallback, out, "an integer");
   }
 
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+  /// GetInt for a finite floating-point value ("0.25", "1e4").
+  bool GetDouble(const std::string& key, double fallback, double* out) const {
+    return Parse(key, fallback, out, "a finite number");
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  template <typename T>
+  bool Parse(const std::string& key, T fallback, T* out,
+             const char* expected) const {
+    *out = fallback;
+    auto it = values_.find(key);
+    if (it == values_.end()) return true;
+    const std::string& text = it->second;
+    const char* const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    if (ec == std::errc() && ptr == end && std::isfinite(*out)) return true;
+    std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", key.c_str(),
+                 expected, text.c_str());
+    return false;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -155,18 +174,22 @@ int CmdEnumerate(const Flags& flags) {
   }
   mce::MaxCliqueFinder::Options options;
   if (flags.Has("m")) {
-    const int m = flags.GetInt("m", 0);
+    int m = 0;
+    if (!flags.GetInt("m", 0, &m)) return 1;
     if (m < 1) {
       std::fprintf(stderr, "error: --m must be >= 1\n");
       return 1;
     }
     options.max_block_size = static_cast<uint32_t>(m);
-  } else {
-    options.block_size_ratio = flags.GetDouble("ratio", 0.5);
+  } else if (!flags.GetDouble("ratio", 0.5, &options.block_size_ratio)) {
+    return 1;
   }
+  int top = 0;
+  if (!flags.GetInt("top", 0, &top)) return 1;
   // --threads N: analyze blocks on N local threads (0 = all hardware
   // threads). The clique output is identical to the serial run.
-  int threads = flags.GetInt("threads", 1);
+  int threads = 1;
+  if (!flags.GetInt("threads", 1, &threads)) return 1;
   if (threads < 0) {
     std::fprintf(stderr, "error: --threads must be >= 0\n");
     return 1;
@@ -185,8 +208,10 @@ int CmdEnumerate(const Flags& flags) {
   options.num_threads = static_cast<uint32_t>(threads);
   // --max-block-cost C / --no-split: cost-guided BlockTask splitting on
   // the pooled executor (the clique output is identical either way).
-  options.max_block_cost =
-      flags.GetDouble("max-block-cost", options.max_block_cost);
+  if (!flags.GetDouble("max-block-cost", options.max_block_cost,
+                       &options.max_block_cost)) {
+    return 1;
+  }
   if (flags.Get("no-split", "") == "true") options.split_blocks = false;
   // --reduce / --no-reduce: graph-reduction prepass (strip simplicial /
   // degree<=1 vertices, fold true twins) before the pipeline. The clique
@@ -241,7 +266,7 @@ int CmdEnumerate(const Flags& flags) {
   if (flags.Get("perf-counters", "") == "true") options.profile = true;
   if (flags.Has("workers")) {
     options.simulate_cluster = true;
-    options.cluster.num_workers = flags.GetInt("workers", 10);
+    if (!flags.GetInt("workers", 10, &options.cluster.num_workers)) return 1;
     // The simulated machines get the same intra-worker parallelism.
     options.cluster.threads_per_worker = std::max(1, threads);
   }
@@ -260,7 +285,9 @@ int CmdEnumerate(const Flags& flags) {
   mce::obs::ProgressEstimator progress;
   mce::obs::TelemetryOptions telemetry;
   telemetry.out_path = flags.Get("heartbeat-out", "");
-  telemetry.interval_ms = flags.GetInt("heartbeat-interval-ms", 500);
+  if (!flags.GetInt("heartbeat-interval-ms", 500, &telemetry.interval_ms)) {
+    return 1;
+  }
   telemetry.tty_progress = flags.Get("progress", "") == "true";
   if (telemetry.interval_ms <= 0) {
     std::fprintf(stderr, "error: --heartbeat-interval-ms must be >= 1\n");
@@ -319,7 +346,6 @@ int CmdEnumerate(const Flags& flags) {
                   result->cluster->compute_speedup,
                   result->cluster->max_level_skew);
     }
-    const int top = flags.GetInt("top", 0);
     if (top > 0) {
       for (size_t idx : mce::LargestCliqueIndices(result->cliques, top)) {
         const mce::Clique& c = result->cliques.cliques()[idx];
@@ -357,8 +383,10 @@ int CmdTop(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
     return 1;
   }
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
-  for (const mce::Clique& c : mce::TopKMaximalCliques(*g, k)) {
+  int k = 10;
+  if (!flags.GetInt("k", 10, &k)) return 1;
+  for (const mce::Clique& c :
+       mce::TopKMaximalCliques(*g, static_cast<size_t>(k))) {
     std::printf("clique[%zu members]:", c.size());
     for (NodeId v : c) std::printf(" %u", v);
     std::printf("\n");
@@ -372,14 +400,16 @@ int CmdCommunities(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
     return 1;
   }
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
+  int k = 3;
+  int top = 10;
+  if (!flags.GetInt("k", 3, &k) || !flags.GetInt("top", 10, &top)) return 1;
   if (k < 2) {
     std::fprintf(stderr, "error: --k must be >= 2\n");
     return 1;
   }
-  auto communities = mce::community::KCliqueCommunities(*g, k);
-  std::printf("%zu k-clique communities (k=%u)\n", communities.size(), k);
-  const int top = flags.GetInt("top", 10);
+  auto communities =
+      mce::community::KCliqueCommunities(*g, static_cast<uint32_t>(k));
+  std::printf("%zu k-clique communities (k=%d)\n", communities.size(), k);
   for (size_t i = 0; i < communities.size() && i < static_cast<size_t>(top);
        ++i) {
     std::printf("  #%zu: %zu members, %zu cliques\n", i + 1,
@@ -396,29 +426,40 @@ int CmdGenerate(const Flags& flags) {
     std::fprintf(stderr, "error: --output is required\n");
     return 1;
   }
-  const double scale = flags.GetDouble("scale", 0.1);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  double scale = 0.1;
+  int seed = 1;
+  int nodes = 1000;
+  double p = 0.01;
+  int attach = 4;
+  int kring = 6;
+  double beta = 0.2;
+  if (!flags.GetDouble("scale", 0.1, &scale) ||
+      !flags.GetInt("seed", 1, &seed) ||
+      !flags.GetInt("nodes", 1000, &nodes) ||
+      !flags.GetDouble("p", 0.01, &p) ||
+      !flags.GetInt("attach", 4, &attach) ||
+      !flags.GetInt("kring", 6, &kring) ||
+      !flags.GetDouble("beta", 0.2, &beta)) {
+    return 1;
+  }
   Graph g;
   if (model == "twitter1" || model == "twitter2" || model == "twitter3" ||
       model == "facebook" || model == "google+") {
     for (auto config : mce::gen::AllDatasetConfigs(scale)) {
       if (config.name == model) {
-        if (flags.Has("seed")) config.seed = seed;
+        if (flags.Has("seed")) config.seed = static_cast<uint64_t>(seed);
         g = mce::gen::GenerateSocialNetwork(config);
       }
     }
   } else {
-    mce::Rng rng(seed);
-    const NodeId n = static_cast<NodeId>(flags.GetInt("nodes", 1000));
+    mce::Rng rng(static_cast<uint64_t>(seed));
+    const NodeId n = static_cast<NodeId>(nodes);
     if (model == "er") {
-      g = mce::gen::ErdosRenyiGnp(n, flags.GetDouble("p", 0.01), &rng);
+      g = mce::gen::ErdosRenyiGnp(n, p, &rng);
     } else if (model == "ba") {
-      g = mce::gen::BarabasiAlbert(
-          n, static_cast<uint32_t>(flags.GetInt("attach", 4)), &rng);
+      g = mce::gen::BarabasiAlbert(n, static_cast<uint32_t>(attach), &rng);
     } else if (model == "ws") {
-      g = mce::gen::WattsStrogatz(
-          n, static_cast<uint32_t>(flags.GetInt("kring", 6)),
-          flags.GetDouble("beta", 0.2), &rng);
+      g = mce::gen::WattsStrogatz(n, static_cast<uint32_t>(kring), beta, &rng);
     } else {
       std::fprintf(stderr,
                    "error: unknown --model %s (try twitter1..3, facebook, "

@@ -14,7 +14,8 @@
 //     finish, with each hop's exclusive seconds and scheduling wait;
 //   * stragglers: top-K tasks by duration and by deviation from the
 //     decision::EstimateBlockCost prediction recorded on the span;
-//   * per-level idle attribution (starvation vs. barrier waits).
+//   * the per-level stats table: obs::FoldLevels over the spans, the fold
+//     the executors run live, so it equals the run's --json "levels".
 //
 // usage: mce_trace_analyze <trace.json> [--top K]
 //          [--collapsed out.txt]     (flamegraph.pl collapsed stacks)
@@ -32,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,8 +143,9 @@ bool ParseSpans(const JsonValue& root, std::vector<ParsedSpan>* out,
 }
 
 /// Maps the closed spans onto DAG TaskSpans, pulling level / index /
-/// cost / clique counts out of the kind-specific B args. Cliques follow
-/// obs::TaskSpanFromEvent: they count at the span that enumerated them.
+/// cost / clique and kept counts / the decompose's graph and cut out of
+/// the kind-specific B args, as obs::TaskSpanFromEvent does for a live
+/// event. Cliques count at the span that enumerated them.
 std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
   std::vector<TaskSpan> out;
   for (const ParsedSpan& s : spans) {
@@ -158,9 +161,18 @@ std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
     t.lane_tid = s.tid;
     t.cost = s.args.NumberOr("cost", 0);
     t.prof = s.prof;
+    t.kept = U64(s.args, "kept");
     switch (kind) {
-      case SpanKind::kBlock:
+      case SpanKind::kDecompose:
+        t.nodes = U64(s.args, "nodes");
+        t.edges = U64(s.args, "edges");
+        t.feasible = U64(s.args, "feasible");
+        t.hubs = U64(s.args, "hubs");
+        break;
       case SpanKind::kBlockShard:
+        t.shards = U64(s.args, "shards");
+        [[fallthrough]];
+      case SpanKind::kBlock:
         t.index = U64(s.args, "block");
         t.cliques = U64(s.args, "cliques");
         break;
@@ -176,6 +188,23 @@ std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
     out.push_back(t);
   }
   return out;
+}
+
+/// W for the level table: the lanes that ran a level's task or parked as
+/// an idle pool worker. The ReduceTask runs on the calling thread, which is
+/// no pool worker, so its lane counts only when a level's task ran there
+/// too (the serial executor).
+uint32_t AnalysisLanes(const std::vector<ParsedSpan>& spans) {
+  std::set<std::pair<int, int>> lanes;
+  for (const ParsedSpan& s : spans) {
+    SpanKind kind;
+    if (!mce::obs::SpanKindFromName(s.name, &kind)) continue;
+    if (kind == SpanKind::kWorkerIdle ||
+        (mce::obs::IsDagTask(kind) && kind != SpanKind::kReduce)) {
+      lanes.insert({s.pid, s.tid});
+    }
+  }
+  return static_cast<uint32_t>(lanes.size());
 }
 
 std::string Label(const TaskSpan& t) {
@@ -414,15 +443,29 @@ int Run(const Options& opt) {
                       opt.top),
                   tasks);
 
-  const std::vector<mce::obs::LevelIdle> idle = mce::obs::AttributeIdle(
-      std::span<const TaskSpan>(tasks.data(), tasks.size()));
-  if (!idle.empty()) {
-    std::printf("\nidle attribution (%d workers):\n", idle.front().workers);
-    std::printf("  %-8s %10s %10s %14s\n", "level", "busy_s", "idle_s",
-                "barrier_idle_s");
-    for (const mce::obs::LevelIdle& l : idle) {
-      std::printf("  %-8u %10.4f %10.4f %14.4f\n", l.level, l.busy_seconds,
-                  l.idle_seconds, l.barrier_idle_seconds);
+  const uint32_t workers = AnalysisLanes(parsed);
+  const std::vector<mce::obs::LevelStats> levels = mce::obs::FoldLevels(
+      std::span<const TaskSpan>(tasks.data(), tasks.size()), workers);
+  if (!levels.empty()) {
+    // The columns are the --json "levels" keys; times in seconds.
+    std::printf("\nlevel stats (%u analysis lanes):\n", workers);
+    std::printf("  %-5s %9s %10s %9s %7s %7s %12s %9s %17s %15s %13s "
+                "%22s %15s %15s %12s %20s\n",
+                "level", "nodes", "edges", "feasible", "hubs", "blocks",
+                "block_splits", "cliques", "decompose_seconds",
+                "analyze_seconds", "block_seconds", "busiest_worker_seconds",
+                "analyze_threads", "overlap_seconds", "idle_seconds",
+                "barrier_idle_seconds");
+    for (size_t i = 0; i < levels.size(); ++i) {
+      const mce::obs::LevelStats& l = levels[i];
+      std::printf("  %-5zu %9" PRIu64 " %10" PRIu64 " %9" PRIu64 " %7" PRIu64
+                  " %7" PRIu64 " %12" PRIu64 " %9" PRIu64
+                  " %17.6f %15.6f %13.6f %22.6f %15u %15.6f %12.6f %20.6f\n",
+                  i, l.num_nodes, l.num_edges, l.feasible, l.hubs, l.blocks,
+                  l.block_splits, l.cliques, l.decompose_seconds,
+                  l.analyze_seconds, l.block_seconds,
+                  l.busiest_worker_seconds, l.analyze_threads,
+                  l.overlap_seconds, l.idle_seconds, l.barrier_idle_seconds);
     }
   }
 
