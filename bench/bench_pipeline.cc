@@ -58,8 +58,6 @@ struct RunRow {
   /// Waits parked at task-graph boundaries (other levels' work), kept out
   /// of idle_seconds so utilization reflects the level's own parallelism.
   double barrier_idle_seconds = 0;
-  /// Blocks the pooled engine split into kernel-range shards.
-  uint64_t block_splits = 0;
   /// Analyze-phase utilization: serial-equivalent block work over the
   /// busiest worker's share times the worker count, in (0, 1].
   double utilization = 0;
@@ -91,7 +89,6 @@ RunRow RunOnce(const Graph& g, uint32_t m, decomp::ExecutorKind kind,
     row.overlap_seconds += level.overlap_seconds;
     row.idle_seconds += level.idle_seconds;
     row.barrier_idle_seconds += level.barrier_idle_seconds;
-    row.block_splits += level.block_splits;
     block += level.block_seconds;
     busiest_capacity += level.busiest_worker_seconds * level.analyze_threads;
   }
@@ -102,7 +99,7 @@ RunRow RunOnce(const Graph& g, uint32_t m, decomp::ExecutorKind kind,
 /// Best-of-`reps` run for one engine/thread configuration. Both summary
 /// statistics are best-of-N: wall_seconds is the fastest rep (standard
 /// for a noisy sub-second workload), and the balance telemetry
-/// (utilization, idle, overlap, splits) comes from the best-balanced
+/// (utilization, idle, overlap) comes from the best-balanced
 /// rep within 2% of that wall. On an oversubscribed host, which worker
 /// the OS hands each task to is luck of the draw — reps in the noise
 /// band differ in placement, not in scheduler behavior — so each column
@@ -267,9 +264,9 @@ int main(int argc, char** argv) {
   const uint32_t m = std::max<uint32_t>(2, g.MaxDegree() / 20);
   std::printf("stand-in: %u nodes, %llu edges, m=%u\n", g.num_nodes(),
               static_cast<unsigned long long>(g.num_edges()), m);
-  std::printf("%-8s %7s %10s %10s %8s %11s %9s %9s %7s %7s\n", "engine",
+  std::printf("%-8s %7s %10s %10s %8s %11s %9s %9s %7s\n", "engine",
               "threads", "wall s", "cliques", "levels", "overlap s", "idle s",
-              "barrier s", "splits", "util");
+              "barrier s", "util");
 
   constexpr int kReps = 5;
   std::vector<RunRow> rows;
@@ -281,11 +278,10 @@ int main(int argc, char** argv) {
   }
   for (const RunRow& r : rows) {
     std::printf(
-        "%-8s %7u %10.3f %10llu %8zu %11.4f %9.4f %9.4f %7llu %6.1f%%\n",
+        "%-8s %7u %10.3f %10llu %8zu %11.4f %9.4f %9.4f %6.1f%%\n",
         r.executor, r.threads, r.wall_seconds,
         static_cast<unsigned long long>(r.cliques), r.levels,
         r.overlap_seconds, r.idle_seconds, r.barrier_idle_seconds,
-        static_cast<unsigned long long>(r.block_splits),
         100.0 * r.utilization);
   }
 
@@ -379,11 +375,10 @@ int main(int argc, char** argv) {
                    "\"wall_seconds\": %.6f, \"cliques\": %llu, "
                    "\"levels\": %zu, \"overlap_seconds\": %.6f, "
                    "\"idle_seconds\": %.6f, \"barrier_idle_seconds\": %.6f, "
-                   "\"block_splits\": %llu, \"utilization\": %.4f}%s\n",
+                   "\"utilization\": %.4f}%s\n",
                    r.executor, r.threads, r.wall_seconds,
                    static_cast<unsigned long long>(r.cliques), r.levels,
                    r.overlap_seconds, r.idle_seconds, r.barrier_idle_seconds,
-                   static_cast<unsigned long long>(r.block_splits),
                    r.utilization, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");

@@ -106,7 +106,10 @@ fi
 # per-lane timestamps, balanced B/E pairs, all task kinds present). The
 # Lemma-1 filter runs inside the BlockTasks, so its exported counters are
 # checked against the same run's report: every hub-level clique checked
-# once, the survivors exactly the emitted hub cliques.
+# once, the survivors exactly the emitted hub cliques. Every block is one
+# pool task: each level's BlockTask spans number its --json blocks, at the
+# default and at --max-block-cost 1 (which batches nothing), and no
+# partial-block span appears.
 echo "=== tier-1: trace validation ==="
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
@@ -119,8 +122,31 @@ trap 'rm -rf "$trace_dir"' EXIT
   --json true >"$trace_dir/report_trace.json"
 "$build/tools/trace_check" "$trace_dir/trace.json" \
   --require DecomposeTask,BlockTask,idle
-python3 - "$trace_dir/report_trace.json" "$trace_dir/metrics.json" <<'EOF'
+"$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
+  --executor pooled --threads 4 --max-block-cost 1 \
+  --trace-out="$trace_dir/trace_cost1.json" \
+  --json true >"$trace_dir/report_cost1.json"
+python3 - "$trace_dir/report_trace.json" "$trace_dir/metrics.json" \
+  "$trace_dir/trace.json" "$trace_dir/report_cost1.json" \
+  "$trace_dir/trace_cost1.json" <<'EOF'
 import json, sys
+from collections import Counter
+for report_path, trace_path in ((sys.argv[1], sys.argv[3]),
+                                (sys.argv[4], sys.argv[5])):
+    events = json.load(open(trace_path))["traceEvents"]
+    if any(e.get("name") == "BlockShardTask" for e in events):
+        sys.exit(f"{trace_path}: a BlockShardTask span; every block must "
+                 f"be one task")
+    spans = Counter(e["args"]["level"] for e in events
+                    if e.get("name") == "BlockTask" and e.get("ph") == "B")
+    levels = json.load(open(report_path))["levels"]
+    want = {l: level["blocks"] for l, level in enumerate(levels)
+            if level["blocks"] > 0}
+    if dict(spans) != want:
+        sys.exit(f"{trace_path}: BlockTask spans per level {dict(spans)}, "
+                 f"want --json blocks {want}")
+    print(f"{trace_path}: {sum(spans.values())} BlockTask spans = "
+          f"{sum(want.values())} blocks")
 report = json.load(open(sys.argv[1]))
 counters = json.load(open(sys.argv[2]))["counters"]
 checked = counters.get("exec.filter_cliques_checked", 0)

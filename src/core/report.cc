@@ -70,7 +70,6 @@ std::string RunReportJson(const FindResult& result) {
   os << ",\"overlap_seconds\":" << Double(s.overlap_seconds);
   os << ",\"idle_seconds\":" << Double(s.idle_seconds);
   os << ",\"barrier_idle_seconds\":" << Double(s.barrier_idle_seconds);
-  os << ",\"block_splits\":" << s.block_splits;
   os << ",\"wall_seconds\":" << Double(s.wall_seconds);
   os << ",\"utilization\":" << Double(s.utilization);
   os << ",\"used_fallback\":" << (s.used_fallback ? "true" : "false");
@@ -149,7 +148,7 @@ std::string RunReportJson(const FindResult& result) {
        << ",\"overlap_seconds\":" << Double(l.overlap_seconds)
        << ",\"idle_seconds\":" << Double(l.idle_seconds)
        << ",\"barrier_idle_seconds\":" << Double(l.barrier_idle_seconds)
-       << ",\"block_splits\":" << l.block_splits << "}";
+       << "}";
   }
   os << "]";
   if (result.cluster.has_value()) {

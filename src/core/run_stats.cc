@@ -22,7 +22,6 @@ std::string RunSummaryLine(const RunStats& stats,
      << " overlap_s=" << stats.overlap_seconds
      << " idle_s=" << stats.idle_seconds
      << " barrier_idle_s=" << stats.barrier_idle_seconds;
-  if (stats.block_splits > 0) os << " block_splits=" << stats.block_splits;
   if (stats.wall_seconds > 0) os << " wall_s=" << stats.wall_seconds;
   if (stats.utilization > 0) os << " util=" << stats.utilization;
   const obs::ProgressAccounting& progress = result.progress;
@@ -96,7 +95,6 @@ RunStats ComputeRunStats(const decomp::FindMaxCliquesResult& result) {
     s.overlap_seconds += level.overlap_seconds;
     s.idle_seconds += level.idle_seconds;
     s.barrier_idle_seconds += level.barrier_idle_seconds;
-    s.block_splits += level.block_splits;
     block_seconds += level.block_seconds;
     capacity_seconds +=
         level.busiest_worker_seconds * std::max(1u, level.analyze_threads);

@@ -47,9 +47,6 @@ struct RunStats {
   /// Aggregate worker capacity spent parked at inter-level task-graph
   /// boundaries, summed over levels (LevelStats::barrier_idle_seconds).
   double barrier_idle_seconds = 0;
-  /// BlockTasks the executor split into kernel-range shards, summed over
-  /// levels (0 with splitting disabled or on the serial executor).
-  uint64_t block_splits = 0;
   /// End-to-end pipeline wall time as measured by MaxCliqueFinder::Find
   /// (0 when the stats were derived outside a timed entry point). The
   /// number mce_perf_diff compares across runs.

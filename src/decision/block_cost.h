@@ -3,8 +3,8 @@
 // The execution engine needs a pre-execution score for every block at the
 // moment it is emitted: the pooled executor dispatches ready tasks
 // largest-predicted-first (so a late-emitted giant block cannot stall a
-// level's tail behind small work) and splits any block whose predicted
-// cost exceeds a threshold into per-kernel-range shards. The model reuses
+// level's tail behind small work) and coalesces blocks predicted below a
+// threshold into batches of comparable predicted work. The model reuses
 // the same five features the bestfit classifier consumes (decision/
 // features.h) — nothing new is measured on the block.
 //
@@ -14,7 +14,7 @@
 // construction and near-empty blocks. Density scales the exponential term
 // because sparse blocks prune far below the degeneracy bound. Units are
 // abstract "work units" (roughly adjacency probes), comparable across
-// blocks of one run — only the ordering and the ratio to the split
+// blocks of one run — only the ordering and the ratio to the batching
 // threshold matter, never the absolute value.
 
 #ifndef MCE_DECISION_BLOCK_COST_H_
@@ -45,9 +45,11 @@ BlockFeatures CostFeatures(const Graph& g);
 double EstimateBlockCost(const Graph& g);
 
 /// Number of contiguous kernel-range shards a block of predicted `cost`
-/// should split into so each shard's share is at most `max_cost`:
+/// would split into so each shard's share is at most `max_cost`:
 /// clamp(ceil(cost / max_cost), 1, kernels). A non-positive `max_cost`
-/// disables splitting (returns 1), as does a block with <= 1 kernel.
+/// disables splitting (returns 1), as does a block with <= 1 kernel. The
+/// executors run every block whole; perfbench's shard probe still uses
+/// this to measure what splitting a block would cost.
 size_t PlanShardCount(double cost, double max_cost, size_t kernels);
 
 }  // namespace mce::decision

@@ -55,8 +55,10 @@ BlockAnalysisResult AnalyzeBlock(const Block& block,
                                  const CliqueCallback& emit,
                                  BlockWorkspace* workspace = nullptr);
 
-/// A contiguous range [begin, end) of indices into Block::kernel_local —
-/// the unit an executor splits an oversized BlockTask into.
+/// A contiguous range [begin, end) of indices into Block::kernel_local.
+/// The executors analyze every block whole, as {0, kernel_local.size()};
+/// a narrower range runs one piece of the block (perfbench's shard probe
+/// re-analyzes blocks piece by piece).
 struct KernelRange {
   size_t begin = 0;
   size_t end = 0;
@@ -67,11 +69,9 @@ struct KernelRange {
 /// range already counted as visited — exactly the loop state the whole-
 /// block call reaches when it arrives at range.begin. Concatenating the
 /// emissions of consecutive ranges covering [0, kernel_local.size())
-/// reproduces the whole-block emission byte for byte, which is what lets
-/// an executor analyze one block's shards on different workers and merge
-/// the buffers back in kernel order. The bestfit classification still
-/// looks at the whole block, so every shard runs the same combination the
-/// undivided task would have.
+/// reproduces the whole-block emission byte for byte. The bestfit
+/// classification still looks at the whole block, so every range runs the
+/// combination the whole-block call would.
 BlockAnalysisResult AnalyzeBlock(const Block& block,
                                  const BlockAnalysisOptions& options,
                                  const CliqueCallback& emit,
@@ -88,8 +88,8 @@ MceOptions SelectBlockMce(const BlockAnalysisOptions& options, const Graph& g,
 
 /// Kernel-range Algorithm 4 with the combination already chosen by
 /// SelectBlockMce — the executors classify each block once, at emission,
-/// and every shard of the block runs that choice instead of re-deriving
-/// the features.
+/// and the block's analysis runs that choice instead of re-deriving the
+/// features.
 BlockAnalysisResult AnalyzeBlock(const Block& block, const MceOptions& used,
                                  const CliqueCallback& emit,
                                  BlockWorkspace* workspace, KernelRange range);

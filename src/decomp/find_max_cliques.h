@@ -69,13 +69,12 @@ enum class ExecutorKind : uint8_t {
   kPooled = 2,
 };
 
-/// Default BlockTask split threshold, in decision::EstimateBlockCost work
-/// units. Calibrated on the bench_pipeline social stand-in, where per-level
-/// block costs run from a few hundred (the sparse mass) up to ~80k (dense
-/// planted-clique blocks) and the deepest hub levels collapse to a single
-/// ~13k block: 8000 shards every block that can dominate a level — or BE a
-/// level — while leaving the sparse mass whole, so shard bookkeeping stays
-/// off the common path.
+/// Default tiny-block batching threshold (FindMaxCliquesOptions::
+/// max_block_cost), in decision::EstimateBlockCost work units. On the
+/// bench_pipeline social stand-in, per-level block costs run from a few
+/// hundred (the sparse mass) up to ~80k (dense planted-clique blocks):
+/// 8000 batches the sparse mass and leaves every block that can dominate
+/// a level as its own task.
 inline constexpr double kDefaultMaxBlockCost = 8000.0;
 
 /// Combination used by the degenerate fallback (whole-graph MCE of the
@@ -99,14 +98,19 @@ struct FindMaxCliquesOptions {
   /// cliques (content and order) are identical to the serial run; 0 = one
   /// thread per hardware thread.
   uint32_t num_threads = 1;
-  /// Cost-guided BlockTask splitting (pooled executor). A block whose
-  /// predicted analysis cost (decision::EstimateBlockCost over the block's
-  /// classification features) exceeds max_block_cost is split into
-  /// contiguous kernel-range shards of at most that predicted share, each
-  /// running as its own pool task; shard buffers are merged back in kernel
-  /// order, so emission stays byte-identical to the undivided task. Ready
-  /// tasks dispatch largest-predicted-first either way. split_blocks=false
-  /// (CLI --no-split) or max_block_cost <= 0 keeps blocks indivisible.
+  /// Tiny-block batching (pooled executor, more than one thread). Every
+  /// block is analyzed whole, by one task. A block whose predicted
+  /// analysis cost (decision::EstimateBlockCost over the block's
+  /// classification features) is below max_block_cost joins its level's
+  /// batch, which runs as one pool task once it holds 4x max_block_cost
+  /// of predicted work (1x on pools wider than 4 threads), before the
+  /// decompose worker waits on the memory budget, or when the level's
+  /// decomposition ends; any other block is its own task. Ready
+  /// tasks dispatch shallowest level first, then largest predicted cost.
+  /// split_blocks=false (CLI --no-split) or max_block_cost <= 0 makes
+  /// every block its own task. Emission is byte-identical either way. The
+  /// names date from when a block above max_block_cost was also split
+  /// into kernel-range shards.
   bool split_blocks = true;
   double max_block_cost = kDefaultMaxBlockCost;
   /// Execution engine selection; see ExecutorKind.
@@ -136,7 +140,7 @@ struct FindMaxCliquesOptions {
   /// Live progress accounting (src/obs/progress.h). Unlike trace/metrics
   /// there is no process-wide installed fallback: progress is inherently
   /// run-scoped, so it is options-only. When set, executors register each
-  /// block's EstimateBlockCost at emission, retire it on block/shard
+  /// block's EstimateBlockCost at emission, retire it on block
   /// completion (the fallback MCE counts as one block), and fill the
   /// final ProgressAccounting in the run stats. A TelemetrySampler
   /// attached to the same estimator turns this into the NDJSON heartbeat

@@ -3,18 +3,18 @@
 // Scheduling differences vs. the serial depth-first walk:
 //  * BlockTasks are submitted the moment BuildBlocksStreaming emits each
 //    block, so analysis starts while the level is still decomposing.
-//  * Task granularity follows the block cost model (DESIGN.md §7): blocks
-//    predicted above max_block_cost split into kernel-range shards, blocks
-//    below it coalesce into batches of about that much predicted work, and
-//    ready tasks dispatch largest-predicted-first.
+//  * Task granularity follows the block cost model (DESIGN.md §7): a block
+//    is one analysis unit, blocks predicted below max_block_cost coalesce
+//    into batches of a few times that much predicted work, and ready tasks
+//    dispatch shallowest level first, then largest-predicted-first.
 //  * DecomposeTask(h+1) depends only on Cut(h)'s hub set, so it is
 //    submitted before level h's blocks are even built — the next level's
 //    induce/cut/build runs concurrently with the tail of level-h analysis
 //    (the measured window is LevelStats::overlap_seconds).
-//  * Every BlockTask (and shard) runs the serial executor's per-clique
-//    step — MapExpandAndFilterClique, the Lemma-1 check at levels >= 1 —
-//    and buffers only the survivors, so a level is ready the moment its
-//    last block finishes.
+//  * Every BlockTask runs the serial executor's per-clique step —
+//    MapExpandAndFilterClique, the Lemma-1 check at levels >= 1 — and
+//    buffers only the survivors, so a level is ready the moment its last
+//    block finishes.
 //
 // Delivery (cliques, observer records, stats) happens only on the calling
 // thread, levels in order and blocks in decomposition order, off buffered
@@ -23,7 +23,7 @@
 //
 // Timing: every task closes one window through the RunReporter, whose span
 // fold (obs::LevelFold) yields each level's LevelStats at delivery and
-// which retires progress and counts the filter and split work.
+// which retires progress and counts the filter work.
 //
 // Synchronization: all cross-task state hangs off LevelRun records owned
 // by a deque guarded by one engine mutex. Tasks receive stable element
@@ -43,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "decision/block_cost.h"
 #include "decomp/block_analysis.h"
 #include "decomp/cut.h"
 #include "exec/executor.h"
@@ -58,41 +57,26 @@ namespace mce::exec {
 
 namespace {
 
-/// One kernel-range shard of a BlockTask: its range, buffered cliques, and
-/// measured seconds. An unsplit block is the degenerate single-shard case.
-struct ShardRun {
-  decomp::KernelRange range;
-  decomp::BlockAnalysisResult result;
-  /// The shard's surviving cliques (original ids, each sorted — the
-  /// MapExpandAndFilterClique output), in emission order; concatenating
-  /// the shards in kernel order reproduces the undivided task's buffer
-  /// byte for byte. A CliqueSink so the buffer can spill past the level's
-  /// threshold without changing replay order.
-  std::unique_ptr<CliqueSink> cliques;
-  double seconds = 0;
-};
-
-/// Execution state of one BlockTask. The shard vector is sized at block
-/// emission and never resized, so shard tasks hold stable element
-/// pointers.
+/// Execution state of one BlockTask.
 struct BlockExec {
-  /// decision::EstimateBlockCost score, computed at emission; drives both
-  /// the largest-first dispatch order and the split decision.
+  /// decision::EstimateBlockCost score, computed at emission; drives the
+  /// largest-first dispatch order and the batching decision.
   double cost = 0;
   /// The block's classification, fixed at emission from the same features
-  /// as `cost`; every shard runs it.
+  /// as `cost`.
   MceOptions used;
   /// The block's EstimatedBytes(), charged to the MemoryBudget at
   /// emission; zeroed wherever the charge is released.
   uint64_t block_bytes = 0;
-  /// EstimateAnalysisBytes of the block — the per-shard workspace charge
-  /// admission is decided against.
+  /// EstimateAnalysisBytes of the block — the workspace charge admission
+  /// is decided against.
   uint64_t ws_bytes = 0;
-  std::vector<ShardRun> shards;
-  size_t shards_done = 0;  // engine mutex
-  /// Whole-block aggregate, written by the last-finishing shard: `used`
-  /// and the summed clique count / serial-equivalent seconds.
   decomp::BlockAnalysisResult result;
+  /// The block's surviving cliques (original ids, each sorted — the
+  /// MapExpandAndFilterClique output), in emission order. A CliqueSink so
+  /// the buffer can spill past the level's threshold without changing
+  /// replay order.
+  std::unique_ptr<CliqueSink> cliques;
   double seconds = 0;
 };
 
@@ -118,11 +102,10 @@ struct LevelRun {
   std::deque<decomp::Block> blocks;
   std::deque<BlockExec> execs;
   /// Tiny-block batch under construction (touched only by the level's
-  /// decompose worker, before blocks_final). Blocks predicted under the
-  /// split threshold are coalesced into one pool task aimed at about
-  /// max_block_cost of work, the same granularity giant blocks are split
-  /// down to — dispatch overhead then scales with predicted work, not
-  /// block count.
+  /// decompose worker, before blocks_final). Blocks predicted under
+  /// max_block_cost are coalesced into one pool task aimed at a multiple
+  /// of that much work — dispatch overhead then scales with predicted
+  /// work, not block count.
   struct BatchItem {
     decomp::Block* block = nullptr;
     BlockExec* exec = nullptr;
@@ -292,25 +275,18 @@ class PooledEngine {
     if (ready) cv_.notify_all();
   }
 
-  /// Emission of one block by DecomposeTask(level): score it, plan its
-  /// shards, and dispatch them through the cost-ordered queue.
+  /// Emission of one block by DecomposeTask(level): score it, then add it
+  /// to the level's batch or dispatch it alone through the cost-ordered
+  /// queue.
   void EmitBlock(LevelRun* lr, decomp::Block&& b) {
     // One feature pass, here on the decompose worker, fixes the dispatch
-    // order, the split decision and the classification every shard runs
-    // before any worker picks the block up.
+    // order, the batching decision and the classification before any
+    // worker picks the block up.
     const BlockPlan plan = PlanBlock(b, analysis_options_);
     const double cost = plan.cost;
-    // Registered at emission — before any shard can run — so a progress
+    // Registered at emission — before its task can run — so a progress
     // sampler sees the work as pending the moment it exists.
     if (progress_ != nullptr) progress_->RegisterBlock(lr->level, cost);
-    const size_t kernels = b.kernel_local.size();
-    const bool splittable = options_.split_blocks &&
-                            options_.max_block_cost > 0 &&
-                            pool_.num_threads() > 1;
-    const size_t shards =
-        splittable
-            ? decision::PlanShardCount(cost, options_.max_block_cost, kernels)
-            : 1;
 
     decomp::Block* block = nullptr;
     BlockExec* exec = nullptr;
@@ -324,14 +300,13 @@ class PooledEngine {
       exec = &lr->execs.back();
       exec->cost = cost;
       exec->used = plan.used;
-      exec->shards.resize(shards);
     }
     // Materialized-block charge: the block exists from emission until its
-    // last shard frees it (or delivery, when an observer holds it).
+    // task frees it (or delivery, when an observer holds it).
     // Gated like an analysis admission — while analyses are in flight the
     // decompose worker waits for their releases instead of piling blocks
-    // past the budget; the shard tasks already dispatched for earlier
-    // blocks keep the pool busy meanwhile.
+    // past the budget; the tasks already dispatched for earlier blocks
+    // keep the pool busy meanwhile.
     exec->block_bytes = block->EstimatedBytes();
     exec->ws_bytes = EstimateAnalysisBytes(*block);
     if (budget_.limited() && budget_.WouldExceed(exec->block_bytes)) {
@@ -341,46 +316,36 @@ class PooledEngine {
       FlushBatch(lr);
     }
     GateCharge(lr->level, exec->block_bytes, /*admit_analysis=*/false);
-    // Shard sinks are created here, on the decompose worker, before any
-    // shard task can observe its slot through the dispatch queue.
-    for (ShardRun& run : exec->shards) {
-      run.cliques = MakeCliqueSink(&lr->spill);
-    }
-    if (shards == 1 && splittable && cost < options_.max_block_cost) {
+    // The sink is created here, on the decompose worker, before the block's
+    // task can observe it through the dispatch queue.
+    exec->cliques = MakeCliqueSink(&lr->spill);
+    const bool batching = options_.split_blocks &&
+                          options_.max_block_cost > 0 &&
+                          pool_.num_threads() > 1;
+    if (batching && cost < options_.max_block_cost) {
       // Tiny block: coalesce instead of dispatching. The batch flushes
-      // once it accumulates a split threshold's worth of predicted work
-      // (and unconditionally at decompose end), so every pool task —
-      // shard, batch, or lone mid-sized block — carries comparable work.
-      exec->shards[0].range = {0, kernels};
+      // once it accumulates enough predicted work (and unconditionally at
+      // decompose end), so tiny blocks never pay one handoff each.
       lr->batch.push_back({block, exec, index});
       lr->batch_cost += cost;
-      // Batches flush about a split-threshold's worth of work at a time:
-      // large enough that dispatch and context-switch overhead is
+      // Large enough that dispatch and context-switch overhead is
       // amortized (tiny tasks on few cores otherwise spend more time in
       // handoffs than analysis), small enough that a level still breaks
       // into many independently schedulable tasks. Narrow pools coarsen
       // the batches further — with few workers there is little balancing
       // to gain, and handoff overhead dominates; wide pools keep them at
-      // the split granularity so every worker has work to pull.
+      // max_block_cost so every worker has work to pull.
       const double mult = pool_.num_threads() <= 4 ? 4.0 : 1.0;
       if (lr->batch_cost >= mult * options_.max_block_cost) FlushBatch(lr);
       return;
     }
-    // Contiguous, even kernel ranges; every shard carries an equal share
-    // of the predicted cost into the dispatch order.
-    const double shard_cost = cost / static_cast<double>(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      ShardRun& run = exec->shards[s];
-      run.range.begin = kernels * s / shards;
-      run.range.end = kernels * (s + 1) / shards;
-      queue_.Push(lr->level, shard_cost, [this, lr, block, exec, s, index] {
-        ShardTask(lr, block, exec, s, index);
-      });
-      // One generic pull per queued task: the pool stays FIFO while the
-      // queue decides which analysis task each freed worker runs —
-      // shallowest level first, then highest predicted cost (DESIGN.md §7).
-      pool_.Submit([this] { queue_.RunNext(); });
-    }
+    queue_.Push(lr->level, cost, [this, lr, block, exec, index] {
+      BlockTask(lr, block, exec, index);
+    });
+    // One generic pull per queued task: the pool stays FIFO while the
+    // queue decides which analysis task each freed worker runs —
+    // shallowest level first, then highest predicted cost (DESIGN.md §7).
+    pool_.Submit([this] { queue_.RunNext(); });
   }
 
   /// Dispatches the level's pending tiny-block batch as one pool task
@@ -391,7 +356,7 @@ class PooledEngine {
     const double cost = lr->batch_cost;
     queue_.Push(lr->level, cost, [this, lr, items = std::move(lr->batch)] {
       for (const LevelRun::BatchItem& it : items) {
-        ShardTask(lr, it.block, it.exec, 0, it.index);
+        BlockTask(lr, it.block, it.exec, it.index);
       }
     });
     lr->batch = {};
@@ -399,20 +364,17 @@ class PooledEngine {
     pool_.Submit([this] { queue_.RunNext(); });
   }
 
-  /// BlockShardTask(level, i, s): Algorithm 4 over the shard's kernel
-  /// range, each clique through the per-clique filter step into the
-  /// shard's buffer slot. The last-finishing shard aggregates the block
-  /// and advances the level's completion state.
-  void ShardTask(LevelRun* lr, decomp::Block* block, BlockExec* exec,
-                 size_t shard, uint64_t index) {
+  /// BlockTask(level, i): Algorithm 4 over the whole block, each clique
+  /// through the per-clique filter step into the block's buffer; then
+  /// advances the level's completion state.
+  void BlockTask(LevelRun* lr, decomp::Block* block, BlockExec* exec,
+                 uint64_t index) {
     const size_t worker_index = ThreadPool::CurrentWorkerIndex();
     const size_t worker =
         worker_index == ThreadPool::kNotAWorker ? 0 : worker_index;
-    ShardRun& run = exec->shards[shard];
-    // Budget admission: under a limit, a shard whose workspace estimate
+    // Budget admission: under a limit, a task whose workspace estimate
     // would push the tracked total past the budget waits for in-flight
-    // analyses to finish (the stall happens before begin_us so it never
-    // inflates the block's measured window).
+    // analyses to finish.
     AdmitAnalysis(lr->level, exec->ws_bytes);
     // The window opens after the admission stall so a budget wait never
     // shows up as analysis work.
@@ -423,53 +385,29 @@ class PooledEngine {
     Clique scratch;
     Clique expand_scratch;
     uint64_t kept = 0;
-    run.result = decomp::AnalyzeBlock(
+    exec->result = decomp::AnalyzeBlock(
         *block, exec->used,
         [&](std::span<const NodeId> c) {
           if (MapExpandAndFilterClique(original_, c, lr->to_original,
                                        lr->level, expansion_, &expand_scratch,
                                        &scratch)) {
-            run.cliques->AppendRaw(scratch);
+            exec->cliques->AppendRaw(scratch);
             ++kept;
           }
         },
-        &workspaces_[worker], run.range);
-    const size_t total = exec->shards.size();
-    // A shard carries an equal predicted share of its block — matching the
-    // dispatch queue — and the reporter retires it as progress.
-    const double share = exec->cost / static_cast<double>(total);
-    reporter_.Close(
-        window, total > 1
-                    ? MakeBlockShardSpan(lr->level, index, run.range,
-                                         run.result.num_cliques, kept, total,
-                                         run.result.used, share)
-                    : MakeBlockSpan(*block, run.result, lr->level, index,
-                                    exec->cost, kept,
-                                    reporter_.exports_spans()));
-    run.seconds = window.Seconds();
+        &workspaces_[worker],
+        decomp::KernelRange{0, block->kernel_local.size()});
+    reporter_.Close(window, MakeBlockSpan(*block, exec->result, lr->level,
+                                          index, exec->cost, kept,
+                                          reporter_.exports_spans()));
+    exec->seconds = window.Seconds();
     FinishAnalysis(exec->ws_bytes);
-
-    bool block_done = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      block_done = ++exec->shards_done == total;
-    }
-    if (!block_done) return;
-
-    // All shard writers finished before the shards_done transition this
-    // thread observed, so their slots are safe to read unlocked.
-    exec->result.used = exec->used;
-    for (const ShardRun& s : exec->shards) {
-      exec->result.num_cliques += s.result.num_cliques;
-      exec->seconds += s.seconds;
-    }
-    // Workload metrics count whole blocks, however many shards ran them.
     reporter_.RecordBlock(*block, exec->result, exec->seconds);
     if (!options_.block_observer) {
       // Without an observer, delivery never reads the block again — only
-      // this task's aggregates. Freeing the subgraph here keeps the
-      // engine's live footprint near the serial one-block-at-a-time
-      // profile instead of holding every block until the level delivers.
+      // this task's results. Freeing the subgraph here keeps the engine's
+      // live footprint near the serial one-block-at-a-time profile
+      // instead of holding every block until the level delivers.
       *block = decomp::Block();
       ReleaseBlockCharge(exec);
     }
@@ -523,19 +461,13 @@ class PooledEngine {
         emit_(c, lr->level);
       });
     }
-    // Blocks in decomposition order, shards in kernel order: the serial
-    // emission order.
+    // Blocks in decomposition order: the serial emission order.
     for (size_t i = 0; i < lr->execs.size(); ++i) {
       const BlockExec& exec = lr->execs[i];
-      for (const ShardRun& run : exec.shards) {
-        run.cliques->ForEach([&](std::span<const NodeId> c) {
-          ++out.cliques_emitted;
-          emit_(c, lr->level);
-        });
-      }
-      // The observer sees one record per block — the aggregated
-      // whole-block result — whether or not it ran as shards, so its
-      // stream matches the serial executor's.
+      exec.cliques->ForEach([&](std::span<const NodeId> c) {
+        ++out.cliques_emitted;
+        emit_(c, lr->level);
+      });
       if (options_.block_observer) {
         options_.block_observer(MakeBlockTaskRecord(
             lr->blocks[i], exec.result, exec.seconds, lr->level, i,
@@ -554,7 +486,7 @@ class PooledEngine {
       // Blocks still materialized (observer runs hold them until delivery)
       // release their charge here.
       ReleaseBlockCharge(&exec);
-      for (const ShardRun& run : exec.shards) absorb(run.cliques.get());
+      absorb(exec.cliques.get());
     }
     absorb(lr->fallback_cliques.get());
 
@@ -633,7 +565,7 @@ class PooledEngine {
     {
       std::unique_lock<std::mutex> lock(admit_mu_);
       // Waiting on outstanding blocks is sound only when blocks free at
-      // shard completion: with an observer they are held until delivery,
+      // task completion: with an observer they are held until delivery,
       // which needs this decompose task to finish first — waiting on them
       // here would deadlock the level against itself.
       const bool eager_block_release = !options_.block_observer;
@@ -719,7 +651,7 @@ class PooledEngine {
   std::deque<std::unique_ptr<LevelRun>> levels_;
   bool chain_done_ = false;
   std::vector<BlockWorkspace> workspaces_;
-  /// Ready analysis tasks (shards and batches), dispatched shallowest level
+  /// Ready analysis tasks (blocks and batches), dispatched shallowest level
   /// first, then largest predicted cost, by generic pull thunks on the
   /// pool.
   CostOrderedQueue queue_;

@@ -98,7 +98,7 @@ class SerialExecutor final : public Executor {
       // analysis runs, the progress denominator (registered before the
       // analysis so a sampler sees the work as pending, not invisible),
       // the observer record, and the block span. The serial walk never
-      // reorders or splits, but plans blocks exactly as the pooled engine
+      // reorders or batches, but plans blocks exactly as the pooled engine
       // does.
       const BlockPlan plan = PlanBlock(block, analysis_options);
       if (progress != nullptr) progress->RegisterBlock(level, plan.cost);

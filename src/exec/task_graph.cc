@@ -217,26 +217,6 @@ obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
   return e;
 }
 
-obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
-                                   const decomp::KernelRange& range,
-                                   uint64_t cliques, uint64_t kept,
-                                   uint64_t shards, const MceOptions& used,
-                                   double cost) {
-  obs::TraceEvent e;
-  e.kind = obs::SpanKind::kBlockShard;
-  e.level = level;
-  e.index = block_index;
-  e.args[0] = range.begin;
-  e.args[1] = range.end;
-  e.args[2] = cliques;
-  e.args[3] = shards;
-  e.kept = kept;
-  e.algorithm = static_cast<uint8_t>(used.algorithm);
-  e.storage = static_cast<uint8_t>(used.storage);
-  e.cost = cost;
-  return e;
-}
-
 void CostOrderedQueue::Push(uint32_t level, double cost,
                             std::function<void()> fn) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -303,8 +283,6 @@ RunReporter::RunReporter(const decomp::FindMaxCliquesOptions& options)
                     : obs::MetricsRegistry::installed()) {
   if (registry_ == nullptr) return;
   blocks_ = &registry_->GetCounter("exec.blocks_analyzed");
-  blocks_split_ = &registry_->GetCounter("exec.blocks_split");
-  block_shards_ = &registry_->GetCounter("exec.block_shards");
   block_cliques_ = &registry_->GetCounter("exec.block_cliques");
   filter_checked_ = &registry_->GetCounter("exec.filter_cliques_checked");
   filter_kept_ = &registry_->GetCounter("exec.filter_cliques_kept");
@@ -335,30 +313,17 @@ void RunReporter::Close(TaskWindow& window, obs::TraceEvent e) {
   e.prof = window.self_;
   obs::TaskSpan span = obs::TaskSpanFromEvent(e);
   span.lane_tid = window.lane_;
-  obs::LevelFold::BlockStep step;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    step = fold_.Add(span);
+    fold_.Add(span);
   }
   if (obs::IsAnalysisTask(e.kind)) {
-    if (progress_ != nullptr) {
-      if (step.done) {
-        progress_->RetireBlock(e.level, e.cost);
-      } else {
-        progress_->RetireCost(e.cost);
-      }
-    }
-    if (registry_ != nullptr) {
-      // Level-0 cliques are maximal by construction: only deeper levels
-      // run the Lemma-1 check.
-      if (e.level > 0) {
-        filter_checked_->Add(span.cliques);
-        filter_kept_->Add(span.kept);
-      }
-      if (e.kind == obs::SpanKind::kBlockShard && step.first) {
-        blocks_split_->Increment();
-        block_shards_->Add(span.shards);
-      }
+    if (progress_ != nullptr) progress_->RetireBlock(e.level, e.cost);
+    // Level-0 cliques are maximal by construction: only deeper levels run
+    // the Lemma-1 check.
+    if (registry_ != nullptr && e.level > 0) {
+      filter_checked_->Add(span.cliques);
+      filter_kept_->Add(span.kept);
     }
   }
   if (profiling_) profile_.Add(span);

@@ -59,15 +59,15 @@ class RunReporter;
 /// The one construction site of a BlockTaskRecord, the record every
 /// executor delivers to options.block_observer. `estimated_cost` is the
 /// decision::EstimateBlockCost score of the block (the number that also
-/// drives cost-guided dispatch and splitting).
+/// drives cost-guided dispatch and batching).
 decomp::BlockTaskRecord MakeBlockTaskRecord(
     const decomp::Block& block, const decomp::BlockAnalysisResult& result,
     double seconds, uint32_t level, uint64_t index, double estimated_cost);
 
 /// A block's emission-time plan, from one feature pass over the block:
-/// the decision::EstimateBlockCost score (dispatch order, the split
+/// the decision::EstimateBlockCost score (dispatch order, the batching
 /// decision, progress units, the observer record and the block span) and
-/// the bestfit classification every shard of the block runs.
+/// the bestfit classification the block's analysis runs.
 struct BlockPlan {
   double cost = 0;
   MceOptions used;
@@ -178,16 +178,6 @@ obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
                               uint32_t level, uint64_t index, double cost,
                               uint64_t kept, bool roles);
 
-/// One kernel-range shard of a split BlockTask: a kBlockShard span tagged
-/// with the block it belongs to, the half-open kernel range it enumerated,
-/// its clique and kept counts, the block's total shard count, and its
-/// share of the block's predicted cost.
-obs::TraceEvent MakeBlockShardSpan(uint32_t level, uint64_t block_index,
-                                   const decomp::KernelRange& range,
-                                   uint64_t cliques, uint64_t kept,
-                                   uint64_t shards, const MceOptions& used,
-                                   double cost);
-
 /// Priority dispatch queue for ready analysis tasks. The thread pool runs
 /// plain FIFO; cost-guided scheduling (DESIGN.md §7) is layered on top by
 /// submitting generic "pull" thunks to the pool and letting each pull run
@@ -266,7 +256,7 @@ class TaskWindow {
 
 /// The run's one reporting path. Every DAG task (obs::IsDagTask) reports
 /// by closing its TaskWindow here, so LevelStats, progress retirement, the
-/// filter/split counters and the profile are folds over the spans
+/// filter counters and the profile are folds over the spans
 /// mce_trace_analyze reads back from a trace. Instrument lookups happen
 /// once, at construction. Thread-safe.
 class RunReporter {
@@ -283,7 +273,7 @@ class RunReporter {
 
   /// Closes `window` with its task's span `e` (stamped with the window and
   /// its self counter delta) and folds it: into its level, into progress
-  /// and the filter/split counters (analysis spans), into the trace when
+  /// and the filter counters (analysis spans), into the trace when
   /// tracing and into the profile when profiling.
   void Close(TaskWindow& window, obs::TraceEvent e);
 
@@ -323,8 +313,6 @@ class RunReporter {
   std::atomic<uint64_t> admission_stall_micros_{0};
   obs::MetricsRegistry* const registry_;
   obs::Counter* blocks_ = nullptr;
-  obs::Counter* blocks_split_ = nullptr;
-  obs::Counter* block_shards_ = nullptr;
   obs::Counter* block_cliques_ = nullptr;
   obs::Counter* filter_checked_ = nullptr;
   obs::Counter* filter_kept_ = nullptr;

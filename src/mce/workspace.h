@@ -13,10 +13,8 @@
 // Steady state — after the deepest/largest input a workspace has seen —
 // performs zero heap allocations (regression-tested in mce_alloc_test).
 // None of these types are thread-safe; give each worker its own. The
-// pooled executor keys one workspace per pool worker, and a kernel-range
-// shard of a split BlockTask is just another AnalyzeBlock call on its
-// worker's workspace — shards reuse the same grown buffers as whole
-// blocks, so splitting adds no steady-state allocation.
+// pooled executor keys one workspace per pool worker, so every block a
+// worker analyzes reuses the buffers its earlier blocks grew.
 
 #ifndef MCE_MCE_WORKSPACE_H_
 #define MCE_MCE_WORKSPACE_H_

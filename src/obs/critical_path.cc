@@ -33,7 +33,6 @@ std::vector<size_t> Dependencies(const TaskSpan& cur,
       }
       break;
     case SpanKind::kBlock:
-    case SpanKind::kBlockShard:
     case SpanKind::kFallback:
       collect([&](const TaskSpan& s) {
         return s.kind == SpanKind::kDecompose && s.level == cur.level;
@@ -51,7 +50,6 @@ bool IsDagTask(SpanKind kind) {
   switch (kind) {
     case SpanKind::kDecompose:
     case SpanKind::kBlock:
-    case SpanKind::kBlockShard:
     case SpanKind::kFallback:
     case SpanKind::kReduce:
       return true;
@@ -61,8 +59,7 @@ bool IsDagTask(SpanKind kind) {
 }
 
 bool IsAnalysisTask(SpanKind kind) {
-  return kind == SpanKind::kBlock || kind == SpanKind::kBlockShard ||
-         kind == SpanKind::kFallback;
+  return kind == SpanKind::kBlock || kind == SpanKind::kFallback;
 }
 
 TaskSpan TaskSpanFromEvent(const TraceEvent& e) {
@@ -88,10 +85,6 @@ TaskSpan TaskSpanFromEvent(const TraceEvent& e) {
       break;
     case SpanKind::kBlock:
       s.cliques = e.args[3];
-      break;
-    case SpanKind::kBlockShard:
-      s.cliques = e.args[2];
-      s.shards = e.args[3];
       break;
     case SpanKind::kFallback:
     case SpanKind::kReduce:
@@ -229,8 +222,8 @@ std::vector<Straggler> RankStragglersByDeviation(
   return all;
 }
 
-LevelFold::BlockStep LevelFold::Add(const TaskSpan& span) {
-  if (!IsDagTask(span.kind) || span.kind == SpanKind::kReduce) return {};
+void LevelFold::Add(const TaskSpan& span) {
+  if (!IsDagTask(span.kind) || span.kind == SpanKind::kReduce) return;
   Level& level = levels_[span.level];
   // Microseconds held as doubles: every sum of them is exact, so the
   // serial walk's idle, barrier and overlap come out exactly 0.
@@ -243,24 +236,16 @@ LevelFold::BlockStep LevelFold::Add(const TaskSpan& span) {
     level.stats.num_edges = span.edges;
     level.stats.feasible = span.feasible;
     level.stats.hubs = span.hubs;
-    return {};
+    return;
   }
   level.analysis.push_back(window);
   level.stats.cliques += span.cliques;
-  BlockStep step{true, true};
-  if (span.kind == SpanKind::kBlockShard) {
-    uint64_t& folded = level.shards_folded[span.index];
-    step = {folded == 0, ++folded == span.shards};
-    if (step.done) level.shards_folded.erase(span.index);
-    if (step.first) ++level.stats.block_splits;
-  }
   // The m-core fallback enumerates the level graph itself: no block.
   if (span.kind == SpanKind::kFallback) {
     level.fallback = true;
-  } else if (step.first) {
+  } else {
     ++level.stats.blocks;
   }
-  return step;
 }
 
 LevelStats LevelFold::Finish(uint32_t level_index, uint32_t workers) {

@@ -3,7 +3,7 @@
 // The engine's task DAG is known by construction (DESIGN.md §7): the
 // reduce prepass runs first, DecomposeTask(L) depends on DecomposeTask
 // (L-1) (it is submitted right after Cut(L-1)), every BlockTask /
-// BlockShardTask / FallbackTask of level L depends on DecomposeTask(L).
+// FallbackTask of level L depends on DecomposeTask(L).
 // This module reconstructs that DAG from a span list — recorded
 // TraceEvents or events parsed back out of a Chrome-trace file — and
 // computes:
@@ -52,7 +52,6 @@ struct TaskSpan {
   double cost = 0;      // EstimateBlockCost prediction; 0 = none
   uint64_t cliques = 0;
   uint64_t kept = 0;    // analysis spans: survivors of the per-clique step
-  uint64_t shards = 0;  // BlockShardTask: its block's shard count
   // DecomposeTask: the level graph and its cut.
   uint64_t nodes = 0, edges = 0, feasible = 0, hubs = 0;
   CounterDelta prof;
@@ -65,15 +64,15 @@ struct TaskSpan {
 };
 
 /// True for kinds that are nodes of the task DAG (decompose, block,
-/// shard, fallback, reduce).
+/// fallback, reduce).
 bool IsDagTask(SpanKind kind);
 
-/// True for a level's analysis kinds: block, shard and fallback.
+/// True for a level's analysis kinds: block and fallback.
 bool IsAnalysisTask(SpanKind kind);
 
 /// The TaskSpan of one DAG task event — the one place a span's args are
 /// read out by kind. Cliques count once, at the span that
-/// enumerated them: a block or shard its enumerated cliques (before the
+/// enumerated them: a block its enumerated cliques (before the
 /// Lemma-1 filter it runs), the fallback its enumerated cliques, the
 /// reduce prepass its trivial cliques. Lane assignment mirrors
 /// ToChromeTraceJson for synthetic lanes; every other event lands on lane
@@ -132,7 +131,7 @@ struct LevelStats {
   uint64_t num_edges = 0;
   uint64_t feasible = 0;        // |N_f|
   uint64_t hubs = 0;            // |N_h|
-  uint64_t blocks = 0;          // a split block counts once
+  uint64_t blocks = 0;          // one BlockTask span each
   uint64_t cliques = 0;         // cliques emitted by this level's blocks
                                 // (before the maximality filter)
   double decompose_seconds = 0; // self(D)
@@ -155,8 +154,6 @@ struct LevelStats {
   /// boundary while none of the level's tasks ran. This and the two above
   /// are exactly 0 on the serial executor.
   double barrier_idle_seconds = 0;
-  /// Blocks split into kernel-range shards.
-  uint64_t block_splits = 0;
 };
 
 /// The one fold from task spans to LevelStats, run live by
@@ -165,15 +162,8 @@ struct LevelStats {
 /// thread. Not thread-safe.
 class LevelFold {
  public:
-  /// Where an analysis span leaves its block: a split block's shards may
-  /// close in any order; any other analysis span is first and done.
-  struct BlockStep {
-    bool first = false;  // the first of the block's spans to fold
-    bool done = false;   // the last: every shard of the block has closed
-  };
-
   /// Folds one DAG span. A ReduceTask belongs to no level.
-  BlockStep Add(const TaskSpan& span);
+  void Add(const TaskSpan& span);
 
   /// Level `level`'s stats with W = `workers`, once all its spans are in;
   /// drops its spans. Levels finish in order (overlap reads the earlier
@@ -189,7 +179,6 @@ class LevelFold {
     LevelStats stats;  // the counts, as spans arrive
     Window decompose;
     std::vector<Window> analysis;
-    std::map<uint64_t, uint64_t> shards_folded;  // per open split block
     bool fallback = false;
   };
 

@@ -52,11 +52,6 @@ void ProgressEstimator::RegisterBlock(uint32_t level, double cost) {
   ++blocks_;
 }
 
-void ProgressEstimator::RetireCost(double units) {
-  MCE_DCHECK(units >= 0);
-  FetchAdd(completed_cost_, units);
-}
-
 void ProgressEstimator::RetireBlock(uint32_t level, double units) {
   MCE_DCHECK(units >= 0);
   FetchAdd(completed_cost_, units);

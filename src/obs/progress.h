@@ -5,15 +5,15 @@
 // must stay honest while the denominator grows. The estimator treats
 // decision::EstimateBlockCost units as the work currency: decompose
 // registers a block's predicted cost the moment the block is emitted,
-// and block (or shard) completion retires it. The completed fraction is
+// and the block's completion retires it. The completed fraction is
 // reported as a high-water mark, so it is monotone non-decreasing even
 // when a new level suddenly inflates the denominator, and the ETA comes
 // from an EWMA of cost-throughput rather than the raw fraction (a run
 // that is 90% done by block count may have its one monster block left).
 //
 // Thread model: RegisterBlock/RetireBlock take a mutex (once per block —
-// cheap next to analysing the block); RetireCost/AddCliques/AddSpill are
-// lock-free atomics, safe on the per-shard and per-clique hot paths.
+// cheap next to analysing the block); AddCliques/AddSpillChunk are
+// lock-free atomics, safe on the per-clique hot path.
 // TakeSnapshot is called from the TelemetrySampler thread concurrently
 // with all of the above. Executors install a gauge-source callback for
 // run-scoped readings (queue depth, memory budget) and must clear it
@@ -97,14 +97,8 @@ class ProgressEstimator {
   /// Decompose emitted a block at `level` with predicted `cost` units.
   void RegisterBlock(uint32_t level, double cost);
 
-  /// A partial unit of a block finished (e.g. one shard of a split
-  /// block). Lock-free; `units` must be >= 0.
-  void RetireCost(double units);
-
-  /// The last piece of a block at `level` finished: retires its `units`
-  /// (the whole cost of an unsplit block, or the last shard's share) and
-  /// counts the block done. The pieces' shares sum to the registered
-  /// cost up to floating-point rounding.
+  /// A block (or the fallback) at `level` finished: retires its `units`,
+  /// the cost it was registered with, and counts the block done.
   void RetireBlock(uint32_t level, double units);
 
   void AddCliques(uint64_t n);

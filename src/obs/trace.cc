@@ -40,8 +40,6 @@ const char* ToString(SpanKind kind) {
       return "idle";
     case SpanKind::kSimBlock:
       return "SimBlockTask";
-    case SpanKind::kBlockShard:
-      return "BlockShardTask";
     case SpanKind::kReduce:
       return "ReduceTask";
     case SpanKind::kSpillFlush:
@@ -54,9 +52,9 @@ const char* ToString(SpanKind kind) {
 
 bool SpanKindFromName(const std::string& name, SpanKind* kind) {
   static constexpr SpanKind kAll[] = {
-      SpanKind::kDecompose,  SpanKind::kBlock,      SpanKind::kFallback,
-      SpanKind::kWorkerIdle, SpanKind::kSimBlock,   SpanKind::kBlockShard,
-      SpanKind::kReduce,     SpanKind::kSpillFlush, SpanKind::kAdmission};
+      SpanKind::kDecompose, SpanKind::kBlock,      SpanKind::kFallback,
+      SpanKind::kWorkerIdle, SpanKind::kSimBlock,  SpanKind::kReduce,
+      SpanKind::kSpillFlush, SpanKind::kAdmission};
   for (SpanKind k : kAll) {
     if (name == ToString(k)) {
       *kind = k;
@@ -209,22 +207,6 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
               "\"lane\":%llu,\"cliques\":%llu}",
               e.level, static_cast<ull>(e.index), static_cast<ull>(e.args[0]),
               static_cast<ull>(e.args[1]), static_cast<ull>(e.args[2]));
-      break;
-    case SpanKind::kBlockShard:
-      AppendF(out,
-              ",\"args\":{\"level\":%u,\"block\":%llu,\"kernel_begin\":%llu,"
-              "\"kernel_end\":%llu,\"cliques\":%llu,\"shards\":%llu,"
-              "\"kept\":%llu",
-              e.level, static_cast<ull>(e.index), static_cast<ull>(e.args[0]),
-              static_cast<ull>(e.args[1]), static_cast<ull>(e.args[2]),
-              static_cast<ull>(e.args[3]), static_cast<ull>(e.kept));
-      if (e.algorithm != TraceEvent::kNoCombo) {
-        AppendF(out, ",\"algorithm\":%u,\"storage\":%u",
-                static_cast<unsigned>(e.algorithm),
-                static_cast<unsigned>(e.storage));
-      }
-      if (e.cost > 0) AppendF(out, ",\"cost\":%.6g", e.cost);
-      out += "}";
       break;
     case SpanKind::kReduce:
       AppendF(out,

@@ -1,8 +1,8 @@
 // TraceRecorder — task-level span tracing for the execution engine.
 //
-// Every task the engine runs (DecomposeTask, BlockTask and its shards,
-// the m-core fallback, thread-pool worker idle waits, and the simulated
-// cluster's per-lane block placements) can record one begin/end span.
+// Every task the engine runs (DecomposeTask, BlockTask, the m-core
+// fallback, thread-pool worker idle waits, and the simulated cluster's
+// per-lane block placements) can record one begin/end span.
 // Recording is designed so that tracing compiled in but *off* costs one
 // relaxed atomic load per event site:
 //
@@ -47,7 +47,6 @@ enum class SpanKind : uint8_t {
   kFallback = 3,   // the indivisible m-core fallback enumeration
   kWorkerIdle = 4, // a pool worker waiting for work
   kSimBlock = 5,   // a block placement on a simulated cluster lane
-  kBlockShard = 6, // one kernel-range shard of a split BlockTask
   kReduce = 7,     // the graph-reduction prepass (src/reduce)
   kSpillFlush = 8, // one clique-sink chunk flushed to its spill file
   kAdmission = 9,  // a BlockTask held back by the memory budget
@@ -69,9 +68,6 @@ bool SpanKindFromName(const std::string& name, SpanKind* kind);
 ///   kFallback:   {nodes, edges, cliques, 0} + kept
 ///   kWorkerIdle: {} (index = pool worker index)
 ///   kSimBlock:   {worker, lane, cliques, 0}
-///   kBlockShard: {kernel_begin, kernel_end, cliques, shards} + kept
-///                (index = block index; one span per shard of a split
-///                BlockTask)
 ///   kReduce:     {vertices_removed, edges_removed, trivial_cliques,
 ///                rounds}
 ///   kSpillFlush: {cliques, bytes, level_resident_after, file_bytes}
@@ -84,7 +80,7 @@ struct TraceEvent {
   uint32_t level = 0;    // recursion level of the task (0 for pool spans)
   uint64_t index = 0;    // block index / chunk index / worker index
   uint64_t args[4] = {0, 0, 0, 0};
-  /// Cliques of a kBlock / kBlockShard / kFallback span that survived the
+  /// Cliques of a kBlock / kFallback span that survived the
   /// per-clique step (MapExpandAndFilterClique): the ones it delivers.
   uint64_t kept = 0;
   /// MCE combination that ran a kBlock span (values of mce::Algorithm /
@@ -97,9 +93,10 @@ struct TraceEvent {
   /// for the simulated cluster's per-worker timeline lanes.
   int32_t lane_pid = 0;
   int32_t lane_tid = -1;
-  /// Predicted analysis cost (decision::EstimateBlockCost) of a kBlock /
-  /// kBlockShard span; 0 = not predicted. Emitted as a "cost" arg so the
-  /// trace analyzer can rank spans by deviation from the cost model.
+  /// Predicted analysis cost (decision::EstimateBlockCost) of a kBlock or
+  /// kFallback span; 0 = not predicted. A kBlock span emits it as a "cost"
+  /// arg so the trace analyzer can rank spans by deviation from the cost
+  /// model.
   double cost = 0;
   /// Hardware/software counter deltas over the span (see perf_counters.h).
   /// Emitted as args on the Chrome-trace "E" event when source != kNone.

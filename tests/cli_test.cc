@@ -324,6 +324,33 @@ TEST_F(CliTest, MalformedNumericFlagsFail) {
   EXPECT_FALSE(std::ifstream(out).good()) << "wrote a graph anyway";
 }
 
+// A flag the command does not read is an error before any work starts, so
+// a typo cannot quietly run serial, unbudgeted or batched.
+TEST_F(CliTest, MisspelledEnumerateFlagFails) {
+  const std::pair<std::string, std::string> typos[] = {
+      {"thread", " 4"}, {"memory-budjet", " 1M"}, {"no-spilt", ""}};
+  for (const auto& [name, value] : typos) {
+    CommandResult r = RunCli("enumerate --input " + *graph_path_ + " --" +
+                             name + value);
+    EXPECT_EQ(r.exit_code, 1) << name << ": " << r.output;
+    EXPECT_NE(r.output.find("error: unknown flag --" + name + " for enumerate"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("cliques="), std::string::npos) << r.output;
+  }
+}
+
+TEST_F(CliTest, MisspelledGenerateFlagFails) {
+  const std::string out = TempFile("misspelled.txt");
+  std::remove(out.c_str());
+  CommandResult r = RunCli("generate --model er --node 50 --output " + out);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error: unknown flag --node for generate"),
+            std::string::npos)
+      << r.output;
+  EXPECT_FALSE(std::ifstream(out).good()) << "wrote a graph anyway";
+}
+
 TEST_F(CliTest, WellFormedNumericFlagsParse) {
   for (const char* flags : {"--threads=4 --ratio 0.5", "--ratio 0.25",
                             "--threads 4 --max-block-cost 1e4"}) {

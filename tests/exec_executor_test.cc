@@ -133,10 +133,10 @@ TEST(ExecutorIdentityTest, SocialStandInMatchesAcrossExecutors) {
   }
 }
 
-// Classification happens once per block, at emission; every shard of a
-// split block runs it. Tree-classified runs with forced splitting must
-// still agree record for record (estimated_cost and used included) across
-// serial, pooled and the cluster wrapper.
+// Classification happens once per block, at emission, and the block's
+// task runs it. Tree-classified runs under a batching threshold most
+// blocks cross must still agree record for record (estimated_cost and
+// used included) across serial, pooled and the cluster wrapper.
 TEST(ExecutorIdentityTest, TreeClassifiedSplitRunsMatchAcrossExecutors) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
   // #nodes > 20 ? (#edges > 150 ? Bitset/Tomita : Matrix/BKPivot)
@@ -164,11 +164,6 @@ TEST(ExecutorIdentityTest, TreeClassifiedSplitRunsMatchAcrossExecutors) {
     const Captured pooled =
         RunWith(g, options, decomp::ExecutorKind::kPooled, threads);
     ExpectIdenticalRuns(pooled, serial);
-    uint64_t splits = 0;
-    for (const decomp::LevelStats& level : pooled.stats.levels) {
-      splits += level.block_splits;
-    }
-    EXPECT_GT(splits, 0u);
     dist::ClusterConfig config;
     config.num_workers = 3;
     SimulatedClusterExecutor cluster(config, MakePooledExecutor(threads));
@@ -458,19 +453,18 @@ TEST(MakeExecutorTest, ResolveThreadCountHonorsExplicitRequests) {
   EXPECT_GE(ResolveThreadCount(0), 1u);
 }
 
-// Tentpole: cost-guided BlockTask splitting. A max_block_cost of 1 forces
-// every multi-kernel block into per-kernel shards, the harshest shard
-// schedule possible — the emission, observer stream, and per-level stats
-// must still be byte-identical to the serial run.
+// A max_block_cost of 1 batches nothing: every block is its own task and
+// the cost-ordered queue alone decides the order they run in. The
+// emission, observer stream, and per-level stats must still be
+// byte-identical to the serial run.
 TEST(ShardIdentityTest, ForcedSplitMatchesSerialAcrossCorpusAndThreads) {
   const std::vector<Graph> corpus = Corpus();
-  uint64_t total_splits = 0;
   for (size_t gi = 0; gi < corpus.size(); ++gi) {
     const Graph& g = corpus[gi];
     for (uint32_t m : {3u, 8u, 20u}) {
       decomp::FindMaxCliquesOptions options;
       options.max_block_size = m;
-      options.max_block_cost = 1.0;  // shatter everything
+      options.max_block_cost = 1.0;  // no block is batched
       const Captured serial =
           RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
       for (uint32_t threads : {1u, 2u, 4u, 8u}) {
@@ -479,15 +473,9 @@ TEST(ShardIdentityTest, ForcedSplitMatchesSerialAcrossCorpusAndThreads) {
         const Captured pooled =
             RunWith(g, options, decomp::ExecutorKind::kPooled, threads);
         ExpectIdenticalRuns(pooled, serial);
-        for (const decomp::LevelStats& level : pooled.stats.levels) {
-          total_splits += level.block_splits;
-        }
       }
     }
   }
-  // The sweep must actually exercise the shard path: every multi-kernel
-  // block crosses the forced threshold on the multi-threaded runs.
-  EXPECT_GT(total_splits, 0u);
 }
 
 TEST(ShardIdentityTest, SocialStandInForcedSplitMatchesSerial) {
@@ -504,9 +492,8 @@ TEST(ShardIdentityTest, SocialStandInForcedSplitMatchesSerial) {
   }
 }
 
-// The degenerate cases: a threshold nothing crosses (every block is a
-// single shard) and splitting disabled outright must both behave exactly
-// like the pre-shard executor.
+// The other batching extremes: a threshold every block is below (whole
+// levels batch together) and batching disabled outright.
 TEST(ShardIdentityTest, SingleShardAndNoSplitAreByteIdentical) {
   Rng rng(113);
   const Graph g = gen::BarabasiAlbert(70, 4, &rng);
@@ -515,29 +502,21 @@ TEST(ShardIdentityTest, SingleShardAndNoSplitAreByteIdentical) {
   const Captured serial = RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
 
   decomp::FindMaxCliquesOptions huge = options;
-  huge.max_block_cost = 1e18;  // nothing splits
+  huge.max_block_cost = 1e18;  // every block is batched
   decomp::FindMaxCliquesOptions off = options;
   off.split_blocks = false;  // --no-split
-  off.max_block_cost = 1.0;  // would shatter everything if honored
+  off.max_block_cost = 1e18;  // would batch everything if honored
   for (uint32_t threads : {2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
-    const Captured unsplit =
-        RunWith(g, huge, decomp::ExecutorKind::kPooled, threads);
-    ExpectIdenticalRuns(unsplit, serial);
-    const Captured disabled =
-        RunWith(g, off, decomp::ExecutorKind::kPooled, threads);
-    ExpectIdenticalRuns(disabled, serial);
-    for (const decomp::LevelStats& level : unsplit.stats.levels) {
-      EXPECT_EQ(level.block_splits, 0u);
-    }
-    for (const decomp::LevelStats& level : disabled.stats.levels) {
-      EXPECT_EQ(level.block_splits, 0u);
-    }
+    ExpectIdenticalRuns(
+        RunWith(g, huge, decomp::ExecutorKind::kPooled, threads), serial);
+    ExpectIdenticalRuns(
+        RunWith(g, off, decomp::ExecutorKind::kPooled, threads), serial);
   }
 }
 
-// The m-core fallback bypasses block decomposition entirely, so the split
-// threshold must not touch it.
+// The m-core fallback bypasses block decomposition entirely, so the
+// batching threshold must not touch it.
 TEST(ShardIdentityTest, FallbackIgnoresSplitThreshold) {
   const Graph g = gen::Complete(12);
   decomp::FindMaxCliquesOptions options;
@@ -549,9 +528,6 @@ TEST(ShardIdentityTest, FallbackIgnoresSplitThreshold) {
     const Captured pooled =
         RunWith(g, options, decomp::ExecutorKind::kPooled, threads);
     ExpectIdenticalRuns(pooled, serial);
-    for (const decomp::LevelStats& level : pooled.stats.levels) {
-      EXPECT_EQ(level.block_splits, 0u);
-    }
   }
 }
 

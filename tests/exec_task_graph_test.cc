@@ -181,10 +181,9 @@ obs::TraceEvent AnalysisSpan(obs::SpanKind kind, uint32_t level, uint64_t index,
   return e;
 }
 
-// The filter and split counters, progress retirement and the level counts
-// come from the spans RunReporter::Close folds: only levels >= 1 count
-// filter work, and a split block counts its split once and retires once,
-// whatever order its shards close in.
+// The filter counters, progress retirement and the level counts come from
+// the spans RunReporter::Close folds: only levels >= 1 count filter work,
+// and every analysis span retires its block.
 TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
   obs::MetricsRegistry registry;
   obs::ProgressEstimator progress;
@@ -201,20 +200,13 @@ TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
   progress.RegisterBlock(1, 2.0);
   progress.RegisterBlock(1, 3.0);
   close(AnalysisSpan(obs::SpanKind::kBlock, 1, 0, 4, 1, 2.0));
-  for (const uint64_t shard : {2u, 0u, 1u}) {
-    obs::TraceEvent e = AnalysisSpan(obs::SpanKind::kBlockShard, 1, 1,
-                                     shard + 1, shard % 2, 1.0);
-    e.args[3] = 3;  // shards
-    close(e);
-  }
+  close(AnalysisSpan(obs::SpanKind::kBlock, 1, 1, 6, 1, 3.0));
   progress.RegisterBlock(2, 6.0);
   close(AnalysisSpan(obs::SpanKind::kFallback, 2, 0, 3, 2, 6.0));
 
-  // Checked: 4 + (3 + 1 + 2) + 3 at levels >= 1; kept: 1 + 1 + 2.
+  // Checked: 4 + 6 + 3 at levels >= 1; kept: 1 + 1 + 2.
   EXPECT_EQ(registry.GetCounter("exec.filter_cliques_checked").value(), 13u);
   EXPECT_EQ(registry.GetCounter("exec.filter_cliques_kept").value(), 4u);
-  EXPECT_EQ(registry.GetCounter("exec.blocks_split").value(), 1u);
-  EXPECT_EQ(registry.GetCounter("exec.block_shards").value(), 3u);
 
   const obs::ProgressSnapshot snapshot = progress.TakeSnapshot();
   EXPECT_EQ(snapshot.blocks_done, snapshot.blocks);
@@ -229,7 +221,6 @@ TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
   EXPECT_EQ(level0.analyze_threads, 4u);
   const decomp::LevelStats level1 = reporter.FinishLevel(1, 4);
   EXPECT_EQ(level1.blocks, 2u);
-  EXPECT_EQ(level1.block_splits, 1u);
   EXPECT_EQ(level1.cliques, 10u);
   const decomp::LevelStats level2 = reporter.FinishLevel(2, 4);
   EXPECT_EQ(level2.blocks, 0u);

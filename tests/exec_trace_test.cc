@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -32,10 +33,12 @@ struct TracedRun {
 TracedRun RunTraced(const Graph& g, decomp::ExecutorKind kind,
                     uint32_t threads, obs::TraceRecorder* recorder,
                     obs::MetricsRegistry* registry, uint32_t m = 10,
-                    bool reduce = false) {
+                    bool reduce = false,
+                    double max_block_cost = decomp::kDefaultMaxBlockCost) {
   decomp::FindMaxCliquesOptions options;
   options.max_block_size = m;
   options.reduce = reduce;
+  options.max_block_cost = max_block_cost;
   options.executor = kind;
   options.num_threads = threads;
   options.trace = recorder;
@@ -125,9 +128,10 @@ TEST(ExecTraceTest, SerialExecutorRecordsEveryTask) {
 
 // Every LevelStats field is the fold of the run's own spans: re-folding
 // the recorded trace, one lane per recording thread, reproduces the stats
-// both executors report — with the reduce prepass, with split blocks, and
-// on an m-core fallback level. The serial walk nests its analysis in the
-// decompose, so it never idles, waits at a barrier or overlaps.
+// both executors report — with the reduce prepass, with batching off, and
+// on an m-core fallback level. Every block is one BlockTask span, batched
+// or not. The serial walk nests its analysis in the decompose, so it never
+// idles, waits at a barrier or overlaps.
 TEST(ExecTraceTest, LevelStatsAreTheFoldOfTheRecordedSpans) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
   struct Case {
@@ -136,6 +140,7 @@ TEST(ExecTraceTest, LevelStatsAreTheFoldOfTheRecordedSpans) {
     uint32_t threads;
     uint32_t m;
     bool reduce;
+    double max_block_cost = decomp::kDefaultMaxBlockCost;
   };
   const decomp::ExecutorKind kSerial = decomp::ExecutorKind::kSerial;
   const decomp::ExecutorKind kPooled = decomp::ExecutorKind::kPooled;
@@ -143,21 +148,28 @@ TEST(ExecTraceTest, LevelStatsAreTheFoldOfTheRecordedSpans) {
   for (const Case& c : {Case{"serial", kSerial, 1, 40, false},
                         Case{"pooled@2", kPooled, 2, 40, false},
                         Case{"pooled@4", kPooled, 4, 40, false},
+                        Case{"pooled@4 cost 1", kPooled, 4, 40, false, 1.0},
                         Case{"pooled@4 reduce", kPooled, 4, 40, true},
                         Case{"serial fallback", kSerial, 1, 10, false},
                         Case{"pooled@4 fallback", kPooled, 4, 10, false}}) {
     SCOPED_TRACE(c.name);
     obs::TraceRecorder recorder;
     obs::MetricsRegistry registry;
-    TracedRun run =
-        RunTraced(g, c.kind, c.threads, &recorder, &registry, c.m, c.reduce);
+    TracedRun run = RunTraced(g, c.kind, c.threads, &recorder, &registry,
+                              c.m, c.reduce, c.max_block_cost);
     ASSERT_GE(run.stats.levels.size(), c.m == 10 ? 1u : 2u);
     EXPECT_EQ(run.stats.used_fallback, c.m == 10);
 
     const std::vector<decomp::LevelStats> refold =
         obs::FoldLevels(SpansOnTrackLanes(recorder), c.threads);
     ASSERT_EQ(refold.size(), run.stats.levels.size());
-    uint64_t total_blocks = 0, total_splits = 0;
+    std::vector<std::vector<uint64_t>> block_indices(refold.size());
+    for (const obs::TraceEvent& e : run.events) {
+      if (e.kind == obs::SpanKind::kBlock) {
+        block_indices.at(e.level).push_back(e.index);
+      }
+    }
+    uint64_t total_blocks = 0;
     for (size_t l = 0; l < refold.size(); ++l) {
       SCOPED_TRACE(testing::Message() << "level " << l);
       const decomp::LevelStats& live = run.stats.levels[l];
@@ -167,7 +179,6 @@ TEST(ExecTraceTest, LevelStatsAreTheFoldOfTheRecordedSpans) {
       EXPECT_EQ(live.feasible, want.feasible);
       EXPECT_EQ(live.hubs, want.hubs);
       EXPECT_EQ(live.blocks, want.blocks);
-      EXPECT_EQ(live.block_splits, want.block_splits);
       EXPECT_EQ(live.cliques, want.cliques);
       EXPECT_EQ(live.analyze_threads, want.analyze_threads);
       EXPECT_NEAR(live.decompose_seconds, want.decompose_seconds, 1e-6);
@@ -183,12 +194,15 @@ TEST(ExecTraceTest, LevelStatsAreTheFoldOfTheRecordedSpans) {
         EXPECT_EQ(live.barrier_idle_seconds, 0.0);
         EXPECT_EQ(live.overlap_seconds, 0.0);
       }
+      // One BlockTask span per block: indices 0..blocks-1, each once.
+      std::vector<uint64_t> want_indices(live.blocks);
+      std::iota(want_indices.begin(), want_indices.end(), 0);
+      std::sort(block_indices[l].begin(), block_indices[l].end());
+      EXPECT_EQ(block_indices[l], want_indices);
       total_blocks += live.blocks;
-      total_splits += live.block_splits;
     }
 
     EXPECT_EQ(run.counter(registry, "exec.blocks_analyzed"), total_blocks);
-    EXPECT_EQ(run.counter(registry, "exec.blocks_split"), total_splits);
     EXPECT_EQ(run.counter(registry, "pipeline.cliques_emitted"),
               run.stats.cliques_emitted);
   }

@@ -31,13 +31,14 @@ TaskSpan Task(SpanKind kind, uint32_t level, int64_t begin_us,
   return s;
 }
 
-// decompose -> {fast block, slow shard, slow block}. The path must end
-// at the slow block — the last finisher — and cover the wall exactly.
+// decompose -> {fast block, slow fallback, slowest block}. The path must
+// end at the slowest block — the last finisher — and cover the wall
+// exactly.
 TEST(CriticalPathTest, FanOutRoutesThroughTheSlowBranch) {
   std::vector<TaskSpan> spans = {
       Task(SpanKind::kDecompose, 0, 0, 100),
       Task(SpanKind::kBlock, 0, 100, 300),       // fast branch
-      Task(SpanKind::kBlockShard, 0, 100, 450),  // slower branch
+      Task(SpanKind::kFallback, 0, 100, 450),    // slower branch
       Task(SpanKind::kBlock, 0, 150, 600),       // slowest branch
   };
   const CriticalPathResult r = ComputeCriticalPath(spans);
@@ -154,8 +155,8 @@ TEST(StragglerTest, RankByDeviationFlagsUnderPredictedBlocks) {
 }
 
 // Cliques count once, at the span that enumerated them: a block, a
-// fallback, a shard, the reduce prepass's trivial cliques — and a
-// DecomposeTask none, whatever its args.
+// fallback, the reduce prepass's trivial cliques — and a DecomposeTask
+// none, whatever its args; a spill flush that buffered some is no task.
 TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   std::vector<TraceEvent> events(7);
   events[0].kind = SpanKind::kBlock;
@@ -176,11 +177,11 @@ TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   events[4].args[3] = 6;  // hubs
   events[5].kind = SpanKind::kReduce;
   events[5].args[2] = 3;  // trivial cliques
-  events[6].kind = SpanKind::kBlockShard;
-  events[6].args[2] = 5;  // cliques
+  events[6].kind = SpanKind::kSpillFlush;  // observability, not DAG
+  events[6].args[0] = 5;  // cliques flushed
 
   const std::vector<TaskSpan> spans = TaskSpansFromEvents(events);
-  ASSERT_EQ(spans.size(), 5u);
+  ASSERT_EQ(spans.size(), 4u);
   EXPECT_EQ(spans[0].kind, SpanKind::kBlock);
   EXPECT_EQ(spans[0].level, 2u);
   EXPECT_EQ(spans[0].index, 5u);
@@ -192,7 +193,6 @@ TEST(TaskSpanTest, FromEventsKeepsDagKindsAndLiftsArgs) {
   EXPECT_EQ(spans[2].kind, SpanKind::kDecompose);
   EXPECT_EQ(spans[2].cliques, 0u);
   EXPECT_EQ(spans[3].cliques, 3u);
-  EXPECT_EQ(spans[4].cliques, 5u);
 }
 
 /// An analysis span of `kind` at `level` on lane `lane`.
@@ -323,35 +323,6 @@ TEST(LevelFoldTest, FallbackLevelRunsOnOneLane) {
   EXPECT_EQ(fallback.barrier_idle_seconds, 0.0);
 }
 
-// A split block's shards close in any order: the block counts once, at
-// the first shard folded, and is done exactly once, at the last.
-TEST(LevelFoldTest, SplitBlockCountsOnceWhateverTheCloseOrder) {
-  LevelFold fold;
-  fold.Add(Decompose(0, 0, 100, 0));
-  int firsts = 0;
-  int dones = 0;
-  for (const uint64_t shard : {2u, 0u, 1u}) {
-    TaskSpan s = Analysis(SpanKind::kBlockShard, 0, 100 + 10 * shard,
-                          150 + 10 * shard, static_cast<int>(shard), 2);
-    s.index = 3;
-    s.shards = 3;
-    const LevelFold::BlockStep step = fold.Add(s);
-    firsts += step.first ? 1 : 0;
-    dones += step.done ? 1 : 0;
-    EXPECT_EQ(step.done, shard == 1u);
-  }
-  const LevelFold::BlockStep whole =
-      fold.Add(Analysis(SpanKind::kBlock, 0, 120, 130, 0, 1));
-  EXPECT_TRUE(whole.first);
-  EXPECT_TRUE(whole.done);
-  EXPECT_EQ(firsts, 1);
-  EXPECT_EQ(dones, 1);
-  const LevelStats l = fold.Finish(0, 3);
-  EXPECT_EQ(l.blocks, 2u);
-  EXPECT_EQ(l.block_splits, 1u);
-  EXPECT_EQ(l.cliques, 7u);
-}
-
 // Overlap is the decompose window against the hulls of the earlier
 // levels' analysis — the pipelining win.
 TEST(LevelFoldTest, OverlapClipsTheDecomposeAgainstEarlierAnalysis) {
@@ -415,7 +386,7 @@ void ExpectSameProfile(const ProfileStats& live, const ProfileStats& refold) {
 // profile is the fold of the run's own spans, so it equals a re-fold of
 // the recorded trace, and both executors count the same cliques. m = 10
 // makes the graph its own m-core (decompose + fallback); m = 40 gives
-// three levels, split shards and hub-level Lemma-1 checks; reduce adds
+// three levels and hub-level Lemma-1 checks; reduce adds
 // the ReduceTask.
 TEST(CriticalPathIntegrationTest, SerialAndPooledTracesCoverTheWall) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));

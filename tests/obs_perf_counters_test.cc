@@ -121,7 +121,7 @@ TEST(ProfileBucketTest, DerivedMetricsGuardZeroDenominators) {
 TEST(ProfileAccumulatorTest, BucketSumsReproduceTheTotalExactly) {
   ProfileAccumulator acc;
   // A miniature run: reduce prepass (no level), two decompose levels,
-  // blocks on both, a block shard on level 0.
+  // blocks on both, a fallback on level 0.
   acc.Add(MakeSpan(SpanKind::kReduce, 0, 10'000, 2,
                    MakeDelta(500, 900, 10'000'000)));
   acc.Add(MakeSpan(SpanKind::kDecompose, 0, 20'000, 0,
@@ -130,7 +130,7 @@ TEST(ProfileAccumulatorTest, BucketSumsReproduceTheTotalExactly) {
                    MakeDelta(300, 600, 30'000'000)));
   acc.Add(MakeSpan(SpanKind::kBlock, 0, 40'000, 7,
                    MakeDelta(400, 800, 40'000'000)));
-  acc.Add(MakeSpan(SpanKind::kBlockShard, 0, 5'000, 3,
+  acc.Add(MakeSpan(SpanKind::kFallback, 0, 5'000, 3,
                    MakeDelta(50, 60, 5'000'000)));
   acc.Add(MakeSpan(SpanKind::kDecompose, 1, 15'000, 0,
                    MakeDelta(80, 90, 15'000'000)));

@@ -50,10 +50,7 @@ TEST(ProgressEstimatorTest, ConcurrentRegisterRetireStaysMonotone) {
       for (int b = 0; b < kBlocksPerThread; ++b) {
         const double cost = 1.0 + (b % 7);
         progress.RegisterBlock(level, cost);
-        // Retire in two pieces to exercise the shard path: a partial
-        // RetireCost plus the residual on RetireBlock.
-        progress.RetireCost(cost / 2);
-        progress.RetireBlock(level, cost - cost / 2);
+        progress.RetireBlock(level, cost);
         progress.AddCliques(1);
       }
     });
@@ -85,11 +82,12 @@ TEST(ProgressEstimatorTest, ConcurrentRegisterRetireStaysMonotone) {
 TEST(ProgressEstimatorTest, EtaSurvivesGrowingDenominator) {
   ProgressEstimator progress;
   progress.BeginLevel(0);
-  progress.RegisterBlock(0, 100.0);
+  progress.RegisterBlock(0, 50.0);
+  progress.RegisterBlock(0, 50.0);
   progress.TakeSnapshot();  // establish an EWMA baseline interval
 
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  progress.RetireCost(50.0);
+  progress.RetireBlock(0, 50.0);
   const ProgressSnapshot mid = progress.TakeSnapshot();
   EXPECT_GT(mid.throughput, 0.0);
   EXPECT_GE(mid.eta_seconds, 0.0);

@@ -33,7 +33,6 @@ size_t Count(const std::string& haystack, const std::string& needle) {
 TEST(TraceRecorderTest, SpanKindNames) {
   EXPECT_STREQ(ToString(SpanKind::kDecompose), "DecomposeTask");
   EXPECT_STREQ(ToString(SpanKind::kBlock), "BlockTask");
-  EXPECT_STREQ(ToString(SpanKind::kBlockShard), "BlockShardTask");
   EXPECT_STREQ(ToString(SpanKind::kFallback), "FallbackTask");
   EXPECT_STREQ(ToString(SpanKind::kWorkerIdle), "idle");
   EXPECT_STREQ(ToString(SpanKind::kSimBlock), "SimBlockTask");

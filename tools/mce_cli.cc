@@ -22,7 +22,9 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "community/percolation.h"
 #include "mce/clique_io.h"
@@ -87,6 +89,9 @@ class Flags {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// Every flag given, by name.
+  const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
   template <typename T>
@@ -206,8 +211,8 @@ int CmdEnumerate(const Flags& flags) {
     threads = static_cast<int>(4 * hw);
   }
   options.num_threads = static_cast<uint32_t>(threads);
-  // --max-block-cost C / --no-split: cost-guided BlockTask splitting on
-  // the pooled executor (the clique output is identical either way).
+  // --max-block-cost C / --no-split: tiny-block batching on the pooled
+  // executor (the clique output is identical either way).
   if (!flags.GetDouble("max-block-cost", options.max_block_cost,
                        &options.max_block_cost)) {
     return 1;
@@ -520,9 +525,9 @@ void Usage() {
       "  enumerate   --input G [--ratio R | --m M] [--workers N]\n"
       "              [--threads T]  (analysis threads; 0 = all cores)\n"
       "              [--executor serial|pooled|cluster]  (engine choice)\n"
-      "              [--max-block-cost C]  (split blocks predicted above C\n"
-      "                                     into kernel-range shards)\n"
-      "              [--no-split]          (keep BlockTasks indivisible)\n"
+      "              [--max-block-cost C]  (batch blocks predicted below C\n"
+      "                                     into shared pool tasks)\n"
+      "              [--no-split]          (one pool task per block)\n"
       "              [--reduce | --no-reduce]  (graph-reduction prepass:\n"
       "                                     strip simplicial vertices and\n"
       "                                     fold true twins; same cliques)\n"
@@ -555,6 +560,45 @@ void Usage() {
       "  convert     --input G --output G2 --to edges|binary|mcsr|dot\n");
 }
 
+/// One subcommand: its entry point and every flag it reads, so a
+/// misspelled flag is an error instead of a silently different run.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  bool loads_graph;  // also reads LoadGraph's flags
+  std::vector<std::string_view> flags;
+
+  bool Reads(std::string_view flag) const {
+    static constexpr std::string_view kGraphFlags[] = {"input", "format",
+                                                       "mmap-graph"};
+    const auto in = [flag](const auto& names) {
+      return std::find(std::begin(names), std::end(names), flag) !=
+             std::end(names);
+    };
+    return in(flags) || (loads_graph && in(kGraphFlags));
+  }
+};
+
+const Command kCommands[] = {
+    {"stats", CmdStats, true, {}},
+    {"enumerate",
+     CmdEnumerate,
+     true,
+     {"m", "ratio", "top", "threads", "max-block-cost", "no-split", "reduce",
+      "no-reduce", "executor", "memory-budget", "spill-threshold",
+      "spill-dir", "perf-counters", "workers", "trace-out", "metrics-out",
+      "heartbeat-out", "heartbeat-interval-ms", "progress", "json", "output",
+      "verify"}},
+    {"top", CmdTop, true, {"k"}},
+    {"communities", CmdCommunities, true, {"k", "top"}},
+    {"generate",
+     CmdGenerate,
+     false,
+     {"model", "output", "scale", "seed", "nodes", "p", "attach", "kring",
+      "beta"}},
+    {"convert", CmdConvert, true, {"output", "to"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -564,12 +608,17 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   Flags flags(argc, argv, 2);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "enumerate") return CmdEnumerate(flags);
-  if (command == "top") return CmdTop(flags);
-  if (command == "communities") return CmdCommunities(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "convert") return CmdConvert(flags);
+  for (const Command& cmd : kCommands) {
+    if (command != cmd.name) continue;
+    for (const auto& [flag, value] : flags.values()) {
+      if (!cmd.Reads(flag)) {
+        std::fprintf(stderr, "error: unknown flag --%s for %s\n",
+                     flag.c_str(), cmd.name);
+        return 1;
+      }
+    }
+    return cmd.run(flags);
+  }
   Usage();
   return 2;
 }

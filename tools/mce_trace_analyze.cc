@@ -3,7 +3,7 @@
 //
 // The pipeline's task DAG is known by construction (DESIGN.md §7, §14):
 // ReduceTask first, DecomposeTask(L) after DecomposeTask(L-1), and each
-// Block/BlockShard/FallbackTask after its level's DecomposeTask. The tool
+// Block/FallbackTask after its level's DecomposeTask. The tool
 // parses the trace back into task spans (merging the B-event args with
 // the counter args the E event carries under --perf-counters), rebuilds
 // the DAG, and reports:
@@ -169,9 +169,6 @@ std::vector<TaskSpan> ToTaskSpans(const std::vector<ParsedSpan>& spans) {
         t.feasible = U64(s.args, "feasible");
         t.hubs = U64(s.args, "hubs");
         break;
-      case SpanKind::kBlockShard:
-        t.shards = U64(s.args, "shards");
-        [[fallthrough]];
       case SpanKind::kBlock:
         t.index = U64(s.args, "block");
         t.cliques = U64(s.args, "cliques");
@@ -210,9 +207,7 @@ uint32_t AnalysisLanes(const std::vector<ParsedSpan>& spans) {
 std::string Label(const TaskSpan& t) {
   std::ostringstream os;
   os << mce::obs::ToString(t.kind) << "(L" << t.level;
-  if (t.kind == SpanKind::kBlock || t.kind == SpanKind::kBlockShard) {
-    os << "/" << t.index;
-  }
+  if (t.kind == SpanKind::kBlock) os << "/" << t.index;
   os << ")";
   return os.str();
 }
@@ -449,20 +444,20 @@ int Run(const Options& opt) {
   if (!levels.empty()) {
     // The columns are the --json "levels" keys; times in seconds.
     std::printf("\nlevel stats (%u analysis lanes):\n", workers);
-    std::printf("  %-5s %9s %10s %9s %7s %7s %12s %9s %17s %15s %13s "
+    std::printf("  %-5s %9s %10s %9s %7s %7s %9s %17s %15s %13s "
                 "%22s %15s %15s %12s %20s\n",
                 "level", "nodes", "edges", "feasible", "hubs", "blocks",
-                "block_splits", "cliques", "decompose_seconds",
+                "cliques", "decompose_seconds",
                 "analyze_seconds", "block_seconds", "busiest_worker_seconds",
                 "analyze_threads", "overlap_seconds", "idle_seconds",
                 "barrier_idle_seconds");
     for (size_t i = 0; i < levels.size(); ++i) {
       const mce::obs::LevelStats& l = levels[i];
       std::printf("  %-5zu %9" PRIu64 " %10" PRIu64 " %9" PRIu64 " %7" PRIu64
-                  " %7" PRIu64 " %12" PRIu64 " %9" PRIu64
+                  " %7" PRIu64 " %9" PRIu64
                   " %17.6f %15.6f %13.6f %22.6f %15u %15.6f %12.6f %20.6f\n",
                   i, l.num_nodes, l.num_edges, l.feasible, l.hubs, l.blocks,
-                  l.block_splits, l.cliques, l.decompose_seconds,
+                  l.cliques, l.decompose_seconds,
                   l.analyze_seconds, l.block_seconds,
                   l.busiest_worker_seconds, l.analyze_threads,
                   l.overlap_seconds, l.idle_seconds, l.barrier_idle_seconds);
