@@ -76,29 +76,45 @@ else
   # the mmapped graph under a deliberately tiny memory budget with sinks
   # spilling, all under ASan (the mmap spans, spill chunk files, and
   # admission bookkeeping are exactly where a lifetime bug would hide),
-  # and require the clique count to match the unbudgeted heap run.
+  # and require the clique count to match the unbudgeted heap run. The
+  # same budgeted run with a block observer attached (--executor cluster)
+  # must count the same cliques and be gated like the pooled one: every
+  # BlockTask frees its block, so a run that held its blocks until
+  # delivery would peak several times higher.
   echo "=== tier-1: ASan budgeted out-of-core leg ==="
   oocore_dir="$(mktemp -d)"
   "$asan_build/tools/mce_cli" generate --model facebook --scale 0.02 \
     --output "$oocore_dir/fb.txt" >/dev/null
   "$asan_build/tools/mce_convert" --input "$oocore_dir/fb.txt" \
     --output "$oocore_dir/fb.mcsr" --verify >/dev/null
-  baseline_cliques="$("$asan_build/tools/mce_cli" enumerate \
+  "$asan_build/tools/mce_cli" enumerate \
     --input "$oocore_dir/fb.txt" --executor pooled --threads 4 \
-    --json true | python3 -c \
-    'import json,sys; print(json.load(sys.stdin)["total_cliques"])')"
-  budgeted_cliques="$("$asan_build/tools/mce_cli" enumerate \
-    --input "$oocore_dir/fb.mcsr" --mmap-graph true \
-    --executor pooled --threads 4 --memory-budget 64K \
-    --spill-dir "$oocore_dir" --json true | python3 -c \
-    'import json,sys; print(json.load(sys.stdin)["total_cliques"])')"
+    --json true >"$oocore_dir/baseline.json"
+  for executor in pooled cluster; do
+    "$asan_build/tools/mce_cli" enumerate \
+      --input "$oocore_dir/fb.mcsr" --mmap-graph true \
+      --executor "$executor" --threads 4 --memory-budget 64K \
+      --spill-dir "$oocore_dir" --json true \
+      >"$oocore_dir/budgeted_$executor.json"
+  done
+  python3 - "$oocore_dir/baseline.json" "$oocore_dir/budgeted_pooled.json" \
+    "$oocore_dir/budgeted_cluster.json" <<'EOF' || { rm -rf "$oocore_dir"; exit 1; }
+import json, sys
+baseline, pooled, cluster = (json.load(open(path)) for path in sys.argv[1:4])
+want = baseline["total_cliques"]
+for name, report in (("pooled", pooled), ("cluster", cluster)):
+    if report["total_cliques"] != want:
+        sys.exit(f"budgeted out-of-core {name} run diverged: "
+                 f"{report['total_cliques']} cliques vs {want} unbudgeted")
+pooled_peak = pooled["memory"]["peak_tracked_bytes"]
+cluster_peak = cluster["memory"]["peak_tracked_bytes"]
+if cluster_peak > 1.5 * pooled_peak:
+    sys.exit(f"observed budgeted run peaked at {cluster_peak} tracked "
+             f"bytes, over 1.5x the unobserved run's {pooled_peak}")
+print(f"budgeted runs matched: {want} cliques; peak tracked bytes "
+      f"pooled {pooled_peak}, cluster {cluster_peak}")
+EOF
   rm -rf "$oocore_dir"
-  if [[ "$baseline_cliques" != "$budgeted_cliques" ]]; then
-    echo "budgeted out-of-core run diverged: $budgeted_cliques cliques" \
-         "vs $baseline_cliques unbudgeted" >&2
-    exit 1
-  fi
-  echo "budgeted run matched: $budgeted_cliques cliques"
 fi
 
 # Trace leg: run the CLI on a small social graph with tracing on and

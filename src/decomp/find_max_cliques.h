@@ -126,9 +126,13 @@ struct FindMaxCliquesOptions {
   /// emitted clique set is identical with and without. CLI: --reduce /
   /// --no-reduce.
   bool reduce = false;
-  /// Optional per-block hook, called after each block is analyzed. Always
-  /// invoked from the pipeline's calling thread, in block order, even when
-  /// num_threads > 1 — it need not be thread-safe.
+  /// Optional per-block hook: receives each block's record, built when the
+  /// block's task ends. Always invoked from the pipeline's calling thread,
+  /// in block order, even when num_threads > 1 — it need not be
+  /// thread-safe. Attaching one changes neither scheduling nor memory:
+  /// the pooled executor frees every block when its task ends, gates
+  /// block emission on the budget alike, and replays the stored records
+  /// at delivery.
   std::function<void(const BlockTaskRecord&)> block_observer;
   /// Observability sinks (src/obs) for this run. Not owned; must outlive
   /// the run. nullptr means "use the process-wide installed instance, if

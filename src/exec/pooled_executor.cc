@@ -11,15 +11,16 @@
 //    submitted before level h's blocks are even built — the next level's
 //    induce/cut/build runs concurrently with the tail of level-h analysis
 //    (the measured window is LevelStats::overlap_seconds).
-//  * Every BlockTask runs the serial executor's per-clique step —
-//    MapExpandAndFilterClique, the Lemma-1 check at levels >= 1 — and
-//    buffers only the survivors, so a level is ready the moment its last
-//    block finishes.
+//  * Every BlockTask runs the serial executor's task body, RunBlockTask
+//    (the per-clique Lemma-1 step included), buffers only the survivors
+//    in the block's CliqueSink, keeps the block's observer record, and
+//    frees its block, observed or not — so a level is ready the moment
+//    its last block finishes, and the budget gates every run alike.
 //
 // Delivery (cliques, observer records, stats) happens only on the calling
 // thread, levels in order and blocks in decomposition order, off buffered
-// per-block results — which is what makes the emission byte-identical to
-// the serial executor.
+// per-block sinks and records — which is what makes the emission
+// byte-identical to the serial executor.
 //
 // Timing: every task closes one window through the RunReporter, whose span
 // fold (obs::LevelFold) yields each level's LevelStats at delivery and
@@ -43,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "decomp/block_analysis.h"
 #include "decomp/cut.h"
 #include "exec/executor.h"
 #include "graph/subgraph.h"
@@ -57,32 +57,33 @@ namespace mce::exec {
 
 namespace {
 
-/// Execution state of one BlockTask.
+/// One BlockTask from emission to delivery.
 struct BlockExec {
-  /// decision::EstimateBlockCost score, computed at emission; drives the
-  /// largest-first dispatch order and the batching decision.
-  double cost = 0;
-  /// The block's classification, fixed at emission from the same features
-  /// as `cost`.
-  MceOptions used;
-  /// The block's EstimatedBytes(), charged to the MemoryBudget at
-  /// emission; zeroed wherever the charge is released.
-  uint64_t block_bytes = 0;
-  /// EstimateAnalysisBytes of the block — the workspace charge admission
-  /// is decided against.
-  uint64_t ws_bytes = 0;
-  decomp::BlockAnalysisResult result;
+  BlockExec(decomp::Block&& b, const BlockPlan& plan, uint64_t index,
+            SpillContext* spill)
+      : block(std::move(b)), cliques(spill) {
+    record.index = index;
+    record.estimated_cost = plan.cost;
+    record.used = plan.used;
+  }
+
+  /// Materialized at emission, freed by the block's task when it ends.
+  decomp::Block block;
+  /// The observer record. Until the task runs it carries the emission-time
+  /// plan: the decision::EstimateBlockCost score (dispatch order, the
+  /// batching decision) and the classification the task runs; the task
+  /// replaces it with the full record.
+  decomp::BlockTaskRecord record;
   /// The block's surviving cliques (original ids, each sorted — the
-  /// MapExpandAndFilterClique output), in emission order. A CliqueSink so
-  /// the buffer can spill past the level's threshold without changing
-  /// replay order.
-  std::unique_ptr<CliqueSink> cliques;
-  double seconds = 0;
+  /// MapExpandAndFilterClique output), in emission order; spills past the
+  /// level's threshold without changing replay order.
+  CliqueSink cliques;
 };
 
 /// All state of one recursion level as it moves through the task graph.
 struct LevelRun {
-  uint32_t level = 0;
+  /// The level, its original-id mapping and the Lemma-1 reference.
+  LevelScope scope;
   Graph owned_graph;             // levels >= 1 own their induced subgraph
   const Graph* graph = nullptr;  // level 0 aliases the caller's graph
   /// owned_graph's tracked ResidentBytes; released in MaybeReleaseInputs.
@@ -91,27 +92,20 @@ struct LevelRun {
   /// SpillConfig plus the level's running resident-byte total, which is
   /// what the per-level spill threshold is compared against.
   SpillContext spill;
-  std::vector<NodeId> to_original;  // empty means identity (level 0)
   decomp::CutResult cut;
   bool has_child = false;
   bool child_induced = false;
   bool delivered = false;
 
-  // BlockTask state. Deques so emitted tasks hold stable pointers while
+  // BlockTask state. A deque so emitted tasks hold stable pointers while
   // the decompose task keeps appending.
-  std::deque<decomp::Block> blocks;
   std::deque<BlockExec> execs;
   /// Tiny-block batch under construction (touched only by the level's
   /// decompose worker, before blocks_final). Blocks predicted under
   /// max_block_cost are coalesced into one pool task aimed at a multiple
   /// of that much work — dispatch overhead then scales with predicted
   /// work, not block count.
-  struct BatchItem {
-    decomp::Block* block = nullptr;
-    BlockExec* exec = nullptr;
-    uint64_t index = 0;
-  };
-  std::vector<BatchItem> batch;
+  std::vector<BlockExec*> batch;
   double batch_cost = 0;
   bool blocks_final = false;
   size_t blocks_done = 0;
@@ -163,14 +157,13 @@ class PooledEngine {
     // positions as on the serial engine. The level chain decomposes the
     // reduced graph; original_ stays the Lemma-1 reference.
     prep_.Run(original_, options_, reporter_, emit_, &out);
-    expansion_ = prep_.map();
     // The pipeline graph is resident for the whole run (an mmap-backed
     // graph reports zero here — its pages are reclaimable).
     const uint64_t pipeline_graph_bytes =
         prep_.pipeline_graph().ResidentBytes();
     ChargeTracked(pipeline_graph_bytes);
     auto root = std::make_unique<LevelRun>();
-    root->level = 0;
+    root->scope = LevelScope{&original_, prep_.map(), 0, {}};
     root->graph = &prep_.pipeline_graph();
     root->spill.config = &spill_config_;
     root->spill.level = 0;
@@ -216,10 +209,12 @@ class PooledEngine {
     // The whole task — induce, cut, block growth, cost scoring, or the
     // m-core fallback — runs on this one worker in one window.
     TaskWindow window(reporter_);
-    if (progress_ != nullptr) progress_->BeginLevel(lr->level);
+    const uint32_t level = lr->scope.level;
+    if (progress_ != nullptr) progress_->BeginLevel(level);
     if (parent != nullptr) {
       InducedSubgraph sub = Induce(*parent->graph, parent->cut.hubs);
-      lr->to_original = ComposeToOriginal(parent->to_original, sub.to_parent);
+      lr->scope.to_original =
+          ComposeToOriginal(parent->scope.to_original, sub.to_parent);
       lr->owned_graph = std::move(sub.graph);
       lr->graph = &lr->owned_graph;
       lr->graph_bytes = lr->owned_graph.ResidentBytes();
@@ -238,9 +233,9 @@ class PooledEngine {
       // set, so its decomposition is dispatched before this level's
       // blocks are built, overlapping the tail of this level's analysis.
       auto child = std::make_unique<LevelRun>();
-      child->level = lr->level + 1;
+      child->scope = LevelScope{&original_, prep_.map(), level + 1, {}};
       child->spill.config = &spill_config_;
-      child->spill.level = child->level;
+      child->spill.level = level + 1;
       LevelRun* child_ptr = child.get();
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -254,7 +249,13 @@ class PooledEngine {
     }
 
     if (fallback) {
-      RunFallback(lr);
+      // The FallbackTask runs here, on this worker; its survivors wait in
+      // the level's fallback sink for calling-thread emission.
+      lr->fallback_cliques = std::make_unique<CliqueSink>(&lr->spill);
+      RunFallbackTask(lr->scope, graph, reporter_, progress_,
+                      [lr](std::span<const NodeId> c) {
+                        lr->fallback_cliques->AppendRaw(c);
+                      });
     } else {
       decomp::BuildBlocksStreaming(
           graph, lr->cut.feasible, blocks_options_,
@@ -264,7 +265,7 @@ class PooledEngine {
       FlushBatch(lr);
     }
     // The span folds before the level can be ready and delivered.
-    reporter_.Close(window, MakeDecomposeSpan(lr->level, graph, lr->cut));
+    reporter_.Close(window, MakeDecomposeSpan(level, graph, lr->cut));
 
     bool ready = false;
     {
@@ -286,39 +287,27 @@ class PooledEngine {
     const double cost = plan.cost;
     // Registered at emission — before its task can run — so a progress
     // sampler sees the work as pending the moment it exists.
-    if (progress_ != nullptr) progress_->RegisterBlock(lr->level, cost);
+    if (progress_ != nullptr) progress_->RegisterBlock(lr->scope.level, cost);
 
-    decomp::Block* block = nullptr;
     BlockExec* exec = nullptr;
-    uint64_t index = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      index = lr->blocks.size();
-      lr->blocks.push_back(std::move(b));
-      lr->execs.emplace_back();
-      block = &lr->blocks.back();
-      exec = &lr->execs.back();
-      exec->cost = cost;
-      exec->used = plan.used;
+      exec = &lr->execs.emplace_back(std::move(b), plan, lr->execs.size(),
+                                     &lr->spill);
     }
     // Materialized-block charge: the block exists from emission until its
-    // task frees it (or delivery, when an observer holds it).
-    // Gated like an analysis admission — while analyses are in flight the
-    // decompose worker waits for their releases instead of piling blocks
-    // past the budget; the tasks already dispatched for earlier blocks
-    // keep the pool busy meanwhile.
-    exec->block_bytes = block->EstimatedBytes();
-    exec->ws_bytes = EstimateAnalysisBytes(*block);
-    if (budget_.limited() && budget_.WouldExceed(exec->block_bytes)) {
+    // task frees it. Gated like an analysis admission — while analyses
+    // are in flight the decompose worker waits for their releases instead
+    // of piling blocks past the budget; the tasks already dispatched for
+    // earlier blocks keep the pool busy meanwhile.
+    const uint64_t block_bytes = exec->block.EstimatedBytes();
+    if (budget_.limited() && budget_.WouldExceed(block_bytes)) {
       // About to wait: dispatch the coalesced batch first, so every
       // charged block has a runnable analysis and the wait cannot starve
       // on blocks only this worker could have dispatched.
       FlushBatch(lr);
     }
-    GateCharge(lr->level, exec->block_bytes, /*admit_analysis=*/false);
-    // The sink is created here, on the decompose worker, before the block's
-    // task can observe it through the dispatch queue.
-    exec->cliques = MakeCliqueSink(&lr->spill);
+    GateCharge(lr->scope.level, block_bytes, /*admit_analysis=*/false);
     const bool batching = options_.split_blocks &&
                           options_.max_block_cost > 0 &&
                           pool_.num_threads() > 1;
@@ -326,7 +315,7 @@ class PooledEngine {
       // Tiny block: coalesce instead of dispatching. The batch flushes
       // once it accumulates enough predicted work (and unconditionally at
       // decompose end), so tiny blocks never pay one handoff each.
-      lr->batch.push_back({block, exec, index});
+      lr->batch.push_back(exec);
       lr->batch_cost += cost;
       // Large enough that dispatch and context-switch overhead is
       // amortized (tiny tasks on few cores otherwise spend more time in
@@ -339,9 +328,8 @@ class PooledEngine {
       if (lr->batch_cost >= mult * options_.max_block_cost) FlushBatch(lr);
       return;
     }
-    queue_.Push(lr->level, cost, [this, lr, block, exec, index] {
-      BlockTask(lr, block, exec, index);
-    });
+    queue_.Push(lr->scope.level, cost,
+                [this, lr, exec] { BlockTask(lr, exec); });
     // One generic pull per queued task: the pool stays FIFO while the
     // queue decides which analysis task each freed worker runs —
     // shallowest level first, then highest predicted cost (DESIGN.md §7).
@@ -354,63 +342,40 @@ class PooledEngine {
   void FlushBatch(LevelRun* lr) {
     if (lr->batch.empty()) return;
     const double cost = lr->batch_cost;
-    queue_.Push(lr->level, cost, [this, lr, items = std::move(lr->batch)] {
-      for (const LevelRun::BatchItem& it : items) {
-        BlockTask(lr, it.block, it.exec, it.index);
-      }
-    });
+    queue_.Push(lr->scope.level, cost,
+                [this, lr, execs = std::move(lr->batch)] {
+                  for (BlockExec* exec : execs) BlockTask(lr, exec);
+                });
     lr->batch = {};
     lr->batch_cost = 0;
     pool_.Submit([this] { queue_.RunNext(); });
   }
 
-  /// BlockTask(level, i): Algorithm 4 over the whole block, each clique
-  /// through the per-clique filter step into the block's buffer; then
-  /// advances the level's completion state.
-  void BlockTask(LevelRun* lr, decomp::Block* block, BlockExec* exec,
-                 uint64_t index) {
+  /// BlockTask(level, i): RunBlockTask into the block's sink, then frees
+  /// the block and advances the level's completion state.
+  void BlockTask(LevelRun* lr, BlockExec* exec) {
     const size_t worker_index = ThreadPool::CurrentWorkerIndex();
     const size_t worker =
         worker_index == ThreadPool::kNotAWorker ? 0 : worker_index;
     // Budget admission: under a limit, a task whose workspace estimate
     // would push the tracked total past the budget waits for in-flight
-    // analyses to finish.
-    AdmitAnalysis(lr->level, exec->ws_bytes);
-    // The window opens after the admission stall so a budget wait never
-    // shows up as analysis work.
-    TaskWindow window(reporter_);
-    // The serial executor's per-clique step: original ids, re-expansion
-    // under --reduce, and the Lemma-1 check at levels >= 1. The buffer
-    // holds only what delivery emits.
-    Clique scratch;
-    Clique expand_scratch;
-    uint64_t kept = 0;
-    exec->result = decomp::AnalyzeBlock(
-        *block, exec->used,
-        [&](std::span<const NodeId> c) {
-          if (MapExpandAndFilterClique(original_, c, lr->to_original,
-                                       lr->level, expansion_, &expand_scratch,
-                                       &scratch)) {
-            exec->cliques->AppendRaw(scratch);
-            ++kept;
-          }
-        },
-        &workspaces_[worker],
-        decomp::KernelRange{0, block->kernel_local.size()});
-    reporter_.Close(window, MakeBlockSpan(*block, exec->result, lr->level,
-                                          index, exec->cost, kept,
-                                          reporter_.exports_spans()));
-    exec->seconds = window.Seconds();
-    FinishAnalysis(exec->ws_bytes);
-    reporter_.RecordBlock(*block, exec->result, exec->seconds);
-    if (!options_.block_observer) {
-      // Without an observer, delivery never reads the block again — only
-      // this task's results. Freeing the subgraph here keeps the engine's
-      // live footprint near the serial one-block-at-a-time profile
-      // instead of holding every block until the level delivers.
-      *block = decomp::Block();
-      ReleaseBlockCharge(exec);
-    }
+    // analyses to finish. RunBlockTask opens the task window after the
+    // stall, so a budget wait never shows up as analysis work.
+    const uint64_t ws_bytes = EstimateAnalysisBytes(exec->block);
+    AdmitAnalysis(lr->scope.level, ws_bytes);
+    const BlockPlan plan{exec->record.estimated_cost, exec->record.used};
+    exec->record = RunBlockTask(lr->scope, exec->block, plan,
+                                exec->record.index, reporter_,
+                                &workspaces_[worker],
+                                [exec](std::span<const NodeId> c) {
+                                  exec->cliques.AppendRaw(c);
+                                });
+    FinishAnalysis(ws_bytes);
+    // Delivery reads only the sink and the record, so the block goes now,
+    // observed or not: the engine's live footprint stays near the serial
+    // one-block-at-a-time profile.
+    ReleaseBlockCharge(exec->block.EstimatedBytes());
+    exec->block = decomp::Block();
 
     bool ready = false;
     {
@@ -424,85 +389,43 @@ class PooledEngine {
   /// mu_ held. Marks the level ready once its decompose has emitted every
   /// block and the last of them has finished; true on that transition.
   bool MarkReadyIfAnalyzed(LevelRun* lr) {
-    if (!lr->blocks_final || lr->blocks_done != lr->blocks.size()) {
+    if (!lr->blocks_final || lr->blocks_done != lr->execs.size()) {
       return false;
     }
     lr->ready = true;
     return true;
   }
 
-  /// The level's FallbackTask, inside its DecomposeTask on this worker:
-  /// RunFallbackTask with each clique filtered here and the survivors
-  /// buffered for calling-thread emission.
-  void RunFallback(LevelRun* lr) {
-    lr->fallback_cliques = MakeCliqueSink(&lr->spill);
-    Clique scratch;
-    Clique expand_scratch;
-    RunFallbackTask(*lr->graph, lr->level, reporter_, progress_,
-                    [&](std::span<const NodeId> c) {
-                      if (!MapExpandAndFilterClique(
-                              original_, c, lr->to_original, lr->level,
-                              expansion_, &expand_scratch, &scratch)) {
-                        return false;
-                      }
-                      lr->fallback_cliques->AppendRaw(scratch);
-                      return true;
-                    });
-  }
-
-  /// Calling thread only. Emits the level's cliques, replays the observer
-  /// in block order, and finishes the level's stats.
+  /// Calling thread only. Emits the level's cliques, replays the stored
+  /// observer records in block order, and finishes the level's stats.
   void DeliverLevel(LevelRun* lr, decomp::StreamingStats& out) {
-    const uint64_t emitted_before = out.cliques_emitted;
+    const uint32_t level = lr->scope.level;
+    const CliqueCallback emit = [&](std::span<const NodeId> c) {
+      emit_(c, level);
+    };
+    // Replays one sink and absorbs its spill totals before the sinks are
+    // destroyed.
+    const auto deliver = [&](const CliqueSink& sink) {
+      sink.ForEach(emit);
+      out.memory.spill_chunks += sink.spilled_chunks();
+      out.memory.spill_bytes += sink.spilled_bytes();
+    };
     if (lr->fallback_cliques != nullptr) {
       out.used_fallback = true;
-      lr->fallback_cliques->ForEach([&](std::span<const NodeId> c) {
-        ++out.cliques_emitted;
-        emit_(c, lr->level);
-      });
+      deliver(*lr->fallback_cliques);
     }
     // Blocks in decomposition order: the serial emission order.
-    for (size_t i = 0; i < lr->execs.size(); ++i) {
-      const BlockExec& exec = lr->execs[i];
-      exec.cliques->ForEach([&](std::span<const NodeId> c) {
-        ++out.cliques_emitted;
-        emit_(c, lr->level);
-      });
-      if (options_.block_observer) {
-        options_.block_observer(MakeBlockTaskRecord(
-            lr->blocks[i], exec.result, exec.seconds, lr->level, i,
-            exec.cost));
-      }
+    for (const BlockExec& exec : lr->execs) {
+      deliver(exec.cliques);
+      if (options_.block_observer) options_.block_observer(exec.record);
     }
-
-    // Spill totals of every sink this level created, absorbed before the
-    // sinks are destroyed.
-    const auto absorb = [&out](const CliqueSink* s) {
-      if (s == nullptr) return;
-      out.memory.spill_chunks += s->spilled_chunks();
-      out.memory.spill_bytes += s->spilled_bytes();
-    };
-    for (BlockExec& exec : lr->execs) {
-      // Blocks still materialized (observer runs hold them until delivery)
-      // release their charge here.
-      ReleaseBlockCharge(&exec);
-      absorb(exec.cliques.get());
-    }
-    absorb(lr->fallback_cliques.get());
-
     // Free the bulky per-level state now that it is delivered. Destroying
     // the sinks releases their residual byte accounting.
-    lr->blocks.clear();
     lr->execs.clear();
     lr->fallback_cliques.reset();
-
-    // Cliques count at delivery (post-filter, the emission the caller
-    // saw), levels finish in delivery order — matching the serial walk.
-    if (progress_ != nullptr) {
-      progress_->AddCliques(out.cliques_emitted - emitted_before);
-    }
+    // Levels finish in delivery order, matching the serial walk.
     out.levels.push_back(reporter_.FinishLevel(
-        lr->level, static_cast<uint32_t>(pool_.num_threads())));
+        level, static_cast<uint32_t>(pool_.num_threads())));
   }
 
   /// mu_ held. The level's graph feeds its child's Induce, so it is freed
@@ -513,7 +436,7 @@ class PooledEngine {
     lr->owned_graph = Graph();
     lr->graph = nullptr;
     lr->cut = decomp::CutResult();
-    lr->to_original = {};
+    lr->scope.to_original = {};
     ReleaseTracked(lr->graph_bytes);
     lr->graph_bytes = 0;
   }
@@ -548,13 +471,14 @@ class PooledEngine {
   ///  - an analysis waits only while other analyses run (in_flight > 0):
   ///    the first analysis always admits, so an undersized budget
   ///    degrades to serial admission instead of deadlocking;
-  ///  - the decompose worker additionally waits while *materialized
-  ///    blocks* are outstanding — every one of them has a dispatched
-  ///    analysis (EmitBlock flushes its coalesce batch before gating)
-  ///    whose completion releases the block, so block emission is strictly
-  ///    budget-bound on multi-worker pools. Single-worker pools skip the
-  ///    block wait: the decompose worker is the only one who could run
-  ///    those analyses.
+  ///  - a decompose worker additionally waits while *materialized blocks*
+  ///    are outstanding — every one of them has a dispatched analysis
+  ///    (EmitBlock flushes its coalesce batch before gating) whose task
+  ///    frees the block, so block emission is strictly budget-bound. It
+  ///    parks on blocks only while another worker stays free to run those
+  ///    analyses: once every other worker is a decompose parked here (or
+  ///    on a single-worker pool), waiting would deadlock the pool, so it
+  ///    charges through.
   /// The wait polls: sink flushes release budget without an engine
   /// notification, so a pure wait could miss its wakeup.
   void GateCharge(uint32_t level, uint64_t bytes, bool admit_analysis) {
@@ -564,22 +488,20 @@ class PooledEngine {
     }
     {
       std::unique_lock<std::mutex> lock(admit_mu_);
-      // Waiting on outstanding blocks is sound only when blocks free at
-      // task completion: with an observer they are held until delivery,
-      // which needs this decompose task to finish first — waiting on them
-      // here would deadlock the level against itself.
-      const bool eager_block_release = !options_.block_observer;
+      const bool may_park =
+          !admit_analysis && parked_decomposes_ + 1 < pool_.num_threads();
       const auto must_wait = [&] {
         if (!budget_.WouldExceed(bytes)) return false;
         if (analyses_in_flight_ > 0) return true;
-        return !admit_analysis && eager_block_release &&
-               pool_.num_threads() > 1 && blocks_outstanding_ > 0;
+        return may_park && blocks_outstanding_ > 0;
       };
       if (must_wait()) {
         const int64_t begin_us = obs::NowMicros();
+        if (may_park) ++parked_decomposes_;
         while (must_wait()) {
           admit_cv_.wait_for(lock, std::chrono::milliseconds(2));
         }
+        if (may_park) --parked_decomposes_;
         reporter_.RecordAdmissionStall(level, begin_us, obs::NowMicros(),
                                        bytes, budget_.charged(),
                                        budget_.limit());
@@ -597,16 +519,13 @@ class PooledEngine {
   }
 
   /// Releases a materialized block's charge and its outstanding slot.
-  /// No-op when the block's bytes were already released (or never gated).
-  void ReleaseBlockCharge(BlockExec* exec) {
-    if (exec->block_bytes == 0) return;
+  void ReleaseBlockCharge(uint64_t bytes) {
     if (budget_.limited()) {
       std::lock_guard<std::mutex> lock(admit_mu_);
       MCE_DCHECK(blocks_outstanding_ > 0);
       --blocks_outstanding_;
     }
-    ReleaseTracked(exec->block_bytes);
-    exec->block_bytes = 0;
+    ReleaseTracked(bytes);
   }
 
   /// Releases an admitted analysis's workspace charge and its in-flight
@@ -628,7 +547,6 @@ class PooledEngine {
   /// The ReduceTask's state; set once in Run() before any pipeline task
   /// is submitted, read-only afterwards (safe unlocked from workers).
   ReducePrepass prep_;
-  const reduce::ReductionMap* expansion_ = nullptr;
   const decomp::BlocksOptions blocks_options_;
   const decomp::BlockAnalysisOptions analysis_options_;
   RunReporter reporter_;
@@ -645,6 +563,7 @@ class PooledEngine {
   std::condition_variable admit_cv_;
   size_t analyses_in_flight_ = 0;   // admit_mu_
   size_t blocks_outstanding_ = 0;   // admit_mu_; blocks charged, not freed
+  size_t parked_decomposes_ = 0;    // admit_mu_; waiting on those blocks
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -1,9 +1,9 @@
 // SerialExecutor: depth-first execution of the task graph on the calling
-// thread. DecomposeTask(h) streams its blocks and each BlockTask runs the
-// moment its block finishes growing, emitting each clique as it passes
-// the per-clique Lemma-1 step — so at most one block (plus the level
-// graph) is alive at a time and the memory profile is O(graph + largest
-// block).
+// thread. DecomposeTask(h) streams its blocks and each block's
+// RunBlockTask runs the moment the block finishes growing, emitting each
+// clique as it passes the per-clique Lemma-1 step — so at most one block
+// (plus the level graph) is alive at a time and the memory profile is
+// O(graph + largest block).
 
 #include <cstdint>
 #include <memory>
@@ -38,7 +38,8 @@ class SerialExecutor final : public Executor {
     // reduced graph; `g` stays the filter's reference graph.
     ReducePrepass prep;
     prep.Run(g, options, reporter, emit, &out);
-    const reduce::ReductionMap* const expansion = prep.map();
+    // The level being walked: `g` is its Lemma-1 reference graph.
+    LevelScope scope{&g, prep.map(), 0, {}};
     const Graph* current = &prep.pipeline_graph();
     // The serial walk never stalls or spills (its live set is already
     // O(graph + one block)), but it tracks the same charges the pooled
@@ -64,26 +65,14 @@ class SerialExecutor final : public Executor {
     charge(pipeline_graph_bytes);
     uint64_t level_graph_bytes = 0;  // the current owned level graph
     Graph owned;  // deeper levels own the hub-induced subgraph
-    std::vector<NodeId> to_original;  // empty means identity (level 0)
-    uint32_t level = 0;
-    Clique scratch;
-    Clique expand_scratch;
 
     const decomp::BlocksOptions blocks_options = BlocksOptionsFor(options);
     const decomp::BlockAnalysisOptions analysis_options =
         AnalysisOptionsFor(options);
 
-    // The per-clique step of every analysis task; true when the clique
-    // is kept and emitted.
-    auto deliver = [&](std::span<const NodeId> c) {
-      if (!MapExpandAndFilterClique(g, c, to_original, level, expansion,
-                                    &expand_scratch, &scratch)) {
-        return false;
-      }
-      ++out.cliques_emitted;
-      if (progress != nullptr) progress->AddCliques(1);
-      emit(scratch, level);
-      return true;
+    // Every analysis task's survivors stream straight to the caller.
+    const CliqueCallback keep = [&](std::span<const NodeId> c) {
+      emit(c, scope.level);
     };
 
     // BlockTask(level, block_index), run the moment its block is emitted.
@@ -101,26 +90,11 @@ class SerialExecutor final : public Executor {
       // reorders or batches, but plans blocks exactly as the pooled engine
       // does.
       const BlockPlan plan = PlanBlock(block, analysis_options);
-      if (progress != nullptr) progress->RegisterBlock(level, plan.cost);
-      TaskWindow block_window(reporter);
-      uint64_t kept = 0;
-      decomp::BlockAnalysisResult result = decomp::AnalyzeBlock(
-          block, plan.used,
-          [&](std::span<const NodeId> c) {
-            if (deliver(c)) ++kept;
-          },
-          &workspace, decomp::KernelRange{0, block.kernel_local.size()});
+      if (progress != nullptr) progress->RegisterBlock(scope.level, plan.cost);
+      const decomp::BlockTaskRecord record = RunBlockTask(
+          scope, block, plan, block_index++, reporter, &workspace, keep);
       budget.Release(block_charge);
-      reporter.Close(block_window,
-                     MakeBlockSpan(block, result, level, block_index,
-                                   plan.cost, kept, reporter.exports_spans()));
-      reporter.RecordBlock(block, result, block_window.Seconds());
-      if (options.block_observer) {
-        options.block_observer(
-            MakeBlockTaskRecord(block, result, block_window.Seconds(), level,
-                                block_index, plan.cost));
-      }
-      ++block_index;
+      if (options.block_observer) options.block_observer(record);
     };
 
     for (;;) {
@@ -129,7 +103,7 @@ class SerialExecutor final : public Executor {
       // nest inside it on this thread, so its span's self time and
       // counters hold only the decompose's own work.
       TaskWindow decompose_window(reporter);
-      if (progress != nullptr) progress->BeginLevel(level);
+      if (progress != nullptr) progress->BeginLevel(scope.level);
       decomp::CutResult cut = decomp::Cut(*current, options.max_block_size);
       // Sparsity precondition violated: the remaining graph is its own
       // m-core. Enumerate it directly as one indivisible task.
@@ -137,18 +111,19 @@ class SerialExecutor final : public Executor {
       out.used_fallback = fallback;
       block_index = 0;
       if (fallback) {
-        RunFallbackTask(*current, level, reporter, progress, deliver);
+        RunFallbackTask(scope, *current, reporter, progress, keep);
       } else {
         decomp::BuildBlocksStreaming(*current, cut.feasible, blocks_options,
                                      analyze_block);
       }
-      reporter.Close(decompose_window, MakeDecomposeSpan(level, *current, cut));
-      out.levels.push_back(reporter.FinishLevel(level, 1));
+      reporter.Close(decompose_window,
+                     MakeDecomposeSpan(scope.level, *current, cut));
+      out.levels.push_back(reporter.FinishLevel(scope.level, 1));
       if (fallback || cut.hubs.empty()) break;
 
       // Recursive step: continue on the hub-induced subgraph.
       InducedSubgraph sub = Induce(*current, cut.hubs);
-      to_original = ComposeToOriginal(to_original, sub.to_parent);
+      scope.to_original = ComposeToOriginal(scope.to_original, sub.to_parent);
       // Parent and child graphs overlap until the move below frees the
       // parent, so the child is charged before the parent is released.
       const uint64_t next_graph_bytes = sub.graph.ResidentBytes();
@@ -157,7 +132,7 @@ class SerialExecutor final : public Executor {
       budget.Release(level_graph_bytes);
       level_graph_bytes = next_graph_bytes;
       current = &owned;
-      ++level;
+      ++scope.level;
     }
     out.memory.budget_bytes = budget.limit();
     out.memory.peak_tracked_bytes = budget.peak();

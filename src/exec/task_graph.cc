@@ -22,22 +22,6 @@ uint64_t EstimateAnalysisBytes(const decomp::Block& block) {
       SaturatingMul(block.num_nodes(), 64));
 }
 
-decomp::BlockTaskRecord MakeBlockTaskRecord(
-    const decomp::Block& block, const decomp::BlockAnalysisResult& result,
-    double seconds, uint32_t level, uint64_t index, double estimated_cost) {
-  decomp::BlockTaskRecord r;
-  r.level = level;
-  r.index = index;
-  r.nodes = block.num_nodes();
-  r.edges = block.num_edges();
-  r.bytes = block.EstimatedBytes();
-  r.cliques = result.num_cliques;
-  r.estimated_cost = estimated_cost;
-  r.seconds = seconds;
-  r.used = result.used;
-  return r;
-}
-
 BlockPlan PlanBlock(const decomp::Block& block,
                     const decomp::BlockAnalysisOptions& options) {
   const Graph& g = block.subgraph.graph;
@@ -75,42 +59,99 @@ std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
   return composed;
 }
 
-bool MapAndFilterClique(const Graph& original,
-                        std::span<const NodeId> level_ids,
-                        const std::vector<NodeId>& to_original, uint32_t level,
-                        Clique* out) {
-  out->clear();
-  out->reserve(level_ids.size());
-  if (to_original.empty()) {
-    out->assign(level_ids.begin(), level_ids.end());
+bool MapExpandAndFilterClique(const LevelScope& scope,
+                              std::span<const NodeId> level_ids,
+                              Clique* scratch, Clique* out) {
+  const bool expand =
+      scope.expansion != nullptr && scope.expansion->active();
+  // Without a reduction the translated ids are already original ids.
+  Clique* mapped = expand ? scratch : out;
+  mapped->clear();
+  mapped->reserve(level_ids.size());
+  if (scope.to_original.empty()) {
+    mapped->assign(level_ids.begin(), level_ids.end());
   } else {
-    for (NodeId v : level_ids) out->push_back(to_original[v]);
+    for (NodeId v : level_ids) mapped->push_back(scope.to_original[v]);
   }
-  std::sort(out->begin(), out->end());
-  return level == 0 || decomp::IsMaximalInGraph(original, *out);
+  // Expanding the twin classes yields sorted original ids, so the Lemma-1
+  // check sees the same cliques it would without the prepass.
+  if (!expand) {
+    std::sort(out->begin(), out->end());
+  } else if (!scope.expansion->ExpandClique(*scratch, out)) {
+    return false;
+  }
+  return scope.level == 0 || decomp::IsMaximalInGraph(*scope.original, *out);
 }
 
-bool MapExpandAndFilterClique(const Graph& original,
-                              std::span<const NodeId> level_ids,
-                              const std::vector<NodeId>& to_original,
-                              uint32_t level,
-                              const reduce::ReductionMap* expansion,
-                              Clique* scratch, Clique* out) {
-  if (expansion == nullptr || !expansion->active()) {
-    return MapAndFilterClique(original, level_ids, to_original, level, out);
+namespace {
+
+/// The observer record of a finished BlockTask.
+decomp::BlockTaskRecord MakeBlockTaskRecord(
+    const decomp::Block& block, const decomp::BlockAnalysisResult& result,
+    double seconds, uint32_t level, uint64_t index, double estimated_cost) {
+  decomp::BlockTaskRecord r;
+  r.level = level;
+  r.index = index;
+  r.nodes = block.num_nodes();
+  r.edges = block.num_edges();
+  r.bytes = block.EstimatedBytes();
+  r.cliques = result.num_cliques;
+  r.estimated_cost = estimated_cost;
+  r.seconds = seconds;
+  r.used = result.used;
+  return r;
+}
+
+/// A finished BlockTask's span: clique and kept counts, the MCE combination
+/// that ran and the predicted cost, tagged with level and block index; the
+/// kernel/border/visited sizes (a scan of the block) only with `roles`.
+obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
+                              const decomp::BlockAnalysisResult& result,
+                              uint32_t level, uint64_t index, double cost,
+                              uint64_t kept, bool roles) {
+  obs::TraceEvent e;
+  e.kind = obs::SpanKind::kBlock;
+  e.level = level;
+  e.index = index;
+  if (roles) {
+    e.args[0] = block.CountRole(decomp::NodeRole::kKernel);
+    e.args[1] = block.CountRole(decomp::NodeRole::kBorder);
+    e.args[2] = block.CountRole(decomp::NodeRole::kVisited);
   }
-  // Translate level ids to reduced-graph ids, then expand the twin
-  // classes to original ids (sorted) — the Lemma-1 check below sees the
-  // same original-id cliques it would without the prepass.
-  scratch->clear();
-  if (to_original.empty()) {
-    scratch->assign(level_ids.begin(), level_ids.end());
-  } else {
-    scratch->reserve(level_ids.size());
-    for (NodeId v : level_ids) scratch->push_back(to_original[v]);
-  }
-  if (!expansion->ExpandClique(*scratch, out)) return false;
-  return level == 0 || decomp::IsMaximalInGraph(original, *out);
+  e.args[3] = result.num_cliques;
+  e.kept = kept;
+  e.algorithm = static_cast<uint8_t>(result.used.algorithm);
+  e.storage = static_cast<uint8_t>(result.used.storage);
+  e.cost = cost;
+  return e;
+}
+
+}  // namespace
+
+decomp::BlockTaskRecord RunBlockTask(const LevelScope& scope,
+                                     const decomp::Block& block,
+                                     const BlockPlan& plan, uint64_t index,
+                                     RunReporter& reporter,
+                                     BlockWorkspace* workspace,
+                                     const CliqueCallback& keep) {
+  TaskWindow window(reporter);
+  Clique scratch;
+  Clique clique;
+  uint64_t kept = 0;
+  const decomp::BlockAnalysisResult result = decomp::AnalyzeBlock(
+      block, plan.used,
+      [&](std::span<const NodeId> c) {
+        if (!MapExpandAndFilterClique(scope, c, &scratch, &clique)) return;
+        ++kept;
+        keep(clique);
+      },
+      workspace, decomp::KernelRange{0, block.kernel_local.size()});
+  reporter.Close(window,
+                 MakeBlockSpan(block, result, scope.level, index, plan.cost,
+                               kept, reporter.exports_spans()));
+  reporter.RecordBlock(block, result, window.Seconds());
+  return MakeBlockTaskRecord(block, result, window.Seconds(), scope.level,
+                             index, plan.cost);
 }
 
 void ReducePrepass::Run(const Graph& g,
@@ -134,11 +175,7 @@ void ReducePrepass::Run(const Graph& g,
   // calling thread, before the root DecomposeTask produces anything — so
   // serial/pooled emission stays byte-identical with reduction on.
   for (size_t i = 0; i < result_.map.num_trivial_cliques(); ++i) {
-    ++out->cliques_emitted;
     emit(result_.map.TrivialClique(i), 0);
-  }
-  if (options.progress != nullptr) {
-    options.progress->AddCliques(result_.map.num_trivial_cliques());
   }
   obs::TraceEvent e;
   e.kind = obs::SpanKind::kReduce;
@@ -149,28 +186,34 @@ void ReducePrepass::Run(const Graph& g,
   reporter.Close(window, e);
 }
 
-void RunFallbackTask(
-    const Graph& graph, uint32_t level, RunReporter& reporter,
-    obs::ProgressEstimator* progress,
-    const std::function<bool(std::span<const NodeId>)>& deliver) {
+void RunFallbackTask(const LevelScope& scope, const Graph& graph,
+                     RunReporter& reporter, obs::ProgressEstimator* progress,
+                     const CliqueCallback& keep) {
   double cost = 0;
   if (progress != nullptr) {
     // One indivisible unit of work, scored with the block cost model so
     // the progress denominator stays in one currency.
     cost = decision::EstimateBlockCost(graph);
-    progress->RegisterBlock(level, cost);
+    progress->RegisterBlock(scope.level, cost);
   }
   TaskWindow window(reporter);
+  Clique scratch;
+  Clique clique;
   uint64_t produced = 0;
   uint64_t kept = 0;
   EnumerateMaximalCliques(graph, decomp::kFallbackMce,
                           [&](std::span<const NodeId> c) {
                             ++produced;
-                            if (deliver(c)) ++kept;
+                            if (!MapExpandAndFilterClique(scope, c, &scratch,
+                                                          &clique)) {
+                              return;
+                            }
+                            ++kept;
+                            keep(clique);
                           });
   obs::TraceEvent e;
   e.kind = obs::SpanKind::kFallback;
-  e.level = level;
+  e.level = scope.level;
   e.args[0] = graph.num_nodes();
   e.args[1] = graph.num_edges();
   e.args[2] = produced;
@@ -193,27 +236,6 @@ obs::TraceEvent MakeDecomposeSpan(uint32_t level, const Graph& graph,
   e.args[1] = graph.num_edges();
   e.args[2] = cut.feasible.size();
   e.args[3] = cut.hubs.size();
-  return e;
-}
-
-obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
-                              const decomp::BlockAnalysisResult& result,
-                              uint32_t level, uint64_t index, double cost,
-                              uint64_t kept, bool roles) {
-  obs::TraceEvent e;
-  e.kind = obs::SpanKind::kBlock;
-  e.level = level;
-  e.index = index;
-  if (roles) {
-    e.args[0] = block.CountRole(decomp::NodeRole::kKernel);
-    e.args[1] = block.CountRole(decomp::NodeRole::kBorder);
-    e.args[2] = block.CountRole(decomp::NodeRole::kVisited);
-  }
-  e.args[3] = result.num_cliques;
-  e.kept = kept;
-  e.algorithm = static_cast<uint8_t>(result.used.algorithm);
-  e.storage = static_cast<uint8_t>(result.used.storage);
-  e.cost = cost;
   return e;
 }
 
@@ -317,7 +339,11 @@ void RunReporter::Close(TaskWindow& window, obs::TraceEvent e) {
     std::lock_guard<std::mutex> lock(mu_);
     fold_.Add(span);
   }
+  // The cliques this task hands to delivery: an analysis task's
+  // survivors, the prepass's trivial cliques.
+  uint64_t delivered = 0;
   if (obs::IsAnalysisTask(e.kind)) {
+    delivered = span.kept;
     if (progress_ != nullptr) progress_->RetireBlock(e.level, e.cost);
     // Level-0 cliques are maximal by construction: only deeper levels run
     // the Lemma-1 check.
@@ -325,6 +351,12 @@ void RunReporter::Close(TaskWindow& window, obs::TraceEvent e) {
       filter_checked_->Add(span.cliques);
       filter_kept_->Add(span.kept);
     }
+  } else if (e.kind == obs::SpanKind::kReduce) {
+    delivered = span.cliques;
+  }
+  if (delivered > 0) {
+    cliques_delivered_.fetch_add(delivered, std::memory_order_relaxed);
+    if (progress_ != nullptr) progress_->AddCliques(delivered);
   }
   if (profiling_) profile_.Add(span);
   if (trace_ != nullptr) trace_->Record(e);
@@ -391,6 +423,7 @@ void RunReporter::RecordBlock(const decomp::Block& block,
 }
 
 void RunReporter::FinishRun(decomp::StreamingStats* out) {
+  out->cliques_emitted = cliques_delivered_.load(std::memory_order_relaxed);
   const uint64_t stall_micros =
       admission_stall_micros_.load(std::memory_order_relaxed);
   out->memory.admission_stalls =

@@ -10,7 +10,9 @@
 //                       clique mapped to original ids and, at h >= 1,
 //                       kept only if it passes the telescoped Lemma-1
 //                       maximality check (MapExpandAndFilterClique).
-//                       Level-0 cliques are maximal by construction.
+//                       Level-0 cliques are maximal by construction. Both
+//                       executors run the one body, RunBlockTask; they
+//                       differ only in where the survivors go.
 //
 // Dependency edges:
 //   DecomposeTask(h+1) <- Cut(h)'s hub set only — NOT level h's clique
@@ -21,8 +23,9 @@
 //     and observer records surface on the calling thread, in block order,
 //     levels in order (DESIGN.md §7).
 //
-// This header holds the stage payloads and the pure helpers every executor
-// shares; the executors themselves live behind exec/executor.h.
+// This header holds the stage payloads, the task bodies and the helpers
+// every executor shares; the executors themselves live behind
+// exec/executor.h.
 
 #ifndef MCE_EXEC_TASK_GRAPH_H_
 #define MCE_EXEC_TASK_GRAPH_H_
@@ -56,14 +59,6 @@ namespace mce::exec {
 
 class RunReporter;
 
-/// The one construction site of a BlockTaskRecord, the record every
-/// executor delivers to options.block_observer. `estimated_cost` is the
-/// decision::EstimateBlockCost score of the block (the number that also
-/// drives cost-guided dispatch and batching).
-decomp::BlockTaskRecord MakeBlockTaskRecord(
-    const decomp::Block& block, const decomp::BlockAnalysisResult& result,
-    double seconds, uint32_t level, uint64_t index, double estimated_cost);
-
 /// A block's emission-time plan, from one feature pass over the block:
 /// the decision::EstimateBlockCost score (dispatch order, the batching
 /// decision, progress units, the observer record and the block span) and
@@ -92,30 +87,42 @@ decomp::BlockAnalysisOptions AnalysisOptionsFor(
 std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
                                       const std::vector<NodeId>& to_parent);
 
-/// The per-clique step of every BlockTask and FallbackTask: translates
-/// `level_ids` (ids of G_level) to original ids via `to_original` (empty =
-/// identity), sorts, and applies the telescoped Lemma-1 filter — a clique
-/// from level >= 1 is kept iff it is maximal in the original graph.
-/// Returns true and fills `out` when the clique survives.
-bool MapAndFilterClique(const Graph& original,
-                        std::span<const NodeId> level_ids,
-                        const std::vector<NodeId>& to_original, uint32_t level,
-                        Clique* out);
+/// What every analysis task of one recursion level reads: the original
+/// graph (the Lemma-1 reference), the reduction prepass's map (null when
+/// reduction is off), the level, and the level graph's ids in the pipeline
+/// graph (empty means identity, level 0). Both executors hold one per
+/// level.
+struct LevelScope {
+  const Graph* original = nullptr;
+  const reduce::ReductionMap* expansion = nullptr;
+  uint32_t level = 0;
+  std::vector<NodeId> to_original;
+};
 
-/// MapAndFilterClique with the reduction prepass in the loop: `level_ids`
-/// are ids of the reduced graph's level chain, so after the to_original
-/// translation (into *scratch) the clique re-expands through `expansion`
-/// into original-graph ids — *before* the Lemma-1 check, which still runs
-/// against the true original graph. Returns false when the expansion is
-/// covered by a trivial clique of the prepass (a reduction leak) or fails
-/// the maximality check. With a null/inactive `expansion` this is exactly
-/// MapAndFilterClique.
-bool MapExpandAndFilterClique(const Graph& original,
+/// The per-clique step of every BlockTask and FallbackTask: translates
+/// `level_ids` (ids of G_level) through scope.to_original; under an active
+/// reduction re-expands the result (held in *scratch) through the twin
+/// classes into original-graph ids, else sorts it; then applies the
+/// telescoped Lemma-1 filter against the original graph — a clique from
+/// level >= 1 is kept iff it is maximal there. Returns true and fills
+/// `out` (sorted original ids) when the clique survives; false when it
+/// fails the check or its expansion is covered by a trivial clique of the
+/// prepass (a reduction leak).
+bool MapExpandAndFilterClique(const LevelScope& scope,
                               std::span<const NodeId> level_ids,
-                              const std::vector<NodeId>& to_original,
-                              uint32_t level,
-                              const reduce::ReductionMap* expansion,
                               Clique* scratch, Clique* out);
+
+/// The one BlockTask body: opens the task's window, runs Algorithm 4 over
+/// the whole block with the plan's classification, passes each clique
+/// through MapExpandAndFilterClique and each survivor to `keep`, closes the
+/// block span, records the block histograms, and returns the observer
+/// record, built while the block is still alive. `workspace` may be null.
+decomp::BlockTaskRecord RunBlockTask(const LevelScope& scope,
+                                     const decomp::Block& block,
+                                     const BlockPlan& plan, uint64_t index,
+                                     RunReporter& reporter,
+                                     BlockWorkspace* workspace,
+                                     const CliqueCallback& keep);
 
 /// The ReduceTask: shared prepass driver for the executors. When
 /// options.reduce is set, Run() reduces `g` on the calling thread, emits
@@ -127,14 +134,14 @@ bool MapExpandAndFilterClique(const Graph& original,
 class ReducePrepass {
  public:
   /// Must be called once, before any pipeline task runs. `out` receives
-  /// the stats and the trivial-clique emission count.
+  /// the prepass stats; the trivial cliques count through the span.
   void Run(const Graph& g, const decomp::FindMaxCliquesOptions& options,
            RunReporter& reporter, const decomp::LeveledCliqueCallback& emit,
            decomp::StreamingStats* out);
 
   const Graph& pipeline_graph() const { return *graph_; }
-  /// Null when reduction is off — safe to pass straight to
-  /// MapExpandAndFilterClique.
+  /// Null when reduction is off or changed nothing: a LevelScope's
+  /// `expansion`.
   const reduce::ReductionMap* map() const {
     return active_ ? &result_.map : nullptr;
   }
@@ -147,13 +154,12 @@ class ReducePrepass {
 
 /// The FallbackTask shared by the executors: the level graph `graph` is
 /// its own m-core, so it is enumerated directly, on the calling thread, as
-/// one indivisible task, each clique (ids of `graph`) going to `deliver`,
-/// which returns whether it kept the clique. The task is scored with the
-/// block cost model for `progress` (may be null) and reports its span.
-void RunFallbackTask(
-    const Graph& graph, uint32_t level, RunReporter& reporter,
-    obs::ProgressEstimator* progress,
-    const std::function<bool(std::span<const NodeId>)>& deliver);
+/// one indivisible task, each clique through MapExpandAndFilterClique and
+/// each survivor to `keep`. The task is scored with the block cost model
+/// for `progress` (may be null) and reports its span.
+void RunFallbackTask(const LevelScope& scope, const Graph& graph,
+                     RunReporter& reporter, obs::ProgressEstimator* progress,
+                     const CliqueCallback& keep);
 
 /// Rough bytes one AnalyzeBlock call pins while it runs: the block's
 /// adjacency-list working set plus per-node recursion scratch. This is the
@@ -169,14 +175,6 @@ obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options);
 /// A level's DecomposeTask span: the level graph's size and its cut.
 obs::TraceEvent MakeDecomposeSpan(uint32_t level, const Graph& graph,
                                   const decomp::CutResult& cut);
-
-/// A finished BlockTask's span: clique and kept counts, the MCE combination
-/// that ran and the predicted cost, tagged with level and block index; the
-/// kernel/border/visited sizes (a scan of the block) only with `roles`.
-obs::TraceEvent MakeBlockSpan(const decomp::Block& block,
-                              const decomp::BlockAnalysisResult& result,
-                              uint32_t level, uint64_t index, double cost,
-                              uint64_t kept, bool roles);
 
 /// Priority dispatch queue for ready analysis tasks. The thread pool runs
 /// plain FIFO; cost-guided scheduling (DESIGN.md §7) is layered on top by
@@ -256,9 +254,9 @@ class TaskWindow {
 
 /// The run's one reporting path. Every DAG task (obs::IsDagTask) reports
 /// by closing its TaskWindow here, so LevelStats, progress retirement, the
-/// filter counters and the profile are folds over the spans
-/// mce_trace_analyze reads back from a trace. Instrument lookups happen
-/// once, at construction. Thread-safe.
+/// delivered-clique count, the filter counters and the profile are folds
+/// over the spans mce_trace_analyze reads back from a trace. Instrument
+/// lookups happen once, at construction. Thread-safe.
 class RunReporter {
  public:
   explicit RunReporter(const decomp::FindMaxCliquesOptions& options);
@@ -273,12 +271,14 @@ class RunReporter {
 
   /// Closes `window` with its task's span `e` (stamped with the window and
   /// its self counter delta) and folds it: into its level, into progress
-  /// and the filter counters (analysis spans), into the trace when
-  /// tracing and into the profile when profiling.
+  /// and the filter counters (analysis spans), into the delivered-clique
+  /// count (an analysis span's kept cliques, the ReduceTask's trivial
+  /// ones), into the trace when tracing and into the profile when
+  /// profiling.
   void Close(TaskWindow& window, obs::TraceEvent e);
 
-  /// One analyzed block: counts it, its cliques, and observes the block
-  /// size / edge-density / ns-per-clique histograms.
+  /// One analyzed block (RunBlockTask's): counts it, its cliques, and
+  /// observes the block size / edge-density / ns-per-clique histograms.
   void RecordBlock(const decomp::Block& block,
                    const decomp::BlockAnalysisResult& result, double seconds);
   /// Bytes charged to the MemoryBudget (mem.bytes_charged; sink deltas
@@ -297,9 +297,10 @@ class RunReporter {
   /// spans have closed; marks the level finished for progress.
   decomp::LevelStats FinishLevel(uint32_t level, uint32_t workers);
 
-  /// Ends the run: fills out's admission totals, profile and final
-  /// progress accounting, then writes the end-of-run metrics from *out
-  /// (pipeline, admission, reduce.* and obs.profile.* totals).
+  /// Ends the run: fills out's delivered-clique count, admission totals,
+  /// profile and final progress accounting, then writes the end-of-run
+  /// metrics from *out (pipeline, admission, reduce.* and obs.profile.*
+  /// totals).
   void FinishRun(decomp::StreamingStats* out);
 
  private:
@@ -309,6 +310,7 @@ class RunReporter {
   obs::ProgressEstimator* const progress_;
   std::mutex mu_;
   obs::LevelFold fold_;  // mu_
+  std::atomic<uint64_t> cliques_delivered_{0};
   std::atomic<uint64_t> admission_stalls_{0};
   std::atomic<uint64_t> admission_stall_micros_{0};
   obs::MetricsRegistry* const registry_;

@@ -47,17 +47,15 @@ bool PreadAll(int fd, void* data, size_t len, uint64_t offset) {
 
 }  // namespace
 
-SpillingCliqueSink::~SpillingCliqueSink() {
+CliqueSink::~CliqueSink() {
   if (accounted_ > 0) {
     ctx_->resident_bytes.fetch_sub(accounted_, std::memory_order_relaxed);
-    if (ctx_->config->budget != nullptr) {
-      ctx_->config->budget->Release(accounted_);
-    }
+    ctx_->config->budget->Release(accounted_);
   }
   if (fd_ >= 0) ::close(fd_);
 }
 
-void SpillingCliqueSink::Account() {
+void CliqueSink::Account() {
   const SpillConfig& config = *ctx_->config;
   const uint64_t now = buffer_.ByteSize();
   MCE_DCHECK(now >= accounted_);
@@ -65,7 +63,7 @@ void SpillingCliqueSink::Account() {
   accounted_ = now;
   const uint64_t level_total =
       ctx_->resident_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
-  if (config.budget != nullptr) config.budget->Charge(delta);
+  config.budget->Charge(delta);
   if (config.metrics.bytes_charged != nullptr && delta > 0) {
     config.metrics.bytes_charged->Add(delta);
   }
@@ -77,7 +75,7 @@ void SpillingCliqueSink::Account() {
   }
 }
 
-bool SpillingCliqueSink::EnsureFile() {
+bool CliqueSink::EnsureFile() {
   if (fd_ >= 0) return true;
   std::string dir = ctx_->config->dir;
   if (dir.empty()) {
@@ -97,7 +95,7 @@ bool SpillingCliqueSink::EnsureFile() {
   return true;
 }
 
-void SpillingCliqueSink::Flush() {
+void CliqueSink::Flush() {
   if (!EnsureFile()) {
     spill_failed_ = true;
     return;
@@ -129,7 +127,7 @@ void SpillingCliqueSink::Flush() {
   // The buffer's bytes moved to disk: release the accounting and drop the
   // arena's capacity so the tracked number stays honest.
   ctx_->resident_bytes.fetch_sub(accounted_, std::memory_order_relaxed);
-  if (config.budget != nullptr) config.budget->Release(accounted_);
+  config.budget->Release(accounted_);
   accounted_ = 0;
   buffer_ = FlatCliques();
   if (config.metrics.spill_chunks != nullptr) {
@@ -153,7 +151,7 @@ void SpillingCliqueSink::Flush() {
   }
 }
 
-void SpillingCliqueSink::ForEach(const CliqueCallback& fn) const {
+void CliqueSink::ForEach(const CliqueCallback& fn) const {
   // Only one spilled chunk is resident at a time, in per-call buffers.
   std::vector<uint64_t> ends;
   std::vector<NodeId> ids;
@@ -172,14 +170,6 @@ void SpillingCliqueSink::ForEach(const CliqueCallback& fn) const {
   }
   // The resident tail follows the spilled chunks.
   for (size_t i = 0; i < buffer_.size(); ++i) fn(buffer_[i]);
-}
-
-std::unique_ptr<CliqueSink> MakeCliqueSink(SpillContext* ctx) {
-  if (ctx == nullptr || ctx->config == nullptr ||
-      (ctx->config->threshold_bytes == 0 && ctx->config->budget == nullptr)) {
-    return std::make_unique<ResidentCliqueSink>();
-  }
-  return std::make_unique<SpillingCliqueSink>(ctx);
 }
 
 }  // namespace mce

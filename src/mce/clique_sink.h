@@ -1,12 +1,12 @@
-// CliqueSink — ownership-agnostic buffering for per-level clique streams.
+// CliqueSink — the pooled executor's buffer for surviving cliques.
 //
 // The pooled executor buffers every clique a level emits (that is what
 // makes its delivery byte-identical to the serial walk). On clique-dense
 // graphs those buffers are the largest live allocation of the whole run,
-// so they are the natural spill point for out-of-core execution: a sink
-// either keeps its FlatCliques arena resident, or flushes it to an
-// unlinked temp file in chunks once the level's resident bytes cross a
-// threshold, replaying the chunks in append order on read.
+// so they are the natural spill point for out-of-core execution: every
+// sink charges its FlatCliques buffer to the run's MemoryBudget and, once
+// the level's resident bytes cross a threshold, flushes it to an unlinked
+// temp file in chunks, replaying the chunks in append order on read.
 //
 // The contract that keeps emission byte-identical with spilling on or off:
 // ForEach replays exactly the cliques appended, in order, regardless of
@@ -17,14 +17,13 @@
 // Layering: this header knows nothing about the executors. The engine
 // fills one SpillConfig per run (directory, threshold, budget, trace,
 // metrics handles) and one SpillContext per level (shared resident-byte
-// counter); MakeCliqueSink picks the implementation.
+// counter) that its sinks are constructed with.
 
 #ifndef MCE_MCE_CLIQUE_SINK_H_
 #define MCE_MCE_CLIQUE_SINK_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,8 +43,8 @@ namespace mce {
 /// clique-dense graphs; this arena is two vectors total.
 class FlatCliques {
  public:
-  /// Copies the clique verbatim. The executors append MapAndFilterClique
-  /// output, which is already sorted.
+  /// Copies the clique verbatim. The executors append
+  /// MapExpandAndFilterClique output, which is already sorted.
   void AppendRaw(std::span<const NodeId> c) {
     if (ids_.capacity() == 0) {
       // First touch: skip the early doubling steps. Most arenas are
@@ -103,11 +102,9 @@ struct SpillConfig {
   std::string dir;
   /// Per-level resident-byte ceiling across the level's sinks; a sink
   /// whose append pushes the level total past this flushes its own
-  /// buffer. 0 disables spilling (sinks still account when `budget` is
-  /// set).
+  /// buffer. 0 disables spilling (sinks still account).
   uint64_t threshold_bytes = 0;
-  /// Charged/released with every resident-byte delta; never null for
-  /// spilling sinks made through MakeCliqueSink.
+  /// Charged/released with every resident-byte delta. Required.
   MemoryBudget* budget = nullptr;
   obs::TraceRecorder* trace = nullptr;
   SpillMetrics metrics;
@@ -125,61 +122,34 @@ struct SpillContext {
   std::atomic<uint64_t> resident_bytes{0};
 };
 
-/// Interface the executors buffer through. AppendRaw mirrors
-/// FlatCliques; ForEach replays every append in order.
+/// Accounting + spilling clique buffer. Every append charges its
+/// resident-byte delta to the budget and the level's shared counter; once
+/// the level total crosses the threshold the sink flushes its own buffer
+/// as one chunk ([count][ids-size][ends...][ids...]) appended to a lazily
+/// created, immediately unlinked temp file. Spill I/O failure degrades to
+/// resident buffering with one warning. One writer, then one reader (see
+/// above). Destruction releases the residual charge.
 class CliqueSink {
  public:
-  virtual ~CliqueSink() = default;
+  /// `ctx` (with ctx->config and its budget) must outlive the sink.
+  explicit CliqueSink(SpillContext* ctx) : ctx_(ctx) {}
+  ~CliqueSink();
+  CliqueSink(const CliqueSink&) = delete;
+  CliqueSink& operator=(const CliqueSink&) = delete;
 
-  virtual void AppendRaw(std::span<const NodeId> c) = 0;
-  virtual size_t size() const = 0;
+  void AppendRaw(std::span<const NodeId> c) {
+    buffer_.AppendRaw(c);
+    Account();
+  }
+  size_t size() const { return spilled_cliques_ + buffer_.size(); }
 
   /// Replays every clique, in append order, to `fn`. Call once appends
   /// have finished; spilled chunks stream through a per-call buffer one
   /// chunk at a time.
-  virtual void ForEach(const CliqueCallback& fn) const = 0;
+  void ForEach(const CliqueCallback& fn) const;
 
-  virtual uint64_t spilled_chunks() const { return 0; }
-  virtual uint64_t spilled_bytes() const { return 0; }
-};
-
-/// Resident sink: a FlatCliques arena, no accounting, no virtual overhead
-/// beyond the dispatch itself. The default when no budget or threshold is
-/// configured.
-class ResidentCliqueSink final : public CliqueSink {
- public:
-  void AppendRaw(std::span<const NodeId> c) override { flat_.AppendRaw(c); }
-  size_t size() const override { return flat_.size(); }
-  void ForEach(const CliqueCallback& fn) const override {
-    for (size_t i = 0; i < flat_.size(); ++i) fn(flat_[i]);
-  }
-
- private:
-  FlatCliques flat_;
-};
-
-/// Accounting + spilling sink. Every append charges its resident-byte
-/// delta to the budget and the level's shared counter; once the level
-/// total crosses the threshold the sink flushes its own buffer as one
-/// chunk ([count][ids-size][ends...][ids...]) appended to a lazily
-/// created, immediately unlinked temp file. Spill I/O failure degrades to
-/// resident buffering with one warning. Single writer; see CliqueSink for
-/// the read contract.
-class SpillingCliqueSink final : public CliqueSink {
- public:
-  /// `ctx` (with ctx->config) must outlive the sink.
-  explicit SpillingCliqueSink(SpillContext* ctx) : ctx_(ctx) {}
-  ~SpillingCliqueSink() override;
-
-  void AppendRaw(std::span<const NodeId> c) override {
-    buffer_.AppendRaw(c);
-    Account();
-  }
-  size_t size() const override { return spilled_cliques_ + buffer_.size(); }
-  void ForEach(const CliqueCallback& fn) const override;
-
-  uint64_t spilled_chunks() const override { return chunks_.size(); }
-  uint64_t spilled_bytes() const override { return spilled_bytes_; }
+  uint64_t spilled_chunks() const { return chunks_.size(); }
+  uint64_t spilled_bytes() const { return spilled_bytes_; }
 
  private:
   struct Chunk {
@@ -202,11 +172,6 @@ class SpillingCliqueSink final : public CliqueSink {
   int fd_ = -1;
   bool spill_failed_ = false;
 };
-
-/// Picks the sink implementation: SpillingCliqueSink when `ctx` carries a
-/// config with a threshold or a budget to account against, else the
-/// zero-overhead ResidentCliqueSink (also for ctx == nullptr).
-std::unique_ptr<CliqueSink> MakeCliqueSink(SpillContext* ctx);
 
 }  // namespace mce
 

@@ -14,6 +14,7 @@
 #include "gen/generators.h"
 #include "gen/social.h"
 #include "gen/special.h"
+#include "graph/subgraph.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -95,26 +96,29 @@ TEST(ComposeToOriginalTest, ComposesThroughParentIds) {
   EXPECT_EQ(ComposeToOriginal(base, to_parent), (std::vector<NodeId>{40, 20}));
 }
 
-TEST(MapAndFilterCliqueTest, LevelZeroSortsAndAlwaysKeeps) {
+TEST(MapExpandAndFilterCliqueTest, LevelZeroSortsAndAlwaysKeeps) {
   Graph triangle = gen::Complete(3);
+  const LevelScope scope{&triangle, nullptr, 0, {}};
+  Clique scratch;
   Clique out;
   const std::vector<NodeId> ids = {2, 0};
   // {0, 2} is not maximal in the triangle, but level-0 cliques are maximal
   // by construction and must not be re-filtered.
-  EXPECT_TRUE(MapAndFilterClique(triangle, ids, {}, 0, &out));
+  EXPECT_TRUE(MapExpandAndFilterClique(scope, ids, &scratch, &out));
   EXPECT_EQ(out, (Clique{0, 2}));
 }
 
-TEST(MapAndFilterCliqueTest, DeeperLevelsApplyLemmaOne) {
+TEST(MapExpandAndFilterCliqueTest, DeeperLevelsApplyLemmaOne) {
   Graph triangle = gen::Complete(3);
-  const std::vector<NodeId> to_original = {2, 0, 1};
+  const LevelScope scope{&triangle, nullptr, 1, {2, 0, 1}};
+  Clique scratch;
   Clique out;
   // Level ids {0, 1} -> original {2, 0}: extendable by node 1 -> dropped.
-  EXPECT_FALSE(MapAndFilterClique(triangle, std::vector<NodeId>{0, 1},
-                                  to_original, 1, &out));
+  EXPECT_FALSE(MapExpandAndFilterClique(scope, std::vector<NodeId>{0, 1},
+                                        &scratch, &out));
   // The full triangle survives, translated and sorted.
-  EXPECT_TRUE(MapAndFilterClique(triangle, std::vector<NodeId>{1, 2, 0},
-                                 to_original, 1, &out));
+  EXPECT_TRUE(MapExpandAndFilterClique(scope, std::vector<NodeId>{1, 2, 0},
+                                       &scratch, &out));
   EXPECT_EQ(out, (Clique{0, 1, 2}));
 }
 
@@ -140,31 +144,80 @@ TEST(BuildBlocksStreamingTest, EmissionOrderMatchesBatchBuild) {
   }
 }
 
-TEST(MakeBlockTaskRecordTest, CarriesBlockShapeAndCostEstimate) {
-  Rng rng(43);
-  Graph g = gen::BarabasiAlbert(40, 3, &rng);
-  decomp::CutResult cut = decomp::Cut(g, 10);
-  decomp::BlocksOptions options;
-  options.max_block_size = 10;
-  std::vector<decomp::Block> blocks =
-      decomp::BuildBlocks(g, cut.feasible, options);
+// The one BlockTask body, run on the blocks of a real level 1 (G_1
+// induced on the hubs of G_0): the record carries the block's shape and
+// the plan, `keep` receives exactly what the per-clique step keeps, and
+// the closed span counts those survivors.
+TEST(RunBlockTaskTest, RecordKeepAndSpanMatchTheBlockAndPlan) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  const uint32_t m = 40;
+  const decomp::CutResult cut0 = decomp::Cut(g, m);
+  const InducedSubgraph level1 = Induce(g, cut0.hubs);
+  const LevelScope scope{&g, nullptr, 1, level1.to_parent};
+  decomp::BlocksOptions blocks_options;
+  blocks_options.max_block_size = m;
+  const std::vector<decomp::Block> blocks = decomp::BuildBlocks(
+      level1.graph, decomp::Cut(level1.graph, m).feasible, blocks_options);
   ASSERT_FALSE(blocks.empty());
-  decomp::BlockAnalysisResult result;
-  result.num_cliques = 7;
-  result.used = {Algorithm::kXPivot, StorageKind::kMatrix};
-  const double cost = decision::EstimateBlockCost(blocks[0].subgraph.graph);
-  const decomp::BlockTaskRecord r =
-      MakeBlockTaskRecord(blocks[0], result, 0.5, 2, 3, cost);
-  EXPECT_EQ(r.level, 2u);
-  EXPECT_EQ(r.index, 3u);
-  EXPECT_EQ(r.nodes, blocks[0].num_nodes());
-  EXPECT_EQ(r.edges, blocks[0].num_edges());
-  EXPECT_EQ(r.bytes, blocks[0].EstimatedBytes());
-  EXPECT_EQ(r.cliques, 7u);
-  EXPECT_DOUBLE_EQ(r.estimated_cost, cost);
-  EXPECT_DOUBLE_EQ(r.seconds, 0.5);
-  EXPECT_EQ(r.used.algorithm, Algorithm::kXPivot);
-  EXPECT_EQ(r.used.storage, StorageKind::kMatrix);
+
+  obs::TraceRecorder recorder;
+  decomp::FindMaxCliquesOptions options;
+  options.trace = &recorder;
+  RunReporter reporter(options);
+  BlockWorkspace workspace;
+  uint64_t enumerated_total = 0, kept_total = 0;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "block " << i);
+    const decomp::Block& block = blocks[i];
+    const BlockPlan plan = PlanBlock(block, AnalysisOptionsFor(options));
+    // What the per-clique step keeps of the block's own enumeration.
+    std::vector<Clique> want;
+    uint64_t enumerated = 0;
+    Clique scratch;
+    Clique clique;
+    decomp::AnalyzeBlock(
+        block, plan.used,
+        [&](std::span<const NodeId> c) {
+          ++enumerated;
+          if (MapExpandAndFilterClique(scope, c, &scratch, &clique)) {
+            want.push_back(clique);
+          }
+        },
+        nullptr, decomp::KernelRange{0, block.kernel_local.size()});
+
+    std::vector<Clique> got;
+    const decomp::BlockTaskRecord r =
+        RunBlockTask(scope, block, plan, i, reporter, &workspace,
+                     [&got](std::span<const NodeId> c) {
+                       got.emplace_back(c.begin(), c.end());
+                     });
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(r.level, 1u);
+    EXPECT_EQ(r.index, i);
+    EXPECT_EQ(r.nodes, block.num_nodes());
+    EXPECT_EQ(r.edges, block.num_edges());
+    EXPECT_EQ(r.bytes, block.EstimatedBytes());
+    EXPECT_EQ(r.cliques, enumerated);
+    EXPECT_DOUBLE_EQ(r.estimated_cost, plan.cost);
+    EXPECT_EQ(r.used.algorithm, plan.used.algorithm);
+    EXPECT_EQ(r.used.storage, plan.used.storage);
+
+    const std::vector<obs::TraceEvent> events = recorder.Events();
+    ASSERT_EQ(events.size(), i + 1);
+    const obs::TraceEvent& span = events.back();
+    EXPECT_EQ(span.kind, obs::SpanKind::kBlock);
+    EXPECT_EQ(span.level, 1u);
+    EXPECT_EQ(span.index, i);
+    EXPECT_EQ(span.args[3], enumerated);
+    EXPECT_EQ(span.kept, want.size());
+    EXPECT_DOUBLE_EQ(r.seconds,
+                     static_cast<double>(span.end_us - span.begin_us) * 1e-6);
+    enumerated_total += enumerated;
+    kept_total += want.size();
+  }
+  // The Lemma-1 check both kept and dropped cliques.
+  EXPECT_GT(kept_total, 0u);
+  EXPECT_LT(kept_total, enumerated_total);
 }
 
 /// An analysis span as an executor closes it: `cliques` enumerated, `kept`
@@ -181,9 +234,11 @@ obs::TraceEvent AnalysisSpan(obs::SpanKind kind, uint32_t level, uint64_t index,
   return e;
 }
 
-// The filter counters, progress retirement and the level counts come from
-// the spans RunReporter::Close folds: only levels >= 1 count filter work,
-// and every analysis span retires its block.
+// The filter counters, progress retirement, the delivered-clique count and
+// the level counts come from the spans RunReporter::Close folds: only
+// levels >= 1 count filter work, every analysis span retires its block,
+// and the delivered cliques are the analysis spans' kept cliques plus the
+// ReduceTask's trivial ones.
 TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
   obs::MetricsRegistry registry;
   obs::ProgressEstimator progress;
@@ -195,6 +250,10 @@ TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
     TaskWindow window(reporter);
     reporter.Close(window, e);
   };
+  obs::TraceEvent reduce;
+  reduce.kind = obs::SpanKind::kReduce;
+  reduce.args[2] = 7;  // trivial cliques
+  close(reduce);
   progress.RegisterBlock(0, 4.0);
   close(AnalysisSpan(obs::SpanKind::kBlock, 0, 0, 5, 5, 4.0));
   progress.RegisterBlock(1, 2.0);
@@ -215,6 +274,8 @@ TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
   }
   EXPECT_NEAR(progress.completed_cost(), progress.registered_cost(),
               1e-9 * progress.registered_cost());
+  // Delivered: kept 5 + 1 + 1 + 2, plus 7 trivial.
+  EXPECT_EQ(progress.cliques(), 16u);
 
   const decomp::LevelStats level0 = reporter.FinishLevel(0, 4);
   EXPECT_EQ(level0.blocks, 1u);
@@ -226,6 +287,11 @@ TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
   EXPECT_EQ(level2.blocks, 0u);
   EXPECT_EQ(level2.cliques, 3u);
   EXPECT_EQ(level2.analyze_threads, 1u);
+
+  decomp::StreamingStats stats;
+  reporter.FinishRun(&stats);
+  EXPECT_EQ(stats.cliques_emitted, 16u);
+  EXPECT_EQ(registry.GetCounter("pipeline.cliques_emitted").value(), 16u);
 }
 
 }  // namespace

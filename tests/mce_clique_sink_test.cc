@@ -1,4 +1,4 @@
-// CliqueSink: spilled-vs-resident replay identity and budget accounting.
+// CliqueSink: spilled replay identity and budget accounting.
 // Plus the saturating storage estimates the MemoryBudget charges are built
 // from.
 
@@ -40,25 +40,10 @@ std::vector<std::vector<NodeId>> Replay(const CliqueSink& sink) {
   return got;
 }
 
-TEST(CliqueSinkTest, MakeCliqueSinkPicksImplementation) {
-  EXPECT_NE(dynamic_cast<ResidentCliqueSink*>(MakeCliqueSink(nullptr).get()),
-            nullptr);
-  SpillConfig config;  // no threshold, no budget
-  SpillContext ctx;
-  ctx.config = &config;
-  EXPECT_NE(dynamic_cast<ResidentCliqueSink*>(MakeCliqueSink(&ctx).get()),
-            nullptr);
-  MemoryBudget budget(1 << 20);
-  config.budget = &budget;
-  EXPECT_NE(dynamic_cast<SpillingCliqueSink*>(MakeCliqueSink(&ctx).get()),
-            nullptr);
-}
-
+// Replay after many flushes yields exactly the appended stream: the
+// spilled chunks in order, then the resident tail.
 TEST(CliqueSinkTest, SpilledReplayIsIdenticalToResident) {
   const auto cliques = TestCliques(500);
-
-  ResidentCliqueSink resident;
-  for (const auto& c : cliques) resident.AppendRaw(c);
 
   MemoryBudget budget;
   SpillConfig config;
@@ -66,13 +51,13 @@ TEST(CliqueSinkTest, SpilledReplayIsIdenticalToResident) {
   config.budget = &budget;
   SpillContext ctx;
   ctx.config = &config;
-  SpillingCliqueSink spilling(&ctx);
+  CliqueSink spilling(&ctx);
   for (const auto& c : cliques) spilling.AppendRaw(c);
 
-  ASSERT_EQ(spilling.size(), resident.size());
+  ASSERT_EQ(spilling.size(), cliques.size());
   EXPECT_GT(spilling.spilled_chunks(), 1u);
   EXPECT_GT(spilling.spilled_bytes(), 0u);
-  EXPECT_EQ(Replay(spilling), Replay(resident));
+  EXPECT_EQ(Replay(spilling), cliques);
 }
 
 TEST(CliqueSinkTest, AccountingReleasesOnFlushAndDestruction) {
@@ -83,7 +68,7 @@ TEST(CliqueSinkTest, AccountingReleasesOnFlushAndDestruction) {
   SpillContext ctx;
   ctx.config = &config;
   {
-    SpillingCliqueSink sink(&ctx);
+    CliqueSink sink(&ctx);
     const auto cliques = TestCliques(300);
     for (const auto& c : cliques) sink.AppendRaw(c);
     // Flushes released the spilled bytes: the residual charge is at most
@@ -103,7 +88,7 @@ TEST(CliqueSinkTest, EmptyCliquesSurviveSpilling) {
   config.budget = &budget;
   SpillContext ctx;
   ctx.config = &config;
-  SpillingCliqueSink sink(&ctx);
+  CliqueSink sink(&ctx);
   const std::vector<NodeId> empty;
   const std::vector<NodeId> one = {42};
   for (int i = 0; i < 40; ++i) {
