@@ -47,7 +47,8 @@ run heap_resident "$work/fb.txt"
 run mmap_resident "$work/fb.mcsr" --mmap-graph true
 
 # Budget = 60% of the resident run's tracked peak: small enough that
-# admission control and spilling must engage, large enough to fit the
+# spilling must engage and some blocks are analyzed on the decompose
+# worker instead of the pool (admission stalls), large enough to fit the
 # biggest single block.
 peak="$(python3 -c \
   "import json; print(json.load(open('$work/heap_resident.json'))['memory']['peak_tracked_bytes'])")"

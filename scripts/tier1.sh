@@ -74,13 +74,14 @@ else
 
   # Budgeted out-of-core leg: generate → convert to MCECSR02 → enumerate
   # the mmapped graph under a deliberately tiny memory budget with sinks
-  # spilling, all under ASan (the mmap spans, spill chunk files, and
-  # admission bookkeeping are exactly where a lifetime bug would hide),
-  # and require the clique count to match the unbudgeted heap run. The
-  # same budgeted run with a block observer attached (--executor cluster)
-  # must count the same cliques and be gated like the pooled one: every
-  # BlockTask frees its block, so a run that held its blocks until
-  # delivery would peak several times higher.
+  # spilling, all under ASan (the mmap spans, spill chunk files, and the
+  # blocks analyzed inline on a decompose worker are exactly where a
+  # lifetime bug would hide), and require the clique count to match the
+  # unbudgeted heap run. The budget is checked once per block, at
+  # emission, and no task waits on it, so it holds at every pool size and
+  # with a block observer attached (--executor cluster): each budgeted run
+  # must peak within 1.5x of the pooled@4 run, which a pool that charged
+  # blocks past the budget without analyzing them would not.
   echo "=== tier-1: ASan budgeted out-of-core leg ==="
   oocore_dir="$(mktemp -d)"
   "$asan_build/tools/mce_cli" generate --model facebook --scale 0.02 \
@@ -90,29 +91,32 @@ else
   "$asan_build/tools/mce_cli" enumerate \
     --input "$oocore_dir/fb.txt" --executor pooled --threads 4 \
     --json true >"$oocore_dir/baseline.json"
-  for executor in pooled cluster; do
+  budgeted_runs=(pooled@4 cluster@4 pooled@1 pooled@2 cluster@2)
+  for run in "${budgeted_runs[@]}"; do
     "$asan_build/tools/mce_cli" enumerate \
       --input "$oocore_dir/fb.mcsr" --mmap-graph true \
-      --executor "$executor" --threads 4 --memory-budget 64K \
+      --executor "${run%@*}" --threads "${run#*@}" --memory-budget 64K \
       --spill-dir "$oocore_dir" --json true \
-      >"$oocore_dir/budgeted_$executor.json"
+      >"$oocore_dir/budgeted_$run.json"
   done
-  python3 - "$oocore_dir/baseline.json" "$oocore_dir/budgeted_pooled.json" \
-    "$oocore_dir/budgeted_cluster.json" <<'EOF' || { rm -rf "$oocore_dir"; exit 1; }
+  python3 - "$oocore_dir" "${budgeted_runs[@]}" <<'EOF' || { rm -rf "$oocore_dir"; exit 1; }
 import json, sys
-baseline, pooled, cluster = (json.load(open(path)) for path in sys.argv[1:4])
-want = baseline["total_cliques"]
-for name, report in (("pooled", pooled), ("cluster", cluster)):
+work, runs = sys.argv[1], sys.argv[2:]
+want = json.load(open(f"{work}/baseline.json"))["total_cliques"]
+peaks = {}
+for run in runs:
+    report = json.load(open(f"{work}/budgeted_{run}.json"))
     if report["total_cliques"] != want:
-        sys.exit(f"budgeted out-of-core {name} run diverged: "
+        sys.exit(f"budgeted out-of-core {run} run diverged: "
                  f"{report['total_cliques']} cliques vs {want} unbudgeted")
-pooled_peak = pooled["memory"]["peak_tracked_bytes"]
-cluster_peak = cluster["memory"]["peak_tracked_bytes"]
-if cluster_peak > 1.5 * pooled_peak:
-    sys.exit(f"observed budgeted run peaked at {cluster_peak} tracked "
-             f"bytes, over 1.5x the unobserved run's {pooled_peak}")
+    peaks[run] = report["memory"]["peak_tracked_bytes"]
+reference = peaks["pooled@4"]
+for run, peak in peaks.items():
+    if peak > 1.5 * reference:
+        sys.exit(f"budgeted {run} run peaked at {peak} tracked bytes, "
+                 f"over 1.5x the pooled@4 run's {reference}")
 print(f"budgeted runs matched: {want} cliques; peak tracked bytes "
-      f"pooled {pooled_peak}, cluster {cluster_peak}")
+      + ", ".join(f"{run} {peak}" for run, peak in peaks.items()))
 EOF
   rm -rf "$oocore_dir"
 fi
@@ -221,12 +225,16 @@ echo "perf-diff gate trips on injected regression: ok"
 # args that trace_check validates, reconstruct into a critical path that
 # explains the wall clock (mce_trace_analyze --require-critical-path),
 # and report per-kind / per-level attribution that sums exactly to the
-# recorded totals. The sums are checked on pooled, serial and pooled
-# --reduce runs; both executors must count the same cliques (each clique
-# once, at the span that enumerated it), and the analyzer's tables over a
-# trace must equal the --json profile of the same run. The analyzer's
-# level table is the fold the executors run live, so on each of the three
-# runs it must equal the run's --json "levels". The same binary must
+# recorded totals. The sums are checked on pooled, serial, pooled
+# --reduce and budgeted pooled runs; both executors must count the same
+# cliques (each clique once, at the span that enumerated it), and the
+# analyzer's tables over a trace must equal the --json profile of the same
+# run. The analyzer's level table is the fold the executors run live, so
+# on each of the four runs it must equal the run's --json "levels". The
+# budgeted run (--memory-budget 64K) analyzes blocks inline on the
+# decompose workers: each such BlockTask span, wrapped by its
+# AdmissionStall span, nests inside a pooled DecomposeTask span. The same
+# binary must
 # degrade cleanly to the software clock when perf_event_open is
 # unavailable (MCE_FORCE_NO_PERF=1).
 echo "=== tier-1: profiling + critical-path validation ==="
@@ -250,15 +258,26 @@ echo "=== tier-1: profiling + critical-path validation ==="
   --json true >"$trace_dir/report_prof_reduce.json"
 "$build/tools/mce_trace_analyze" "$trace_dir/trace_prof_reduce.json" \
   >"$trace_dir/analyze_prof_reduce.txt"
+"$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
+  --executor pooled --threads 4 --memory-budget 64K \
+  --spill-dir "$trace_dir" --perf-counters true \
+  --trace-out="$trace_dir/trace_prof_budget.json" \
+  --json true >"$trace_dir/report_prof_budget.json"
+"$build/tools/trace_check" "$trace_dir/trace_prof_budget.json" \
+  --require DecomposeTask,BlockTask,AdmissionStall --require-counters
+"$build/tools/mce_trace_analyze" "$trace_dir/trace_prof_budget.json" \
+  >"$trace_dir/analyze_prof_budget.txt"
 python3 - "$trace_dir/report_prof.json" "$trace_dir/report_prof_serial.json" \
   "$trace_dir/report_prof_reduce.json" \
   "$trace_dir/analyze_prof_reduce.txt" "$trace_dir/analyze_prof.txt" \
-  "$trace_dir/analyze_prof_serial.txt" <<'EOF'
+  "$trace_dir/analyze_prof_serial.txt" "$trace_dir/report_prof_budget.json" \
+  "$trace_dir/analyze_prof_budget.txt" <<'EOF'
 import json, re, sys
 pooled, serial, reduced, analyzed = sys.argv[1:5]
 analyzed_pooled, analyzed_serial = sys.argv[5:7]
+budgeted, analyzed_budgeted = sys.argv[7:9]
 profiles = {}
-for path in (pooled, serial, reduced):
+for path in (pooled, serial, reduced, budgeted):
     profile = json.load(open(path))["profile"]
     profiles[path] = profile
     if not profile["enabled"]:
@@ -330,7 +349,8 @@ def level_table(path):
     return header, rows
 for report_path, table_path in ((pooled, analyzed_pooled),
                                 (serial, analyzed_serial),
-                                (reduced, analyzed)):
+                                (reduced, analyzed),
+                                (budgeted, analyzed_budgeted)):
     levels = json.load(open(report_path))["levels"]
     header, rows = level_table(table_path)
     if len(rows) != len(levels):
@@ -350,7 +370,7 @@ for report_path, table_path in ((pooled, analyzed_pooled),
             level["barrier_idle_seconds"] != 0 for level in levels):
         sys.exit(f"{report_path}: serial run reports barrier idle")
 print("mce_trace_analyze level tables match the --json levels "
-      "(pooled, serial, pooled --reduce)")
+      "(pooled, serial, pooled --reduce, pooled --memory-budget)")
 EOF
 software_hw="$(MCE_FORCE_NO_PERF=1 "$build/tools/mce_cli" enumerate \
   --input "$trace_dir/fb.txt" --executor pooled --threads 4 \

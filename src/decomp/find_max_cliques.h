@@ -103,9 +103,10 @@ struct FindMaxCliquesOptions {
   /// analysis cost (decision::EstimateBlockCost over the block's
   /// classification features) is below max_block_cost joins its level's
   /// batch, which runs as one pool task once it holds 4x max_block_cost
-  /// of predicted work (1x on pools wider than 4 threads), before the
-  /// decompose worker waits on the memory budget, or when the level's
-  /// decomposition ends; any other block is its own task. Ready
+  /// of predicted work (1x on pools wider than 4 threads), before a block
+  /// that would cross the memory budget is analyzed on the decompose
+  /// worker, or when the level's decomposition ends; any other block is
+  /// its own task. Ready
   /// tasks dispatch shallowest level first, then largest predicted cost.
   /// split_blocks=false (CLI --no-split) or max_block_cost <= 0 makes
   /// every block its own task. Emission is byte-identical either way. The
@@ -130,8 +131,8 @@ struct FindMaxCliquesOptions {
   /// block's task ends. Always invoked from the pipeline's calling thread,
   /// in block order, even when num_threads > 1 — it need not be
   /// thread-safe. Attaching one changes neither scheduling nor memory:
-  /// the pooled executor frees every block when its task ends, gates
-  /// block emission on the budget alike, and replays the stored records
+  /// the pooled executor frees every block when its task ends, checks
+  /// each block against the budget alike, and replays the stored records
   /// at delivery.
   std::function<void(const BlockTaskRecord&)> block_observer;
   /// Observability sinks (src/obs) for this run. Not owned; must outlive
@@ -155,12 +156,14 @@ struct FindMaxCliquesOptions {
   /// level subgraphs, blocks, analysis workspaces, clique-sink buffers).
   /// The block builder's per-call scratch, its degree-oriented rows
   /// included, is not charged: on the 5 MB powerlaw-oocore benchmark the
-  /// rows take 1.13 MB against a 4.1-5.0 MB tracked peak, and charging
-  /// them would stall block emission (DESIGN.md §11).
+  /// rows take 1.13 MB against a 4.1-5.1 MB tracked peak, and charging
+  /// them would keep most blocks off the pool (DESIGN.md §11).
   /// 0 = unlimited (peak is still tracked). With a budget set, the pooled
-  /// executor holds ready BlockTasks back — beyond the first, so progress
-  /// is guaranteed — while admitting one would push the tracked bytes past
-  /// the budget, and clique sinks spill once past the spill threshold.
+  /// executor checks it once per block, at emission: a block whose charge
+  /// (the block plus its analysis workspace) would push the tracked bytes
+  /// past the budget is analyzed right away on the decompose worker, as
+  /// the serial walk does, instead of going to the pool — no task ever
+  /// waits. Clique sinks spill once past the spill threshold.
   /// CLI: --memory-budget.
   uint64_t memory_budget_bytes = 0;
   /// Per-level resident-byte ceiling for buffered cliques before sinks

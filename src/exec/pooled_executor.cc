@@ -15,7 +15,10 @@
 //    (the per-clique Lemma-1 step included), buffers only the survivors
 //    in the block's CliqueSink, keeps the block's observer record, and
 //    frees its block, observed or not — so a level is ready the moment
-//    its last block finishes, and the budget gates every run alike.
+//    its last block finishes.
+//  * The memory budget is checked once per block, at emission: a block
+//    whose charge would cross it is analyzed on the decompose worker, as
+//    the serial walk does, so no pooled task ever waits on the budget.
 //
 // Delivery (cliques, observer records, stats) happens only on the calling
 // thread, levels in order and blocks in decomposition order, off buffered
@@ -33,7 +36,6 @@
 // before the mutex-protected state transition the reader observed.
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -140,14 +142,14 @@ class PooledEngine {
 
   decomp::StreamingStats Run() {
     decomp::StreamingStats out;
-    // Heartbeat gauges: pending pool tasks (generic pulls included)
-    // plus the cost-ordered analysis backlog, and the budget's live
-    // charge. The closure captures `this`; the guard detaches it on every
-    // exit from Run — including unwinds out of the user's emit callback —
-    // before the engine (and its pool) dies under a live sampler.
+    // Heartbeat gauges: pending pool tasks (each queued analysis or batch
+    // is one generic pull thunk) and the budget's live charge. The
+    // closure captures `this`; the guard detaches it on every exit from
+    // Run — including unwinds out of the user's emit callback — before
+    // the engine (and its pool) dies under a live sampler.
     obs::ScopedGaugeSource gauge_guard(progress_, [this] {
       obs::GaugeSample s;
-      s.queue_depth = pool_.QueueDepth() + queue_.Size();
+      s.queue_depth = pool_.QueueDepth();
       s.mem_charged_bytes = budget_.charged();
       s.mem_peak_bytes = budget_.peak();
       return s;
@@ -195,7 +197,7 @@ class PooledEngine {
       ++next;
     }
     pool_.Wait();
-    ReleaseTracked(pipeline_graph_bytes);
+    budget_.Release(pipeline_graph_bytes);
     out.memory.budget_bytes = budget_.limit();
     out.memory.peak_tracked_bytes = budget_.peak();
     reporter_.FinishRun(&out);
@@ -276,9 +278,10 @@ class PooledEngine {
     if (ready) cv_.notify_all();
   }
 
-  /// Emission of one block by DecomposeTask(level): score it, then add it
-  /// to the level's batch or dispatch it alone through the cost-ordered
-  /// queue.
+  /// Emission of one block by DecomposeTask(level): score it, charge it,
+  /// then add it to the level's batch, dispatch it alone through the
+  /// cost-ordered queue, or — when the charge would cross the budget —
+  /// analyze it right here.
   void EmitBlock(LevelRun* lr, decomp::Block&& b) {
     // One feature pass, here on the decompose worker, fixes the dispatch
     // order, the batching decision and the classification before any
@@ -295,19 +298,27 @@ class PooledEngine {
       exec = &lr->execs.emplace_back(std::move(b), plan, lr->execs.size(),
                                      &lr->spill);
     }
-    // Materialized-block charge: the block exists from emission until its
-    // task frees it. Gated like an analysis admission — while analyses
-    // are in flight the decompose worker waits for their releases instead
-    // of piling blocks past the budget; the tasks already dispatched for
-    // earlier blocks keep the pool busy meanwhile.
-    const uint64_t block_bytes = exec->block.EstimatedBytes();
-    if (budget_.limited() && budget_.WouldExceed(block_bytes)) {
-      // About to wait: dispatch the coalesced batch first, so every
-      // charged block has a runnable analysis and the wait cannot starve
-      // on blocks only this worker could have dispatched.
+    // The run's one budget check. The block and its analysis workspace
+    // are charged from here until the block's task ends. A block that
+    // would cross the budget takes the serial walk's step instead: its
+    // task runs now, on this worker, nested in the decompose window, so
+    // once the budget is full each decomposing level holds at most one
+    // more block, and no task ever waits for memory.
+    const uint64_t bytes = EstimateAnalysisBytes(exec->block);
+    if (budget_.WouldExceed(bytes)) {
+      const int64_t begin_us = obs::NowMicros();
+      const uint64_t charged = budget_.charged();
+      // The pending batch holds its blocks' charges until it runs:
+      // dispatch it first, or the budget stays full for the whole level.
       FlushBatch(lr);
+      ChargeTracked(bytes);
+      BlockTask(lr, exec);
+      reporter_.RecordAdmissionStall(lr->scope.level, begin_us,
+                                     obs::NowMicros(), bytes, charged,
+                                     budget_.limit());
+      return;
     }
-    GateCharge(lr->scope.level, block_bytes, /*admit_analysis=*/false);
+    ChargeTracked(bytes);
     const bool batching = options_.split_blocks &&
                           options_.max_block_cost > 0 &&
                           pool_.num_threads() > 1;
@@ -352,17 +363,12 @@ class PooledEngine {
   }
 
   /// BlockTask(level, i): RunBlockTask into the block's sink, then frees
-  /// the block and advances the level's completion state.
+  /// the block, releases its emission charge and advances the level's
+  /// completion state.
   void BlockTask(LevelRun* lr, BlockExec* exec) {
     const size_t worker_index = ThreadPool::CurrentWorkerIndex();
     const size_t worker =
         worker_index == ThreadPool::kNotAWorker ? 0 : worker_index;
-    // Budget admission: under a limit, a task whose workspace estimate
-    // would push the tracked total past the budget waits for in-flight
-    // analyses to finish. RunBlockTask opens the task window after the
-    // stall, so a budget wait never shows up as analysis work.
-    const uint64_t ws_bytes = EstimateAnalysisBytes(exec->block);
-    AdmitAnalysis(lr->scope.level, ws_bytes);
     const BlockPlan plan{exec->record.estimated_cost, exec->record.used};
     exec->record = RunBlockTask(lr->scope, exec->block, plan,
                                 exec->record.index, reporter_,
@@ -370,11 +376,10 @@ class PooledEngine {
                                 [exec](std::span<const NodeId> c) {
                                   exec->cliques.AppendRaw(c);
                                 });
-    FinishAnalysis(ws_bytes);
     // Delivery reads only the sink and the record, so the block goes now,
     // observed or not: the engine's live footprint stays near the serial
     // one-block-at-a-time profile.
-    ReleaseBlockCharge(exec->block.EstimatedBytes());
+    budget_.Release(EstimateAnalysisBytes(exec->block));
     exec->block = decomp::Block();
 
     bool ready = false;
@@ -437,7 +442,7 @@ class PooledEngine {
     lr->graph = nullptr;
     lr->cut = decomp::CutResult();
     lr->scope.to_original = {};
-    ReleaseTracked(lr->graph_bytes);
+    budget_.Release(lr->graph_bytes);
     lr->graph_bytes = 0;
   }
 
@@ -446,99 +451,6 @@ class PooledEngine {
     if (bytes == 0) return;
     budget_.Charge(bytes);
     reporter_.RecordCharge(bytes);
-  }
-
-  /// Releases `bytes` and wakes any admission waiter.
-  void ReleaseTracked(uint64_t bytes) {
-    if (bytes == 0) return;
-    budget_.Release(bytes);
-    if (budget_.limited()) admit_cv_.notify_all();
-  }
-
-  /// Admission gate for one analysis task's workspace charge. Under a
-  /// budget, a task that would push the tracked total past the limit waits
-  /// while other analyses are in flight — the first analysis always
-  /// admits, so an undersized budget degrades to serial admission instead
-  /// of deadlocking.
-  void AdmitAnalysis(uint32_t level, uint64_t bytes) {
-    GateCharge(level, bytes, /*admit_analysis=*/true);
-  }
-
-  /// The shared budget gate behind AdmitAnalysis and EmitBlock's
-  /// materialized-block charge. Waits while charging `bytes` would cross
-  /// the budget *and* something else holds gated bytes it will release.
-  /// The two callers escape differently:
-  ///  - an analysis waits only while other analyses run (in_flight > 0):
-  ///    the first analysis always admits, so an undersized budget
-  ///    degrades to serial admission instead of deadlocking;
-  ///  - a decompose worker additionally waits while *materialized blocks*
-  ///    are outstanding — every one of them has a dispatched analysis
-  ///    (EmitBlock flushes its coalesce batch before gating) whose task
-  ///    frees the block, so block emission is strictly budget-bound. It
-  ///    parks on blocks only while another worker stays free to run those
-  ///    analyses: once every other worker is a decompose parked here (or
-  ///    on a single-worker pool), waiting would deadlock the pool, so it
-  ///    charges through.
-  /// The wait polls: sink flushes release budget without an engine
-  /// notification, so a pure wait could miss its wakeup.
-  void GateCharge(uint32_t level, uint64_t bytes, bool admit_analysis) {
-    if (!budget_.limited()) {
-      ChargeTracked(bytes);
-      return;
-    }
-    {
-      std::unique_lock<std::mutex> lock(admit_mu_);
-      const bool may_park =
-          !admit_analysis && parked_decomposes_ + 1 < pool_.num_threads();
-      const auto must_wait = [&] {
-        if (!budget_.WouldExceed(bytes)) return false;
-        if (analyses_in_flight_ > 0) return true;
-        return may_park && blocks_outstanding_ > 0;
-      };
-      if (must_wait()) {
-        const int64_t begin_us = obs::NowMicros();
-        if (may_park) ++parked_decomposes_;
-        while (must_wait()) {
-          admit_cv_.wait_for(lock, std::chrono::milliseconds(2));
-        }
-        if (may_park) --parked_decomposes_;
-        reporter_.RecordAdmissionStall(level, begin_us, obs::NowMicros(),
-                                       bytes, budget_.charged(),
-                                       budget_.limit());
-      }
-      if (admit_analysis) {
-        ++analyses_in_flight_;
-      } else {
-        ++blocks_outstanding_;
-      }
-      // Charged under admit_mu_: were the charge outside, every waiter
-      // released by one budget check could charge concurrently and
-      // overshoot together — the check and the charge must be atomic.
-      ChargeTracked(bytes);
-    }
-  }
-
-  /// Releases a materialized block's charge and its outstanding slot.
-  void ReleaseBlockCharge(uint64_t bytes) {
-    if (budget_.limited()) {
-      std::lock_guard<std::mutex> lock(admit_mu_);
-      MCE_DCHECK(blocks_outstanding_ > 0);
-      --blocks_outstanding_;
-    }
-    ReleaseTracked(bytes);
-  }
-
-  /// Releases an admitted analysis's workspace charge and its in-flight
-  /// slot.
-  void FinishAnalysis(uint64_t bytes) {
-    ReleaseTracked(bytes);
-    if (budget_.limited()) {
-      {
-        std::lock_guard<std::mutex> lock(admit_mu_);
-        --analyses_in_flight_;
-      }
-      admit_cv_.notify_all();
-    }
   }
 
   const Graph& original_;
@@ -559,11 +471,6 @@ class PooledEngine {
   // declaration order).
   MemoryBudget budget_;
   SpillConfig spill_config_;
-  std::mutex admit_mu_;
-  std::condition_variable admit_cv_;
-  size_t analyses_in_flight_ = 0;   // admit_mu_
-  size_t blocks_outstanding_ = 0;   // admit_mu_; blocks charged, not freed
-  size_t parked_decomposes_ = 0;    // admit_mu_; waiting on those blocks
 
   std::mutex mu_;
   std::condition_variable cv_;

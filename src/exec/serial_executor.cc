@@ -79,9 +79,8 @@ class SerialExecutor final : public Executor {
     uint64_t block_index = 0;
     auto analyze_block = [&](decomp::Block&& block) {
       // The block plus its analysis workspace are live for exactly this
-      // call.
-      const uint64_t block_charge =
-          block.EstimatedBytes() + EstimateAnalysisBytes(block);
+      // call: the charge the pooled engine makes at emission.
+      const uint64_t block_charge = EstimateAnalysisBytes(block);
       charge(block_charge);
       // One feature pass serves every consumer: the classification the
       // analysis runs, the progress denominator (registered before the

@@ -13,12 +13,13 @@
 namespace mce::exec {
 
 uint64_t EstimateAnalysisBytes(const decomp::Block& block) {
-  // The list backend's working set plus ~64 bytes of recursion scratch per
-  // node (membership flags, candidate arrays, translate tables across the
-  // recursion depth).
+  // The block itself, the list backend's working set, and ~64 bytes of
+  // recursion scratch per node (membership flags, candidate arrays,
+  // translate tables across the recursion depth).
   return SaturatingAdd(
-      EstimateStorageBytes(block.num_nodes(), block.num_edges(),
-                           StorageKind::kAdjacencyList),
+      SaturatingAdd(block.EstimatedBytes(),
+                    EstimateStorageBytes(block.num_nodes(), block.num_edges(),
+                                         StorageKind::kAdjacencyList)),
       SaturatingMul(block.num_nodes(), 64));
 }
 
@@ -256,11 +257,6 @@ void CostOrderedQueue::RunNext() {
     heap_.pop_back();
   }
   fn();
-}
-
-size_t CostOrderedQueue::Size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heap_.size();
 }
 
 namespace {

@@ -161,11 +161,13 @@ void RunFallbackTask(const LevelScope& scope, const Graph& graph,
                      RunReporter& reporter, obs::ProgressEstimator* progress,
                      const CliqueCallback& keep);
 
-/// Rough bytes one AnalyzeBlock call pins while it runs: the block's
-/// adjacency-list working set plus per-node recursion scratch. This is the
-/// MemoryBudget workspace charge admission is decided against — a
-/// deliberate estimate, not an allocator measurement. Saturates on
-/// overflow.
+/// Rough bytes one BlockTask pins while it runs: the materialized block
+/// (Block::EstimatedBytes) plus its analysis workspace, the block's
+/// adjacency-list working set and per-node recursion scratch. Both
+/// executors charge it to the MemoryBudget for the block's lifetime, and
+/// the pooled engine's one budget check, at block emission, is made
+/// against it — a deliberate estimate, not an allocator measurement.
+/// Saturates on overflow.
 uint64_t EstimateAnalysisBytes(const decomp::Block& block);
 
 /// The run's effective span sink: the option override when set, else the
@@ -195,8 +197,6 @@ class CostOrderedQueue {
   /// under that discipline, but RunNext tolerates spurious calls.
   void RunNext();
 
-  size_t Size() const;
-
  private:
   struct Entry {
     uint32_t level = 0;
@@ -212,7 +212,7 @@ class CostOrderedQueue {
     }
   };
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   uint64_t next_seq_ = 0;
   std::vector<Entry> heap_;
 };
@@ -284,9 +284,11 @@ class RunReporter {
   /// Bytes charged to the MemoryBudget (mem.bytes_charged; sink deltas
   /// flow through SpillInstruments instead).
   void RecordCharge(uint64_t bytes);
-  /// One admission stall: a task of `level` waited [begin_us, end_us) to
-  /// charge `bytes` with `charged` of `budget` bytes in use. Counted for
-  /// MemoryStats and recorded as an AdmissionStall span.
+  /// One admission stall: a block of `level` whose `bytes` would have
+  /// crossed the budget (`charged` of `budget` bytes in use) was kept off
+  /// the pool and analyzed on its decompose worker over [begin_us,
+  /// end_us). Counted for MemoryStats and recorded as an AdmissionStall
+  /// span, which wraps the block's BlockTask span.
   void RecordAdmissionStall(uint32_t level, int64_t begin_us, int64_t end_us,
                             uint64_t bytes, uint64_t charged, uint64_t budget);
   /// The mem.* handles clique sinks record flushes against (null handles

@@ -49,7 +49,8 @@ enum class SpanKind : uint8_t {
   kSimBlock = 5,   // a block placement on a simulated cluster lane
   kReduce = 7,     // the graph-reduction prepass (src/reduce)
   kSpillFlush = 8, // one clique-sink chunk flushed to its spill file
-  kAdmission = 9,  // a BlockTask held back by the memory budget
+  kAdmission = 9,  // a block the memory budget kept off the pool; wraps
+                   // its BlockTask, run on the decompose worker
 };
 
 /// The span's Chrome-trace event name ("DecomposeTask", "BlockTask", ...).

@@ -8,11 +8,12 @@
 // high-water mark even on unlimited runs.
 //
 // A limit of 0 means "track only, never constrain". With a limit set,
-// `WouldExceed()` answers the PooledExecutor's admission question: would
-// starting work that pins `bytes` more push the tracked total past the
-// budget? The budget itself never blocks — admission policy (including the
-// guarantee that at least one analysis always proceeds) lives in the
-// executor.
+// `WouldExceed()` answers the PooledExecutor's one budget question, asked
+// when a block is emitted: would charging the block and its analysis
+// workspace push the tracked total past the budget? The budget itself
+// never blocks or refuses a charge — the executor decides what to do with
+// the answer (it analyzes such a block on the emitting worker instead of
+// dispatching it).
 
 #ifndef MCE_UTIL_MEMORY_BUDGET_H_
 #define MCE_UTIL_MEMORY_BUDGET_H_
@@ -34,7 +35,6 @@ class MemoryBudget {
   MemoryBudget& operator=(const MemoryBudget&) = delete;
 
   uint64_t limit() const { return limit_; }
-  bool limited() const { return limit_ > 0; }
 
   void Charge(uint64_t bytes) {
     if (bytes == 0) return;
@@ -53,8 +53,9 @@ class MemoryBudget {
   }
 
   /// Whether charging `bytes` more would push the total past the limit.
-  /// Always false when unlimited. Advisory: concurrent charges may still
-  /// interleave past the limit; the executor serializes admission.
+  /// Always false when unlimited. Advisory: the check and the charge are
+  /// not atomic, so charges from other threads (another level's emitting
+  /// worker, a growing clique sink) may still land past the limit.
   bool WouldExceed(uint64_t bytes) const {
     return limit_ > 0 &&
            charged_.load(std::memory_order_relaxed) + bytes > limit_;

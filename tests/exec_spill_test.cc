@@ -1,8 +1,11 @@
 // Out-of-core execution: spilled clique sinks, mmap graph storage, and the
-// memory-budget admission gate must not change a single emitted byte.
-// Property sweep across generators x m x threads, the m-core fallback, the
-// reduction prepass, and a tiny-budget end-to-end run — plus the trace /
-// metrics contract for spill flushes and admission stalls (DESIGN.md §11).
+// memory budget — checked once per block, at emission, where a block that
+// would cross it is analyzed on its decompose worker — must not change a
+// single emitted byte. Property sweep across generators x m x threads, the
+// m-core fallback, the reduction prepass, tiny-budget end-to-end runs
+// whose tracked peaks stay near the serial walk's at every thread count —
+// plus the trace / metrics contract for spill flushes and admission
+// stalls (DESIGN.md §11).
 
 #include <algorithm>
 #include <cstdint>
@@ -176,13 +179,11 @@ TEST(SpillIdentityTest, MmapGraphMatchesHeapThroughPipeline) {
 }
 
 // End-to-end under a budget far below the resident working set: every block
-// still completes (admission holds tasks back, never drops them) and the
-// emission is untouched, observed or not. Every BlockTask frees its block
-// when it ends, so an observed run is gated like an unobserved one and
-// peaks alike. Two workers cover the pool where both can be DecomposeTasks
-// waiting on blocks only the other could analyze: the run must finish, but
-// the one that may not wait charges through, so its peak depends on timing
-// and only the four-worker peaks are compared.
+// still completes (the budget keeps blocks off the pool, never drops them)
+// and the emission is untouched, observed or not. Every BlockTask frees its
+// block when it ends and no task waits on the budget, so the peak holds at
+// every thread count: each budgeted run, observed or not, at 2 or 4
+// workers, stays within 1.5x of the 4-worker unobserved run.
 TEST(MemoryBudgetTest, TinyBudgetRunCompletesAndMatchesUnbudgeted) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
   decomp::FindMaxCliquesOptions unbudgeted;
@@ -195,6 +196,10 @@ TEST(MemoryBudgetTest, TinyBudgetRunCompletesAndMatchesUnbudgeted) {
   decomp::FindMaxCliquesOptions budgeted = unbudgeted;
   budgeted.memory_budget_bytes = 64ull << 10;  // well under the resident peak
   budgeted.spill_dir = testing::TempDir();
+  const Captured reference = RunWith(g, budgeted, decomp::ExecutorKind::kPooled,
+                                     4, /*observe=*/false);
+  const double bound =
+      1.5 * static_cast<double>(reference.stats.memory.peak_tracked_bytes);
   for (uint32_t threads : {2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     const Captured tight =
@@ -204,6 +209,8 @@ TEST(MemoryBudgetTest, TinyBudgetRunCompletesAndMatchesUnbudgeted) {
     EXPECT_EQ(tight.records.size(), baseline.records.size());
     EXPECT_EQ(tight.stats.memory.budget_bytes, 64ull << 10);
     EXPECT_GT(tight.stats.memory.peak_tracked_bytes, 0u);
+    EXPECT_LE(static_cast<double>(tight.stats.memory.peak_tracked_bytes),
+              bound);
 
     const Captured unobserved = RunWith(
         g, budgeted, decomp::ExecutorKind::kPooled, threads, /*observe=*/false);
@@ -211,11 +218,37 @@ TEST(MemoryBudgetTest, TinyBudgetRunCompletesAndMatchesUnbudgeted) {
     EXPECT_EQ(unobserved.emissions, tight.emissions);
     EXPECT_EQ(unobserved.stats.cliques_emitted, tight.stats.cliques_emitted);
     EXPECT_GT(unobserved.stats.memory.peak_tracked_bytes, 0u);
-    if (threads == 4) {
-      EXPECT_LE(static_cast<double>(tight.stats.memory.peak_tracked_bytes),
-                1.5 * static_cast<double>(
-                          unobserved.stats.memory.peak_tracked_bytes));
+    EXPECT_LE(static_cast<double>(unobserved.stats.memory.peak_tracked_bytes),
+              bound);
+  }
+}
+
+// An exhausted budget turns every pooled run into the serial walk: at a
+// 1-byte budget every block's charge would cross it, so each block is
+// analyzed on its decompose worker (one admission stall per block) and
+// the tracked peak stays near the serial run's, whatever the pool size.
+TEST(MemoryBudgetTest, ExhaustedBudgetAnalyzesEveryBlockInline) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 40;
+  options.memory_budget_bytes = 1;
+  options.spill_dir = testing::TempDir();
+  const Captured serial = RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+  ASSERT_GT(serial.stats.memory.peak_tracked_bytes, 0u);
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    const Captured pooled =
+        RunWith(g, options, decomp::ExecutorKind::kPooled, threads);
+    ExpectIdenticalEmission(pooled, serial);
+    uint64_t blocks = 0;
+    for (const decomp::LevelStats& level : pooled.stats.levels) {
+      blocks += level.blocks;
     }
+    ASSERT_GT(blocks, 0u);
+    EXPECT_EQ(pooled.stats.memory.admission_stalls, blocks);
+    EXPECT_LE(static_cast<double>(pooled.stats.memory.peak_tracked_bytes),
+              1.25 * static_cast<double>(
+                         serial.stats.memory.peak_tracked_bytes));
   }
 }
 
@@ -254,8 +287,8 @@ TEST(SpillObservabilityTest, SpillSpansAndCountersMatchRunStats) {
   const decomp::MemoryStats& mem = out.stats.memory;
   ASSERT_GT(mem.spill_chunks, 0u);
   ASSERT_GT(mem.spill_bytes, 0u);
-  // A budget this tight holds analyses back, so the admission instruments
-  // are exercised too.
+  // A budget this tight keeps blocks off the pool, so the admission
+  // instruments are exercised too.
   ASSERT_GT(mem.admission_stalls, 0u);
 
   uint64_t flush_spans = 0, flush_bytes = 0, admission_spans = 0;

@@ -14,7 +14,6 @@ namespace {
 
 TEST(MemoryBudgetTest, UnlimitedNeverExceeds) {
   MemoryBudget budget;  // limit 0 = unlimited
-  EXPECT_FALSE(budget.limited());
   budget.Charge(1ull << 40);
   EXPECT_FALSE(budget.WouldExceed(1ull << 40));
   EXPECT_EQ(budget.charged(), 1ull << 40);
@@ -22,7 +21,6 @@ TEST(MemoryBudgetTest, UnlimitedNeverExceeds) {
 
 TEST(MemoryBudgetTest, ChargeReleaseAndPeak) {
   MemoryBudget budget(1000);
-  EXPECT_TRUE(budget.limited());
   budget.Charge(600);
   EXPECT_FALSE(budget.WouldExceed(400));
   EXPECT_TRUE(budget.WouldExceed(401));
