@@ -233,10 +233,11 @@ echo "perf-diff gate trips on injected regression: ok"
 # on each of the four runs it must equal the run's --json "levels". The
 # budgeted run (--memory-budget 64K) analyzes blocks inline on the
 # decompose workers: each such BlockTask span, wrapped by its
-# AdmissionStall span, nests inside a pooled DecomposeTask span. The same
-# binary must
-# degrade cleanly to the software clock when perf_event_open is
-# unavailable (MCE_FORCE_NO_PERF=1).
+# AdmissionStall span, nests inside a pooled DecomposeTask span. Its spill
+# flushes and stalls are counted once, by the run reporter, so the
+# budgeted run's metrics, final heartbeat and --json memory object must
+# agree on them. The same binary must degrade cleanly to the software
+# clock when perf_event_open is unavailable (MCE_FORCE_NO_PERF=1).
 echo "=== tier-1: profiling + critical-path validation ==="
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
   --executor pooled --threads 4 --perf-counters true \
@@ -262,9 +263,32 @@ echo "=== tier-1: profiling + critical-path validation ==="
   --executor pooled --threads 4 --memory-budget 64K \
   --spill-dir "$trace_dir" --perf-counters true \
   --trace-out="$trace_dir/trace_prof_budget.json" \
+  --metrics-out="$trace_dir/metrics_budget.json" \
+  --heartbeat-out="$trace_dir/hb_budget.ndjson" \
+  --heartbeat-interval-ms 20 \
   --json true >"$trace_dir/report_prof_budget.json"
 "$build/tools/trace_check" "$trace_dir/trace_prof_budget.json" \
   --require DecomposeTask,BlockTask,AdmissionStall --require-counters
+"$build/tools/trace_check" --heartbeat "$trace_dir/hb_budget.ndjson"
+python3 - "$trace_dir/report_prof_budget.json" \
+  "$trace_dir/metrics_budget.json" "$trace_dir/hb_budget.ndjson" <<'EOF'
+import json, sys
+memory = json.load(open(sys.argv[1]))["memory"]
+counters = json.load(open(sys.argv[2]))["counters"]
+final = json.loads(open(sys.argv[3]).read().splitlines()[-1])
+for key in ("spill_chunks", "spill_bytes"):
+    seen = {"--json memory": memory[key],
+            "mem." + key: counters.get("mem." + key, 0),
+            "final heartbeat": final[key]}
+    if len(set(seen.values())) != 1 or memory[key] == 0:
+        sys.exit(f"budgeted run {key} must be equal and non-zero: {seen}")
+stalls = counters.get("mem.admission_stalls", 0)
+if stalls != memory["admission_stalls"]:
+    sys.exit(f"mem.admission_stalls {stalls}, --json memory.admission_stalls "
+             f"{memory['admission_stalls']}")
+print(f"budgeted run counts each spill flush once: {memory['spill_chunks']} "
+      f"chunks, {memory['spill_bytes']} bytes; {stalls} admission stalls")
+EOF
 "$build/tools/mce_trace_analyze" "$trace_dir/trace_prof_budget.json" \
   >"$trace_dir/analyze_prof_budget.txt"
 python3 - "$trace_dir/report_prof.json" "$trace_dir/report_prof_serial.json" \

@@ -127,17 +127,16 @@ class PooledEngine {
         emit_(emit),
         blocks_options_(BlocksOptionsFor(options)),
         analysis_options_(AnalysisOptionsFor(options)),
-        reporter_(options),
         progress_(options.progress),
-        budget_(options.memory_budget_bytes),
+        reporter_(options),
         workspaces_(std::max<size_t>(1, num_threads)),
         pool_(std::max<size_t>(1, num_threads)) {
     spill_config_.dir = options.spill_dir;
     spill_config_.threshold_bytes = decomp::EffectiveSpillThreshold(options);
-    spill_config_.budget = &budget_;
-    spill_config_.trace = reporter_.trace();
-    spill_config_.metrics = reporter_.SpillInstruments();
-    spill_config_.progress = progress_;
+    spill_config_.budget = &reporter_.budget();
+    spill_config_.record_flush = [this](const obs::TraceEvent& e) {
+      reporter_.RecordSpillFlush(e);
+    };
   }
 
   decomp::StreamingStats Run() {
@@ -150,8 +149,8 @@ class PooledEngine {
     obs::ScopedGaugeSource gauge_guard(progress_, [this] {
       obs::GaugeSample s;
       s.queue_depth = pool_.QueueDepth();
-      s.mem_charged_bytes = budget_.charged();
-      s.mem_peak_bytes = budget_.peak();
+      s.mem_charged_bytes = reporter_.budget().charged();
+      s.mem_peak_bytes = reporter_.budget().peak();
       return s;
     });
     // ReduceTask: runs on the calling thread before the root decompose is
@@ -163,7 +162,7 @@ class PooledEngine {
     // graph reports zero here — its pages are reclaimable).
     const uint64_t pipeline_graph_bytes =
         prep_.pipeline_graph().ResidentBytes();
-    ChargeTracked(pipeline_graph_bytes);
+    reporter_.budget().Charge(pipeline_graph_bytes);
     auto root = std::make_unique<LevelRun>();
     root->scope = LevelScope{&original_, prep_.map(), 0, {}};
     root->graph = &prep_.pipeline_graph();
@@ -197,9 +196,7 @@ class PooledEngine {
       ++next;
     }
     pool_.Wait();
-    budget_.Release(pipeline_graph_bytes);
-    out.memory.budget_bytes = budget_.limit();
-    out.memory.peak_tracked_bytes = budget_.peak();
+    reporter_.budget().Release(pipeline_graph_bytes);
     reporter_.FinishRun(&out);
     return out;
   }
@@ -220,7 +217,7 @@ class PooledEngine {
       lr->owned_graph = std::move(sub.graph);
       lr->graph = &lr->owned_graph;
       lr->graph_bytes = lr->owned_graph.ResidentBytes();
-      ChargeTracked(lr->graph_bytes);
+      reporter_.budget().Charge(lr->graph_bytes);
       std::lock_guard<std::mutex> lock(mu_);
       parent->child_induced = true;
       MaybeReleaseInputs(parent);
@@ -298,27 +295,28 @@ class PooledEngine {
       exec = &lr->execs.emplace_back(std::move(b), plan, lr->execs.size(),
                                      &lr->spill);
     }
-    // The run's one budget check. The block and its analysis workspace
-    // are charged from here until the block's task ends. A block that
-    // would cross the budget takes the serial walk's step instead: its
-    // task runs now, on this worker, nested in the decompose window, so
-    // once the budget is full each decomposing level holds at most one
+    // The run's one budget check, against the block with the workspace
+    // its analysis will pin. The block is charged from here until its
+    // task ends; RunBlockTask charges the workspace while it runs. A block
+    // that would cross the budget takes the serial walk's step instead:
+    // its task runs now, on this worker, nested in the decompose window,
+    // so once the budget is full each decomposing level holds at most one
     // more block, and no task ever waits for memory.
+    MemoryBudget& budget = reporter_.budget();
     const uint64_t bytes = EstimateAnalysisBytes(exec->block);
-    if (budget_.WouldExceed(bytes)) {
+    if (budget.WouldExceed(bytes)) {
       const int64_t begin_us = obs::NowMicros();
-      const uint64_t charged = budget_.charged();
+      const uint64_t charged = budget.charged();
       // The pending batch holds its blocks' charges until it runs:
       // dispatch it first, or the budget stays full for the whole level.
       FlushBatch(lr);
-      ChargeTracked(bytes);
+      budget.Charge(exec->block.EstimatedBytes());
       BlockTask(lr, exec);
       reporter_.RecordAdmissionStall(lr->scope.level, begin_us,
-                                     obs::NowMicros(), bytes, charged,
-                                     budget_.limit());
+                                     obs::NowMicros(), bytes, charged);
       return;
     }
-    ChargeTracked(bytes);
+    budget.Charge(exec->block.EstimatedBytes());
     const bool batching = options_.split_blocks &&
                           options_.max_block_cost > 0 &&
                           pool_.num_threads() > 1;
@@ -379,7 +377,7 @@ class PooledEngine {
     // Delivery reads only the sink and the record, so the block goes now,
     // observed or not: the engine's live footprint stays near the serial
     // one-block-at-a-time profile.
-    budget_.Release(EstimateAnalysisBytes(exec->block));
+    reporter_.budget().Release(exec->block.EstimatedBytes());
     exec->block = decomp::Block();
 
     bool ready = false;
@@ -408,20 +406,13 @@ class PooledEngine {
     const CliqueCallback emit = [&](std::span<const NodeId> c) {
       emit_(c, level);
     };
-    // Replays one sink and absorbs its spill totals before the sinks are
-    // destroyed.
-    const auto deliver = [&](const CliqueSink& sink) {
-      sink.ForEach(emit);
-      out.memory.spill_chunks += sink.spilled_chunks();
-      out.memory.spill_bytes += sink.spilled_bytes();
-    };
     if (lr->fallback_cliques != nullptr) {
       out.used_fallback = true;
-      deliver(*lr->fallback_cliques);
+      lr->fallback_cliques->ForEach(emit);
     }
     // Blocks in decomposition order: the serial emission order.
     for (const BlockExec& exec : lr->execs) {
-      deliver(exec.cliques);
+      exec.cliques.ForEach(emit);
       if (options_.block_observer) options_.block_observer(exec.record);
     }
     // Free the bulky per-level state now that it is delivered. Destroying
@@ -442,15 +433,8 @@ class PooledEngine {
     lr->graph = nullptr;
     lr->cut = decomp::CutResult();
     lr->scope.to_original = {};
-    budget_.Release(lr->graph_bytes);
+    reporter_.budget().Release(lr->graph_bytes);
     lr->graph_bytes = 0;
-  }
-
-  /// Charges `bytes` against the budget and the mem.bytes_charged counter.
-  void ChargeTracked(uint64_t bytes) {
-    if (bytes == 0) return;
-    budget_.Charge(bytes);
-    reporter_.RecordCharge(bytes);
   }
 
   const Graph& original_;
@@ -461,15 +445,13 @@ class PooledEngine {
   ReducePrepass prep_;
   const decomp::BlocksOptions blocks_options_;
   const decomp::BlockAnalysisOptions analysis_options_;
-  RunReporter reporter_;
   /// Live progress accounting; null when the run is not observed.
   obs::ProgressEstimator* const progress_;
-
-  // Memory accounting. Declared before levels_: the sinks owned by
-  // LevelRun records release against budget_ in their destructors, so the
-  // budget must outlive the level deque (members destroy in reverse
-  // declaration order).
-  MemoryBudget budget_;
+  // Declared before levels_: the sinks owned by LevelRun records release
+  // against the reporter's budget in their destructors, so the reporter
+  // and spill_config_ must outlive the level deque (members destroy in
+  // reverse declaration order).
+  RunReporter reporter_;
   SpillConfig spill_config_;
 
   std::mutex mu_;

@@ -42,14 +42,9 @@ class SerialExecutor final : public Executor {
     LevelScope scope{&g, prep.map(), 0, {}};
     const Graph* current = &prep.pipeline_graph();
     // The serial walk never stalls or spills (its live set is already
-    // O(graph + one block)), but it tracks the same charges the pooled
+    // O(graph + one block)), but it makes the same charges the pooled
     // engine does so peak_tracked_bytes is comparable across executors.
-    MemoryBudget budget(options.memory_budget_bytes);
-    auto charge = [&](uint64_t bytes) {
-      if (bytes == 0) return;
-      budget.Charge(bytes);
-      reporter.RecordCharge(bytes);
-    };
+    MemoryBudget& budget = reporter.budget();
     // Queue depth is always 0 on the serial walk; the budget gauges
     // make serial heartbeats comparable with pooled ones. The guard
     // detaches the closure on every exit, including unwinds out of the
@@ -60,11 +55,10 @@ class SerialExecutor final : public Executor {
       s.mem_peak_bytes = budget.peak();
       return s;
     });
-    const uint64_t pipeline_graph_bytes =
-        prep.pipeline_graph().ResidentBytes();
-    charge(pipeline_graph_bytes);
+    budget.Charge(current->ResidentBytes());
     uint64_t level_graph_bytes = 0;  // the current owned level graph
     Graph owned;  // deeper levels own the hub-induced subgraph
+    std::vector<NodeId> hubs;  // the parent level's, for levels >= 1
 
     const decomp::BlocksOptions blocks_options = BlocksOptionsFor(options);
     const decomp::BlockAnalysisOptions analysis_options =
@@ -78,10 +72,10 @@ class SerialExecutor final : public Executor {
     // BlockTask(level, block_index), run the moment its block is emitted.
     uint64_t block_index = 0;
     auto analyze_block = [&](decomp::Block&& block) {
-      // The block plus its analysis workspace are live for exactly this
-      // call: the charge the pooled engine makes at emission.
-      const uint64_t block_charge = EstimateAnalysisBytes(block);
-      charge(block_charge);
+      // The block is live for exactly this call (RunBlockTask charges its
+      // workspace while it analyzes): the pooled engine's charges.
+      const uint64_t block_bytes = block.EstimatedBytes();
+      budget.Charge(block_bytes);
       // One feature pass serves every consumer: the classification the
       // analysis runs, the progress denominator (registered before the
       // analysis so a sampler sees the work as pending, not invisible),
@@ -92,17 +86,32 @@ class SerialExecutor final : public Executor {
       if (progress != nullptr) progress->RegisterBlock(scope.level, plan.cost);
       const decomp::BlockTaskRecord record = RunBlockTask(
           scope, block, plan, block_index++, reporter, &workspace, keep);
-      budget.Release(block_charge);
+      budget.Release(block_bytes);
       if (options.block_observer) options.block_observer(record);
     };
 
     for (;;) {
-      // The level's DecomposeTask window covers CUT, the block growth and
-      // the level's analysis: the inline BlockTask (or fallback) windows
-      // nest inside it on this thread, so its span's self time and
-      // counters hold only the decompose's own work.
+      // The level's DecomposeTask window covers the induce (levels >= 1),
+      // CUT, the block growth and the level's analysis: the inline
+      // BlockTask (or fallback) windows nest inside it on this thread, so
+      // its span's self time and counters hold only the decompose's own
+      // work.
       TaskWindow decompose_window(reporter);
       if (progress != nullptr) progress->BeginLevel(scope.level);
+      if (scope.level > 0) {
+        // Recursive step: continue on the hub-induced subgraph.
+        InducedSubgraph sub = Induce(*current, hubs);
+        scope.to_original =
+            ComposeToOriginal(scope.to_original, sub.to_parent);
+        // Parent and child graphs overlap until the move below frees the
+        // parent, so the child is charged before the parent is released.
+        const uint64_t next_graph_bytes = sub.graph.ResidentBytes();
+        budget.Charge(next_graph_bytes);
+        owned = std::move(sub.graph);
+        budget.Release(level_graph_bytes);
+        level_graph_bytes = next_graph_bytes;
+        current = &owned;
+      }
       decomp::CutResult cut = decomp::Cut(*current, options.max_block_size);
       // Sparsity precondition violated: the remaining graph is its own
       // m-core. Enumerate it directly as one indivisible task.
@@ -119,22 +128,9 @@ class SerialExecutor final : public Executor {
                      MakeDecomposeSpan(scope.level, *current, cut));
       out.levels.push_back(reporter.FinishLevel(scope.level, 1));
       if (fallback || cut.hubs.empty()) break;
-
-      // Recursive step: continue on the hub-induced subgraph.
-      InducedSubgraph sub = Induce(*current, cut.hubs);
-      scope.to_original = ComposeToOriginal(scope.to_original, sub.to_parent);
-      // Parent and child graphs overlap until the move below frees the
-      // parent, so the child is charged before the parent is released.
-      const uint64_t next_graph_bytes = sub.graph.ResidentBytes();
-      charge(next_graph_bytes);
-      owned = std::move(sub.graph);
-      budget.Release(level_graph_bytes);
-      level_graph_bytes = next_graph_bytes;
-      current = &owned;
+      hubs = std::move(cut.hubs);
       ++scope.level;
     }
-    out.memory.budget_bytes = budget.limit();
-    out.memory.peak_tracked_bytes = budget.peak();
     reporter.FinishRun(&out);
     return out;
   }

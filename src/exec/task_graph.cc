@@ -136,6 +136,11 @@ decomp::BlockTaskRecord RunBlockTask(const LevelScope& scope,
                                      BlockWorkspace* workspace,
                                      const CliqueCallback& keep) {
   TaskWindow window(reporter);
+  // Workspaces belong to workers, not to blocks: only a running analysis
+  // pins one.
+  const uint64_t workspace_bytes =
+      EstimateAnalysisBytes(block) - block.EstimatedBytes();
+  reporter.budget().Charge(workspace_bytes);
   Clique scratch;
   Clique clique;
   uint64_t kept = 0;
@@ -147,6 +152,7 @@ decomp::BlockTaskRecord RunBlockTask(const LevelScope& scope,
         keep(clique);
       },
       workspace, decomp::KernelRange{0, block.kernel_local.size()});
+  reporter.budget().Release(workspace_bytes);
   reporter.Close(window,
                  MakeBlockSpan(block, result, scope.level, index, plan.cost,
                                kept, reporter.exports_spans()));
@@ -296,6 +302,7 @@ RunReporter::RunReporter(const decomp::FindMaxCliquesOptions& options)
     : trace_(ResolveTrace(options)),
       profiling_(options.profile),
       progress_(options.progress),
+      budget_(options.memory_budget_bytes),
       registry_(options.metrics != nullptr
                     ? options.metrics
                     : obs::MetricsRegistry::installed()) {
@@ -315,9 +322,6 @@ RunReporter::RunReporter(const decomp::FindMaxCliquesOptions& options)
   const std::vector<double> ns_bounds = obs::ExponentialBuckets(16, 4, 16);
   block_ns_per_clique_ =
       &registry_->GetHistogram("exec.block_ns_per_clique", ns_bounds);
-  mem_bytes_charged_ = &registry_->GetCounter("mem.bytes_charged");
-  mem_spill_chunks_ = &registry_->GetCounter("mem.spill_chunks");
-  mem_spill_bytes_ = &registry_->GetCounter("mem.spill_bytes");
   const std::vector<double> chunk_bounds = obs::ExponentialBuckets(1024, 4, 16);
   mem_spill_chunk_bytes_ =
       &registry_->GetHistogram("mem.spill_chunk_bytes", chunk_bounds);
@@ -368,14 +372,9 @@ decomp::LevelStats RunReporter::FinishLevel(uint32_t level, uint32_t workers) {
   return stats;
 }
 
-void RunReporter::RecordCharge(uint64_t bytes) {
-  if (registry_ == nullptr || bytes == 0) return;
-  mem_bytes_charged_->Add(bytes);
-}
-
 void RunReporter::RecordAdmissionStall(uint32_t level, int64_t begin_us,
                                        int64_t end_us, uint64_t bytes,
-                                       uint64_t charged, uint64_t budget) {
+                                       uint64_t charged) {
   admission_stalls_.fetch_add(1, std::memory_order_relaxed);
   admission_stall_micros_.fetch_add(static_cast<uint64_t>(end_us - begin_us),
                                     std::memory_order_relaxed);
@@ -387,17 +386,20 @@ void RunReporter::RecordAdmissionStall(uint32_t level, int64_t begin_us,
   e.level = level;
   e.args[0] = bytes;
   e.args[1] = charged;
-  e.args[2] = budget;
+  e.args[2] = budget_.limit();
   trace_->Record(e);
 }
 
-SpillMetrics RunReporter::SpillInstruments() const {
-  SpillMetrics metrics;
-  metrics.bytes_charged = mem_bytes_charged_;
-  metrics.spill_chunks = mem_spill_chunks_;
-  metrics.spill_bytes = mem_spill_bytes_;
-  metrics.spill_chunk_bytes = mem_spill_chunk_bytes_;
-  return metrics;
+void RunReporter::RecordSpillFlush(const obs::TraceEvent& e) {
+  MCE_DCHECK(e.kind == obs::SpanKind::kSpillFlush);
+  const uint64_t bytes = e.args[1];
+  spill_chunks_.fetch_add(1, std::memory_order_relaxed);
+  spill_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  if (progress_ != nullptr) progress_->AddSpillChunk(bytes);
+  if (registry_ != nullptr) {
+    mem_spill_chunk_bytes_->Observe(static_cast<double>(bytes));
+  }
+  if (trace_ != nullptr) trace_->Record(e);
 }
 
 void RunReporter::RecordBlock(const decomp::Block& block,
@@ -420,12 +422,15 @@ void RunReporter::RecordBlock(const decomp::Block& block,
 
 void RunReporter::FinishRun(decomp::StreamingStats* out) {
   out->cliques_emitted = cliques_delivered_.load(std::memory_order_relaxed);
+  decomp::MemoryStats& mem = out->memory;
+  mem.budget_bytes = budget_.limit();
+  mem.peak_tracked_bytes = budget_.peak();
+  mem.spill_chunks = spill_chunks_.load(std::memory_order_relaxed);
+  mem.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
+  mem.admission_stalls = admission_stalls_.load(std::memory_order_relaxed);
   const uint64_t stall_micros =
       admission_stall_micros_.load(std::memory_order_relaxed);
-  out->memory.admission_stalls =
-      admission_stalls_.load(std::memory_order_relaxed);
-  out->memory.admission_stall_seconds =
-      static_cast<double>(stall_micros) * 1e-6;
+  mem.admission_stall_seconds = static_cast<double>(stall_micros) * 1e-6;
   if (profiling_) out->profile = profile_.Snapshot();
   if (progress_ != nullptr) {
     progress_->MarkComplete();
@@ -440,7 +445,10 @@ void RunReporter::FinishRun(decomp::StreamingStats* out) {
   const auto add = [this](const char* name, uint64_t value) {
     registry_->GetCounter(name).Add(value);
   };
-  add("mem.admission_stalls", out->memory.admission_stalls);
+  add("mem.bytes_charged", budget_.total_charged());
+  add("mem.spill_chunks", mem.spill_chunks);
+  add("mem.spill_bytes", mem.spill_bytes);
+  add("mem.admission_stalls", mem.admission_stalls);
   add("mem.admission_stall_micros", stall_micros);
   const reduce::ReductionStats& r = out->reduction;
   if (r.enabled) {

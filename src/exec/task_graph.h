@@ -46,7 +46,6 @@
 #include "decomp/find_max_cliques.h"
 #include "graph/graph.h"
 #include "mce/clique.h"
-#include "mce/clique_sink.h"
 #include "mce/enumerator.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
@@ -54,6 +53,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "reduce/reduction.h"
+#include "util/memory_budget.h"
 
 namespace mce::exec {
 
@@ -112,11 +112,14 @@ bool MapExpandAndFilterClique(const LevelScope& scope,
                               std::span<const NodeId> level_ids,
                               Clique* scratch, Clique* out);
 
-/// The one BlockTask body: opens the task's window, runs Algorithm 4 over
-/// the whole block with the plan's classification, passes each clique
-/// through MapExpandAndFilterClique and each survivor to `keep`, closes the
-/// block span, records the block histograms, and returns the observer
-/// record, built while the block is still alive. `workspace` may be null.
+/// The one BlockTask body: opens the task's window, charges the block's
+/// analysis workspace (EstimateAnalysisBytes minus the block, which its
+/// executor charged at emission) to reporter.budget() while it runs
+/// Algorithm 4 over the whole block with the plan's classification, passes
+/// each clique through MapExpandAndFilterClique and each survivor to
+/// `keep`, closes the block span, records the block histograms, and
+/// returns the observer record, built while the block is still alive.
+/// `workspace` may be null.
 decomp::BlockTaskRecord RunBlockTask(const LevelScope& scope,
                                      const decomp::Block& block,
                                      const BlockPlan& plan, uint64_t index,
@@ -163,11 +166,11 @@ void RunFallbackTask(const LevelScope& scope, const Graph& graph,
 
 /// Rough bytes one BlockTask pins while it runs: the materialized block
 /// (Block::EstimatedBytes) plus its analysis workspace, the block's
-/// adjacency-list working set and per-node recursion scratch. Both
-/// executors charge it to the MemoryBudget for the block's lifetime, and
-/// the pooled engine's one budget check, at block emission, is made
-/// against it — a deliberate estimate, not an allocator measurement.
-/// Saturates on overflow.
+/// adjacency-list working set and per-node recursion scratch. The block
+/// is charged from emission until its task ends, the workspace only while
+/// RunBlockTask analyzes; the pooled engine's one budget check, at block
+/// emission, is made against the sum — a deliberate estimate, not an
+/// allocator measurement. Saturates on overflow.
 uint64_t EstimateAnalysisBytes(const decomp::Block& block);
 
 /// The run's effective span sink: the option override when set, else the
@@ -255,8 +258,10 @@ class TaskWindow {
 /// The run's one reporting path. Every DAG task (obs::IsDagTask) reports
 /// by closing its TaskWindow here, so LevelStats, progress retirement, the
 /// delivered-clique count, the filter counters and the profile are folds
-/// over the spans mce_trace_analyze reads back from a trace. Instrument
-/// lookups happen once, at construction. Thread-safe.
+/// over the spans mce_trace_analyze reads back from a trace. It also owns
+/// the run's memory accounting: the MemoryBudget every charge goes to, the
+/// spill flushes and the admission stalls. Instrument lookups happen once,
+/// at construction. Thread-safe.
 class RunReporter {
  public:
   explicit RunReporter(const decomp::FindMaxCliquesOptions& options);
@@ -265,9 +270,9 @@ class RunReporter {
   bool profiling() const { return profiling_; }
   /// True when spans leave the reporter (tracing or profiling).
   bool exports_spans() const { return trace_ != nullptr || profiling_; }
-  /// The resolved trace sink (may be null), for observability spans that
-  /// are not DAG tasks.
-  obs::TraceRecorder* trace() const { return trace_; }
+  /// The run's budget (options.memory_budget_bytes): executors, BlockTasks
+  /// and clique sinks charge and release it directly.
+  MemoryBudget& budget() { return budget_; }
 
   /// Closes `window` with its task's span `e` (stamped with the window and
   /// its self counter delta) and folds it: into its level, into progress
@@ -281,28 +286,26 @@ class RunReporter {
   /// observes the block size / edge-density / ns-per-clique histograms.
   void RecordBlock(const decomp::Block& block,
                    const decomp::BlockAnalysisResult& result, double seconds);
-  /// Bytes charged to the MemoryBudget (mem.bytes_charged; sink deltas
-  /// flow through SpillInstruments instead).
-  void RecordCharge(uint64_t bytes);
   /// One admission stall: a block of `level` whose `bytes` would have
-  /// crossed the budget (`charged` of `budget` bytes in use) was kept off
-  /// the pool and analyzed on its decompose worker over [begin_us,
-  /// end_us). Counted for MemoryStats and recorded as an AdmissionStall
-  /// span, which wraps the block's BlockTask span.
+  /// crossed the budget (`charged` bytes in use) was kept off the pool and
+  /// analyzed on its decompose worker over [begin_us, end_us). Counted for
+  /// MemoryStats and recorded as an AdmissionStall span, which wraps the
+  /// block's BlockTask span.
   void RecordAdmissionStall(uint32_t level, int64_t begin_us, int64_t end_us,
-                            uint64_t bytes, uint64_t charged, uint64_t budget);
-  /// The mem.* handles clique sinks record flushes against (null handles
-  /// when no registry is bound).
-  SpillMetrics SpillInstruments() const;
+                            uint64_t bytes, uint64_t charged);
+  /// One clique-sink flush, its kSpillFlush span `e` (args[1] the chunk's
+  /// bytes): counted for MemoryStats and the mem.spill_* metrics, into
+  /// progress, and into the trace when tracing.
+  void RecordSpillFlush(const obs::TraceEvent& e);
 
   /// Level `level`'s stats with `workers` analysis lanes, once all its
   /// spans have closed; marks the level finished for progress.
   decomp::LevelStats FinishLevel(uint32_t level, uint32_t workers);
 
-  /// Ends the run: fills out's delivered-clique count, admission totals,
-  /// profile and final progress accounting, then writes the end-of-run
-  /// metrics from *out (pipeline, admission, reduce.* and obs.profile.*
-  /// totals).
+  /// Ends the run: fills out's delivered-clique count, every MemoryStats
+  /// field, the profile and final progress accounting, then writes the
+  /// end-of-run metrics from *out (pipeline, mem.*, reduce.* and
+  /// obs.profile.* totals).
   void FinishRun(decomp::StreamingStats* out);
 
  private:
@@ -312,9 +315,12 @@ class RunReporter {
   obs::ProgressEstimator* const progress_;
   std::mutex mu_;
   obs::LevelFold fold_;  // mu_
+  MemoryBudget budget_;
   std::atomic<uint64_t> cliques_delivered_{0};
   std::atomic<uint64_t> admission_stalls_{0};
   std::atomic<uint64_t> admission_stall_micros_{0};
+  std::atomic<uint64_t> spill_chunks_{0};
+  std::atomic<uint64_t> spill_bytes_{0};
   obs::MetricsRegistry* const registry_;
   obs::Counter* blocks_ = nullptr;
   obs::Counter* block_cliques_ = nullptr;
@@ -323,9 +329,6 @@ class RunReporter {
   obs::Counter* levels_ = nullptr;
   obs::Counter* cliques_emitted_ = nullptr;
   obs::Counter* fallback_runs_ = nullptr;
-  obs::Counter* mem_bytes_charged_ = nullptr;
-  obs::Counter* mem_spill_chunks_ = nullptr;
-  obs::Counter* mem_spill_bytes_ = nullptr;
   obs::Histogram* block_nodes_ = nullptr;
   obs::Histogram* block_density_ = nullptr;
   obs::Histogram* block_ns_per_clique_ = nullptr;

@@ -64,9 +64,6 @@ void CliqueSink::Account() {
   const uint64_t level_total =
       ctx_->resident_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
   config.budget->Charge(delta);
-  if (config.metrics.bytes_charged != nullptr && delta > 0) {
-    config.metrics.bytes_charged->Add(delta);
-  }
   const uint64_t min_chunk =
       std::min(config.threshold_bytes, kMinSpillChunkBytes);
   if (config.threshold_bytes > 0 && level_total > config.threshold_bytes &&
@@ -101,7 +98,7 @@ void CliqueSink::Flush() {
     return;
   }
   const SpillConfig& config = *ctx_->config;
-  const int64_t begin_us = config.trace != nullptr ? obs::NowMicros() : 0;
+  const int64_t begin_us = obs::NowMicros();
   const uint64_t num_cliques = buffer_.size();
   const uint64_t num_ids = buffer_.ids().size();
   const uint64_t bytes = ChunkBytes(num_cliques, num_ids);
@@ -123,32 +120,24 @@ void CliqueSink::Flush() {
   chunks_.push_back(Chunk{file_end_, num_cliques, num_ids});
   file_end_ += bytes;
   spilled_cliques_ += num_cliques;
-  spilled_bytes_ += bytes;
   // The buffer's bytes moved to disk: release the accounting and drop the
   // arena's capacity so the tracked number stays honest.
   ctx_->resident_bytes.fetch_sub(accounted_, std::memory_order_relaxed);
   config.budget->Release(accounted_);
   accounted_ = 0;
   buffer_ = FlatCliques();
-  if (config.metrics.spill_chunks != nullptr) {
-    config.metrics.spill_chunks->Increment();
-    config.metrics.spill_bytes->Add(bytes);
-    config.metrics.spill_chunk_bytes->Observe(static_cast<double>(bytes));
-  }
-  if (config.progress != nullptr) config.progress->AddSpillChunk(bytes);
-  if (config.trace != nullptr) {
-    obs::TraceEvent e;
-    e.begin_us = begin_us;
-    e.end_us = obs::NowMicros();
-    e.kind = obs::SpanKind::kSpillFlush;
-    e.level = ctx_->level;
-    e.index = chunks_.size() - 1;
-    e.args[0] = num_cliques;
-    e.args[1] = bytes;
-    e.args[2] = ctx_->resident_bytes.load(std::memory_order_relaxed);
-    e.args[3] = file_end_;
-    config.trace->Record(e);
-  }
+  if (!config.record_flush) return;
+  obs::TraceEvent e;
+  e.begin_us = begin_us;
+  e.end_us = obs::NowMicros();
+  e.kind = obs::SpanKind::kSpillFlush;
+  e.level = ctx_->level;
+  e.index = chunks_.size() - 1;
+  e.args[0] = num_cliques;
+  e.args[1] = bytes;
+  e.args[2] = ctx_->resident_bytes.load(std::memory_order_relaxed);
+  e.args[3] = file_end_;
+  config.record_flush(e);
 }
 
 void CliqueSink::ForEach(const CliqueCallback& fn) const {

@@ -15,23 +15,23 @@
 // finished appending.
 //
 // Layering: this header knows nothing about the executors. The engine
-// fills one SpillConfig per run (directory, threshold, budget, trace,
-// metrics handles) and one SpillContext per level (shared resident-byte
-// counter) that its sinks are constructed with.
+// fills one SpillConfig per run (directory, threshold, the run's budget
+// and the callback that reports each flush) and one SpillContext per
+// level (shared resident-byte counter) that its sinks are constructed
+// with.
 
 #ifndef MCE_MCE_CLIQUE_SINK_H_
 #define MCE_MCE_CLIQUE_SINK_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "graph/types.h"
 #include "mce/clique.h"
-#include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "util/memory_budget.h"
 
@@ -77,15 +77,6 @@ class FlatCliques {
   std::vector<uint64_t> ends_;
 };
 
-/// Per-flush observability handles, bound once per run by the engine's
-/// RunReporter (null when no registry is installed).
-struct SpillMetrics {
-  obs::Counter* bytes_charged = nullptr;
-  obs::Counter* spill_chunks = nullptr;
-  obs::Counter* spill_bytes = nullptr;
-  obs::Histogram* spill_chunk_bytes = nullptr;
-};
-
 /// A sink never flushes a chunk smaller than this (or than the threshold,
 /// whichever is lower): once a level's aggregate sits at the ceiling,
 /// flushing each sink's few-byte buffer on every append would grind the
@@ -106,11 +97,10 @@ struct SpillConfig {
   uint64_t threshold_bytes = 0;
   /// Charged/released with every resident-byte delta. Required.
   MemoryBudget* budget = nullptr;
-  obs::TraceRecorder* trace = nullptr;
-  SpillMetrics metrics;
-  /// Live spill counters for heartbeat telemetry (chunk count and bytes
-  /// bumped per flush); null when the run has no progress estimator.
-  obs::ProgressEstimator* progress = nullptr;
+  /// Receives each flushed chunk's one kSpillFlush span (cliques, bytes,
+  /// level resident bytes after, file bytes); the engine's RunReporter
+  /// counts it. May be empty.
+  std::function<void(const obs::TraceEvent&)> record_flush;
 };
 
 /// Per-level spill state: the shared resident-byte counter the threshold
@@ -148,9 +138,6 @@ class CliqueSink {
   /// chunk at a time.
   void ForEach(const CliqueCallback& fn) const;
 
-  uint64_t spilled_chunks() const { return chunks_.size(); }
-  uint64_t spilled_bytes() const { return spilled_bytes_; }
-
  private:
   struct Chunk {
     uint64_t file_offset = 0;
@@ -167,7 +154,6 @@ class CliqueSink {
   uint64_t accounted_ = 0;  // bytes currently charged for buffer_
   std::vector<Chunk> chunks_;
   uint64_t spilled_cliques_ = 0;
-  uint64_t spilled_bytes_ = 0;
   uint64_t file_end_ = 0;
   int fd_ = -1;
   bool spill_failed_ = false;

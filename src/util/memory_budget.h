@@ -5,7 +5,8 @@
 // subgraphs, MCE analysis workspaces, and clique-sink buffers. Charges and
 // releases are relaxed atomics (sub-nanosecond on the hot path); `peak()`
 // is maintained with a CAS loop so the run's MemoryStats can report the
-// high-water mark even on unlimited runs.
+// high-water mark even on unlimited runs, and `total_charged()` sums every
+// charge ever made (the run's mem.bytes_charged).
 //
 // A limit of 0 means "track only, never constrain". With a limit set,
 // `WouldExceed()` answers the PooledExecutor's one budget question, asked
@@ -40,6 +41,7 @@ class MemoryBudget {
     if (bytes == 0) return;
     const uint64_t now =
         charged_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    total_.fetch_add(bytes, std::memory_order_relaxed);
     uint64_t peak = peak_.load(std::memory_order_relaxed);
     while (now > peak &&
            !peak_.compare_exchange_weak(peak, now,
@@ -63,10 +65,14 @@ class MemoryBudget {
 
   uint64_t charged() const { return charged_.load(std::memory_order_relaxed); }
   uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
+  uint64_t total_charged() const {
+    return total_.load(std::memory_order_relaxed);
+  }
 
  private:
   const uint64_t limit_;
   std::atomic<uint64_t> charged_{0};
+  std::atomic<uint64_t> total_{0};
   std::atomic<uint64_t> peak_{0};
 };
 

@@ -17,13 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include "decomp/cut.h"
 #include "decomp/find_max_cliques.h"
 #include "exec/executor.h"
 #include "gen/generators.h"
 #include "gen/social.h"
 #include "gen/special.h"
 #include "graph/io.h"
+#include "graph/subgraph.h"
 #include "obs/metrics.h"
+#include "obs/progress.h"
 #include "obs/trace.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -252,6 +255,38 @@ TEST(MemoryBudgetTest, ExhaustedBudgetAnalyzesEveryBlockInline) {
   }
 }
 
+// A queued block is charged only what it holds: its materialized block,
+// from emission until its task ends. The analysis workspace belongs to the
+// worker and is charged only while a task runs. With one pool worker and
+// no budget, every level-0 block queues behind its DecomposeTask. So the
+// tracked peak stays within the serial run's peak (the pipeline graph and
+// one block with its workspace) plus every block once at its record's
+// bytes, the deeper level graphs and the buffered survivors.
+TEST(MemoryBudgetTest, QueuedBlocksAreChargedWithoutWorkspaces) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  const uint32_t m = 40;
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = m;
+  const Captured serial = RunWith(g, options, decomp::ExecutorKind::kSerial, 1);
+  const Captured pooled = RunWith(g, options, decomp::ExecutorKind::kPooled, 1);
+  ExpectIdenticalEmission(pooled, serial);
+
+  uint64_t bound = serial.stats.memory.peak_tracked_bytes;
+  for (const decomp::BlockTaskRecord& r : pooled.records) bound += r.bytes;
+  // Levels >= 1 own their hub-induced graphs, all alive at once at worst.
+  Graph level = g;
+  for (std::vector<NodeId> hubs = decomp::Cut(level, m).hubs; !hubs.empty();
+       hubs = decomp::Cut(level, m).hubs) {
+    level = Induce(level, hubs).graph;
+    bound += level.ResidentBytes();
+  }
+  // Each survivor waits in its block's sink until delivery.
+  for (const auto& [clique, origin] : pooled.emissions) {
+    bound += clique.size() * sizeof(NodeId) + sizeof(uint64_t);
+  }
+  EXPECT_LE(pooled.stats.memory.peak_tracked_bytes, bound);
+}
+
 // Serial runs honor the budget bookkeeping too: peak tracked bytes are
 // reported, and the block-at-a-time profile stays within any budget that
 // admits the largest single block.
@@ -270,17 +305,20 @@ TEST(MemoryBudgetTest, SerialRunReportsPeakTrackedBytes) {
 // Trace/metrics contract (mirrors the span-math checks in exec_trace_test):
 // every spill flush is one kSpillFlush span whose byte argument sums to the
 // run's spill_bytes, every admission stall is one kAdmission span, and the
-// mem.* registry counters agree with the run's MemoryStats.
+// mem.* registry counters and the final progress spill counters agree with
+// the run's MemoryStats.
 TEST(SpillObservabilityTest, SpillSpansAndCountersMatchRunStats) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
   obs::TraceRecorder recorder;
   obs::MetricsRegistry registry;
+  obs::ProgressEstimator progress;
   decomp::FindMaxCliquesOptions options = SpillForced(40);
   options.memory_budget_bytes = 64ull << 10;
   options.executor = decomp::ExecutorKind::kPooled;
   options.num_threads = 4;
   options.trace = &recorder;
   options.metrics = &registry;
+  options.progress = &progress;
   Captured out;
   out.stats = decomp::FindMaxCliquesStreaming(
       g, options, [](std::span<const NodeId>, uint32_t) {});
@@ -313,6 +351,11 @@ TEST(SpillObservabilityTest, SpillSpansAndCountersMatchRunStats) {
           1e-6,
       mem.admission_stall_seconds);
   EXPECT_GT(registry.GetCounter("mem.bytes_charged").value(), 0u);
+
+  const obs::ProgressSnapshot final_snapshot = progress.TakeSnapshot();
+  EXPECT_TRUE(final_snapshot.complete);
+  EXPECT_EQ(final_snapshot.spill_chunks, mem.spill_chunks);
+  EXPECT_EQ(final_snapshot.spill_bytes, mem.spill_bytes);
 }
 
 // A resident (no-spill, no-budget) run records none of the spill

@@ -19,6 +19,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "test_util.h"
+#include "util/memory_budget.h"
 #include "util/random.h"
 
 namespace mce::exec {
@@ -292,6 +293,72 @@ TEST(RunReporterTest, CountersAndProgressComeFromClosedSpans) {
   reporter.FinishRun(&stats);
   EXPECT_EQ(stats.cliques_emitted, 16u);
   EXPECT_EQ(registry.GetCounter("pipeline.cliques_emitted").value(), 16u);
+}
+
+// The reporter owns the run's memory accounting and folds each spill flush
+// and admission stall once: every one lands exactly once in FinishRun's
+// MemoryStats, the mem.* metrics, the progress snapshot and the trace, and
+// mem.bytes_charged counts every byte charged to the reporter's budget.
+TEST(RunReporterTest, SpillFlushesAndStallsAreCountedOnce) {
+  obs::MetricsRegistry registry;
+  obs::ProgressEstimator progress;
+  obs::TraceRecorder recorder;
+  decomp::FindMaxCliquesOptions options;
+  options.metrics = &registry;
+  options.progress = &progress;
+  options.trace = &recorder;
+  options.memory_budget_bytes = 1000;
+  RunReporter reporter(options);
+  MemoryBudget& budget = reporter.budget();
+  budget.Charge(600);
+  budget.Charge(300);
+  budget.Release(700);
+  budget.Charge(50);
+
+  for (const uint64_t bytes : {100u, 28u}) {
+    obs::TraceEvent flush;
+    flush.kind = obs::SpanKind::kSpillFlush;
+    flush.args[1] = bytes;
+    reporter.RecordSpillFlush(flush);
+  }
+  reporter.RecordAdmissionStall(1, 10, 40, 512, 900);
+
+  decomp::StreamingStats stats;
+  reporter.FinishRun(&stats);
+  const decomp::MemoryStats& mem = stats.memory;
+  EXPECT_EQ(mem.budget_bytes, 1000u);
+  EXPECT_EQ(mem.peak_tracked_bytes, 900u);
+  EXPECT_EQ(mem.spill_chunks, 2u);
+  EXPECT_EQ(mem.spill_bytes, 128u);
+  EXPECT_EQ(mem.admission_stalls, 1u);
+  EXPECT_DOUBLE_EQ(mem.admission_stall_seconds, 30e-6);
+
+  EXPECT_EQ(registry.GetCounter("mem.bytes_charged").value(), 950u);
+  EXPECT_EQ(registry.GetCounter("mem.spill_chunks").value(), 2u);
+  EXPECT_EQ(registry.GetCounter("mem.spill_bytes").value(), 128u);
+  EXPECT_EQ(registry.GetCounter("mem.admission_stalls").value(), 1u);
+  EXPECT_EQ(registry.GetCounter("mem.admission_stall_micros").value(), 30u);
+
+  const obs::ProgressSnapshot snapshot = progress.TakeSnapshot();
+  EXPECT_EQ(snapshot.spill_chunks, 2u);
+  EXPECT_EQ(snapshot.spill_bytes, 128u);
+
+  uint64_t flush_spans = 0, flush_bytes = 0, stall_spans = 0;
+  for (const obs::TraceEvent& e : recorder.Events()) {
+    if (e.kind == obs::SpanKind::kSpillFlush) {
+      ++flush_spans;
+      flush_bytes += e.args[1];
+    } else if (e.kind == obs::SpanKind::kAdmission) {
+      ++stall_spans;
+      EXPECT_EQ(e.level, 1u);
+      EXPECT_EQ(e.args[0], 512u);
+      EXPECT_EQ(e.args[1], 900u);
+      EXPECT_EQ(e.args[2], 1000u);
+    }
+  }
+  EXPECT_EQ(flush_spans, 2u);
+  EXPECT_EQ(flush_bytes, 128u);
+  EXPECT_EQ(stall_spans, 1u);
 }
 
 }  // namespace

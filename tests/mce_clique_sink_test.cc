@@ -3,6 +3,7 @@
 // from.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 
 #include "mce/clique_sink.h"
 #include "mce/storage.h"
+#include "obs/trace.h"
 #include "util/memory_budget.h"
 
 namespace mce {
@@ -32,6 +34,20 @@ std::vector<std::vector<NodeId>> TestCliques(size_t count) {
   return out;
 }
 
+/// Sums the bytes of the kSpillFlush spans a sink hands to its config.
+struct FlushLog {
+  uint64_t chunks = 0;
+  uint64_t bytes = 0;
+  std::function<void(const obs::TraceEvent&)> Recorder() {
+    return [this](const obs::TraceEvent& e) {
+      EXPECT_EQ(e.kind, obs::SpanKind::kSpillFlush);
+      EXPECT_EQ(e.index, chunks);
+      ++chunks;
+      bytes += e.args[1];
+    };
+  }
+};
+
 std::vector<std::vector<NodeId>> Replay(const CliqueSink& sink) {
   std::vector<std::vector<NodeId>> got;
   sink.ForEach([&](std::span<const NodeId> c) {
@@ -41,30 +57,35 @@ std::vector<std::vector<NodeId>> Replay(const CliqueSink& sink) {
 }
 
 // Replay after many flushes yields exactly the appended stream: the
-// spilled chunks in order, then the resident tail.
+// spilled chunks in order, then the resident tail. Each flush hands one
+// span, numbered by chunk, to the config's callback.
 TEST(CliqueSinkTest, SpilledReplayIsIdenticalToResident) {
   const auto cliques = TestCliques(500);
 
   MemoryBudget budget;
+  FlushLog flushes;
   SpillConfig config;
   config.threshold_bytes = 256;  // forces many flushes
   config.budget = &budget;
+  config.record_flush = flushes.Recorder();
   SpillContext ctx;
   ctx.config = &config;
   CliqueSink spilling(&ctx);
   for (const auto& c : cliques) spilling.AppendRaw(c);
 
   ASSERT_EQ(spilling.size(), cliques.size());
-  EXPECT_GT(spilling.spilled_chunks(), 1u);
-  EXPECT_GT(spilling.spilled_bytes(), 0u);
+  EXPECT_GT(flushes.chunks, 1u);
+  EXPECT_GT(flushes.bytes, 0u);
   EXPECT_EQ(Replay(spilling), cliques);
 }
 
 TEST(CliqueSinkTest, AccountingReleasesOnFlushAndDestruction) {
   MemoryBudget budget;
+  FlushLog flushes;
   SpillConfig config;
   config.threshold_bytes = 128;
   config.budget = &budget;
+  config.record_flush = flushes.Recorder();
   SpillContext ctx;
   ctx.config = &config;
   {
@@ -73,7 +94,7 @@ TEST(CliqueSinkTest, AccountingReleasesOnFlushAndDestruction) {
     for (const auto& c : cliques) sink.AppendRaw(c);
     // Flushes released the spilled bytes: the residual charge is at most
     // one buffered (unflushed) tail, far below the total appended.
-    EXPECT_GT(sink.spilled_bytes(), budget.charged());
+    EXPECT_GT(flushes.bytes, budget.charged());
   }
   // Destruction releases the tail charge from budget and level counter.
   EXPECT_EQ(budget.charged(), 0u);

@@ -27,8 +27,10 @@ TEST(MemoryBudgetTest, ChargeReleaseAndPeak) {
   budget.Charge(300);
   budget.Release(700);
   EXPECT_EQ(budget.charged(), 200u);
-  // Peak is the high-water mark, not the current value.
+  // Peak is the high-water mark, not the current value; the total counts
+  // every charge, released or not.
   EXPECT_EQ(budget.peak(), 900u);
+  EXPECT_EQ(budget.total_charged(), 900u);
   EXPECT_EQ(budget.limit(), 1000u);
 }
 
