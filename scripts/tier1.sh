@@ -186,10 +186,13 @@ EOF
 
 # Heartbeat + perf-diff leg: enumerate the same graph with NDJSON
 # heartbeats on, on both executors, and validate the streams (monotone
-# seq/ts/completed_cost, final record at fraction 1.0). Then diff the two
-# back-to-back serial --json reports with mce_perf_diff — identical-work
-# runs must come back "ok" — and check the gate actually trips by
-# injecting a 3x wall-time regression into a copy of the report.
+# seq/ts/completed_cost, final record at fraction 1.0). The final record
+# is written after the run returns, and must carry the finished run's
+# memory: its mem_peak the --json memory.peak_tracked_bytes, its
+# mem_charged 0. Then diff the two back-to-back serial --json reports with
+# mce_perf_diff — identical-work runs must come back "ok" — and check the
+# gate actually trips by injecting a 3x wall-time regression into a copy
+# of the report.
 echo "=== tier-1: heartbeat + perf-diff validation ==="
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
   --executor serial \
@@ -201,8 +204,21 @@ echo "=== tier-1: heartbeat + perf-diff validation ==="
   --executor pooled --threads 4 \
   --heartbeat-out="$trace_dir/hb_pooled.ndjson" \
   --heartbeat-interval-ms 20 \
-  --json true >/dev/null
+  --json true >"$trace_dir/report_hb_pooled.json"
 "$build/tools/trace_check" --heartbeat "$trace_dir/hb_pooled.ndjson"
+python3 - "$trace_dir" <<'EOF'
+import json, sys
+work = sys.argv[1]
+for run, report in (("serial", "report_a.json"),
+                    ("pooled", "report_hb_pooled.json")):
+    peak = json.load(open(f"{work}/{report}"))["memory"]["peak_tracked_bytes"]
+    final = json.loads(open(f"{work}/hb_{run}.ndjson").read().splitlines()[-1])
+    if peak <= 0 or final["mem_peak"] != peak or final["mem_charged"] != 0:
+        sys.exit(f"{run} final heartbeat mem_peak {final['mem_peak']}, "
+                 f"mem_charged {final['mem_charged']}; want the --json "
+                 f"peak_tracked_bytes {peak} (> 0) and 0")
+    print(f"{run} final heartbeat carries the run's memory: mem_peak {peak}")
+EOF
 "$build/tools/mce_cli" enumerate --input "$trace_dir/fb.txt" \
   --executor serial --json true >"$trace_dir/report_b.json"
 "$build/tools/mce_perf_diff" "$trace_dir/report_a.json" \

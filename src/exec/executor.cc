@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace mce::exec {
@@ -48,9 +49,14 @@ decomp::FindMaxCliquesResult CollectToResult(
       });
   std::sort(found.begin(), found.end());
 
+  std::vector<Clique>& cliques = out.cliques.mutable_cliques();
+  cliques.reserve(found.size());
+  out.origin_level.reserve(found.size());
   for (auto& [clique, origin] : found) {
+    // The LeveledCliqueCallback contract: every clique arrives sorted.
+    MCE_DCHECK(std::is_sorted(clique.begin(), clique.end()));
     out.origin_level.push_back(origin);
-    out.cliques.Add(std::move(clique));  // already sorted
+    cliques.push_back(std::move(clique));
   }
   return out;
 }

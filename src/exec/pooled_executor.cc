@@ -5,12 +5,15 @@
 //    block, so analysis starts while the level is still decomposing.
 //  * Task granularity follows the block cost model (DESIGN.md §7): a block
 //    is one analysis unit, blocks predicted below max_block_cost coalesce
-//    into batches of a few times that much predicted work, and ready tasks
-//    dispatch shallowest level first, then largest-predicted-first.
+//    into batches of a few times that much predicted work, and the pool
+//    runs ready analysis tasks shallowest level first, then
+//    largest-predicted-first.
 //  * DecomposeTask(h+1) depends only on Cut(h)'s hub set, so it is
 //    submitted before level h's blocks are even built — the next level's
 //    induce/cut/build runs concurrently with the tail of level-h analysis
-//    (the measured window is LevelStats::overlap_seconds).
+//    (the measured window is LevelStats::overlap_seconds). Decompositions
+//    are the pool's first tier: every deeper level waits on them, so one
+//    never queues behind analysis.
 //  * Every BlockTask runs the serial executor's task body, RunBlockTask
 //    (the per-clique Lemma-1 step included), buffers only the survivors
 //    in the block's CliqueSink, keeps the block's observer record, and
@@ -141,11 +144,12 @@ class PooledEngine {
 
   decomp::StreamingStats Run() {
     decomp::StreamingStats out;
-    // Heartbeat gauges: pending pool tasks (each queued analysis or batch
-    // is one generic pull thunk) and the budget's live charge. The
+    // Heartbeat gauges: pending pool tasks (each queued decomposition,
+    // block or batch is one) and the budget's live charge and peak. The
     // closure captures `this`; the guard detaches it on every exit from
     // Run — including unwinds out of the user's emit callback — before
-    // the engine (and its pool) dies under a live sampler.
+    // the engine (and its pool) dies under a live sampler; its last
+    // sample is what the run's final heartbeat reports.
     obs::ScopedGaugeSource gauge_guard(progress_, [this] {
       obs::GaugeSample s;
       s.queue_depth = pool_.QueueDepth();
@@ -276,9 +280,8 @@ class PooledEngine {
   }
 
   /// Emission of one block by DecomposeTask(level): score it, charge it,
-  /// then add it to the level's batch, dispatch it alone through the
-  /// cost-ordered queue, or — when the charge would cross the budget —
-  /// analyze it right here.
+  /// then add it to the level's batch, submit it alone to the pool, or —
+  /// when the charge would cross the budget — analyze it right here.
   void EmitBlock(LevelRun* lr, decomp::Block&& b) {
     // One feature pass, here on the decompose worker, fixes the dispatch
     // order, the batching decision and the classification before any
@@ -337,36 +340,36 @@ class PooledEngine {
       if (lr->batch_cost >= mult * options_.max_block_cost) FlushBatch(lr);
       return;
     }
-    queue_.Push(lr->scope.level, cost,
-                [this, lr, exec] { BlockTask(lr, exec); });
-    // One generic pull per queued task: the pool stays FIFO while the
-    // queue decides which analysis task each freed worker runs —
-    // shallowest level first, then highest predicted cost (DESIGN.md §7).
-    pool_.Submit([this] { queue_.RunNext(); });
+    // Level h's analysis tasks are tier h + 1: behind every DecomposeTask
+    // (unkeyed, tier 0) and ahead of every deeper level, since delivery is
+    // level-ordered; within the level the highest predicted cost runs
+    // first, so a giant block emitted last cannot serialize the level's
+    // tail (DESIGN.md §7).
+    pool_.Submit([this, lr, exec] { BlockTask(lr, exec); },
+                 {lr->scope.level + 1, cost});
   }
 
-  /// Dispatches the level's pending tiny-block batch as one pool task
-  /// whose scheduling cost is the batch's summed prediction. Runs on the
-  /// level's decompose worker (the only writer of the batch fields).
+  /// Submits the level's pending tiny-block batch as one pool task, keyed
+  /// like a block with the batch's summed prediction as its cost. Runs on
+  /// the level's decompose worker (the only writer of the batch fields).
   void FlushBatch(LevelRun* lr) {
     if (lr->batch.empty()) return;
-    const double cost = lr->batch_cost;
-    queue_.Push(lr->scope.level, cost,
-                [this, lr, execs = std::move(lr->batch)] {
-                  for (BlockExec* exec : execs) BlockTask(lr, exec);
-                });
+    pool_.Submit(
+        [this, lr, execs = std::move(lr->batch)] {
+          for (BlockExec* exec : execs) BlockTask(lr, exec);
+        },
+        {lr->scope.level + 1, lr->batch_cost});
     lr->batch = {};
     lr->batch_cost = 0;
-    pool_.Submit([this] { queue_.RunNext(); });
   }
 
   /// BlockTask(level, i): RunBlockTask into the block's sink, then frees
   /// the block, releases its emission charge and advances the level's
-  /// completion state.
+  /// completion state. Runs on one of the engine's pool workers — queued,
+  /// or inline on its level's decompose worker — whose workspace it uses.
   void BlockTask(LevelRun* lr, BlockExec* exec) {
-    const size_t worker_index = ThreadPool::CurrentWorkerIndex();
-    const size_t worker =
-        worker_index == ThreadPool::kNotAWorker ? 0 : worker_index;
+    const size_t worker = ThreadPool::CurrentWorkerIndex();
+    MCE_DCHECK_LT(worker, workspaces_.size());
     const BlockPlan plan{exec->record.estimated_cost, exec->record.used};
     exec->record = RunBlockTask(lr->scope, exec->block, plan,
                                 exec->record.index, reporter_,
@@ -459,10 +462,6 @@ class PooledEngine {
   std::deque<std::unique_ptr<LevelRun>> levels_;
   bool chain_done_ = false;
   std::vector<BlockWorkspace> workspaces_;
-  /// Ready analysis tasks (blocks and batches), dispatched shallowest level
-  /// first, then largest predicted cost, by generic pull thunks on the
-  /// pool.
-  CostOrderedQueue queue_;
   // Declared last: its destructor drains tasks that touch the state above.
   ThreadPool pool_;
 };

@@ -55,7 +55,8 @@ class SerialExecutor final : public Executor {
       s.mem_peak_bytes = budget.peak();
       return s;
     });
-    budget.Charge(current->ResidentBytes());
+    const uint64_t pipeline_graph_bytes = current->ResidentBytes();
+    budget.Charge(pipeline_graph_bytes);
     uint64_t level_graph_bytes = 0;  // the current owned level graph
     Graph owned;  // deeper levels own the hub-induced subgraph
     std::vector<NodeId> hubs;  // the parent level's, for levels >= 1
@@ -131,6 +132,10 @@ class SerialExecutor final : public Executor {
       hubs = std::move(cut.hubs);
       ++scope.level;
     }
+    // As on the pooled engine, nothing stays charged past the run, so the
+    // final heartbeat reads the run's peak with nothing charged.
+    budget.Release(level_graph_bytes);
+    budget.Release(pipeline_graph_bytes);
     reporter.FinishRun(&out);
     return out;
   }

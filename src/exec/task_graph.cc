@@ -246,25 +246,6 @@ obs::TraceEvent MakeDecomposeSpan(uint32_t level, const Graph& graph,
   return e;
 }
 
-void CostOrderedQueue::Push(uint32_t level, double cost,
-                            std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  heap_.push_back(Entry{level, cost, next_seq_++, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end());
-}
-
-void CostOrderedQueue::RunNext() {
-  std::function<void()> fn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (heap_.empty()) return;
-    std::pop_heap(heap_.begin(), heap_.end());
-    fn = std::move(heap_.back().fn);
-    heap_.pop_back();
-  }
-  fn();
-}
-
 namespace {
 
 /// The innermost open counting TaskWindow of the calling thread.

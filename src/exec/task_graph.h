@@ -33,7 +33,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -180,45 +179,6 @@ obs::TraceRecorder* ResolveTrace(const decomp::FindMaxCliquesOptions& options);
 /// A level's DecomposeTask span: the level graph's size and its cut.
 obs::TraceEvent MakeDecomposeSpan(uint32_t level, const Graph& graph,
                                   const decomp::CutResult& cut);
-
-/// Priority dispatch queue for ready analysis tasks. The thread pool runs
-/// plain FIFO; cost-guided scheduling (DESIGN.md §7) is layered on top by
-/// submitting generic "pull" thunks to the pool and letting each pull run
-/// the best queued task: the shallowest recursion level first — delivery
-/// is level-ordered, so queued level-h work never waits behind deeper
-/// work — then the largest predicted cost, so a giant block emitted last
-/// cannot serialize the tail of a level, then push (emission) order.
-/// Thread-safe.
-class CostOrderedQueue {
- public:
-  /// Enqueues `fn`, a task of recursion level `level` with predicted cost
-  /// `cost`.
-  void Push(uint32_t level, double cost, std::function<void()> fn);
-
-  /// Pops and runs the best queued task; no-op when empty. Callers submit
-  /// exactly one pool thunk per Push, so a non-empty pop is guaranteed
-  /// under that discipline, but RunNext tolerates spurious calls.
-  void RunNext();
-
- private:
-  struct Entry {
-    uint32_t level = 0;
-    double cost = 0;
-    uint64_t seq = 0;  // FIFO tiebreak: lower seq wins at equal key
-    std::function<void()> fn;
-
-    /// std::push_heap max-heap order: "worse" entries compare less-than.
-    bool operator<(const Entry& other) const {
-      if (level != other.level) return level > other.level;
-      if (cost != other.cost) return cost < other.cost;
-      return seq > other.seq;
-    }
-  };
-
-  std::mutex mu_;
-  uint64_t next_seq_ = 0;
-  std::vector<Entry> heap_;
-};
 
 /// One task's window on the calling thread, from construction to
 /// RunReporter::Close. It always stamps its begin and end on the

@@ -94,6 +94,7 @@ void ProgressEstimator::SetGaugeSource(std::function<GaugeSample()> fn) {
 
 void ProgressEstimator::ClearGaugeSource() {
   std::lock_guard<std::mutex> lock(mu_);
+  if (gauge_source_) last_gauges_ = gauge_source_();
   gauge_source_ = nullptr;
 }
 
@@ -122,7 +123,7 @@ ProgressSnapshot ProgressEstimator::TakeSnapshot() {
     if (lc.blocks == 0 && !lc.started) continue;
     s.levels.push_back(LevelProgress{i, lc.blocks, lc.blocks_done});
   }
-  if (gauge_source_) s.gauges = gauge_source_();
+  s.gauges = gauge_source_ ? gauge_source_() : last_gauges_;
 
   // High-water fraction: raw completed/registered can dip when a new
   // level registers a burst of cost, so the reported fraction only ever

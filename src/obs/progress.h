@@ -17,8 +17,8 @@
 // TakeSnapshot is called from the TelemetrySampler thread concurrently
 // with all of the above. Executors install a gauge-source callback for
 // run-scoped readings (queue depth, memory budget) and must clear it
-// before the gauges die; ClearGaugeSource blocks until any in-flight
-// snapshot has finished with the callback.
+// before the gauges die; ClearGaugeSource takes the source's last sample
+// and blocks until any in-flight snapshot has finished with the callback.
 //
 // Layering: obs/ knows nothing about graphs or executors. The bridge is
 // FindMaxCliquesOptions::progress, filled by whoever owns the run.
@@ -115,6 +115,8 @@ class ProgressEstimator {
   }
 
   /// Installs/clears the engine's gauge callback. ClearGaugeSource
+  /// samples the callback once more, and every later snapshot reports that
+  /// sample (the finished run's memory in the final heartbeat). It
   /// serializes against TakeSnapshot, so once it returns no snapshot is
   /// still inside the callback.
   void SetGaugeSource(std::function<GaugeSample()> fn);
@@ -165,6 +167,7 @@ class ProgressEstimator {
   uint64_t blocks_ = 0;
   uint64_t blocks_done_ = 0;
   std::function<GaugeSample()> gauge_source_;
+  GaugeSample last_gauges_;  // the source's sample at ClearGaugeSource
 
   // Sampler state (only touched under mu_; single sampler expected but
   // not required).

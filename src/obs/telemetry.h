@@ -13,7 +13,8 @@
 // via the estimator's gauge-source callback. That keeps the sampling
 // thread safe to run across executor teardown: executors clear their
 // gauge source before their gauges die, and ClearGaugeSource blocks
-// until any in-flight snapshot is out of the callback.
+// until any in-flight snapshot is out of the callback; its last sample is
+// what every later record, the final one included, reports.
 
 #ifndef MCE_OBS_TELEMETRY_H_
 #define MCE_OBS_TELEMETRY_H_

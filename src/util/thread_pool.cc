@@ -35,12 +35,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Submit(std::function<void()> task, TaskKey key) {
   MCE_CHECK(task != nullptr);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     MCE_CHECK(!shutdown_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(Entry{key, next_seq_++, std::move(task)});
+    std::push_heap(queue_.begin(), queue_.end());
     if (obs::MetricsRegistry* m = obs::MetricsRegistry::installed()) {
       if (m != metrics_registry_) {
         static const double kDepthBounds[] = {1,  2,   4,   8,   16,  32,
@@ -86,8 +87,9 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       if (shutdown_) return;
       continue;
     }
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
+    std::pop_heap(queue_.begin(), queue_.end());
+    std::function<void()> task = std::move(queue_.back().fn);
+    queue_.pop_back();
     ++active_;
     lock.unlock();
     task();

@@ -4,16 +4,19 @@
 // their assigned blocks in parallel; the FindMaxCliques pipeline (decomp)
 // uses this pool for the same purpose on the local machine. Tasks are
 // opaque std::function<void()>; Wait() drains the queue. Submit is safe
-// from any thread, including from inside a running task. Ordering beyond
-// FIFO (the execution engine's cost-ordered dispatch) is layered on top
-// by the caller.
+// from any thread, including from inside a running task.
+//
+// The pool is the engine's one ready queue: each task carries a key
+// (tier, cost), and a free worker runs the queued task with the lowest
+// tier, then the highest cost, then the earliest submission. Unkeyed tasks
+// are tier 0 with cost 0, so a pool fed only unkeyed tasks runs them FIFO.
 
 #ifndef MCE_UTIL_THREAD_POOL_H_
 #define MCE_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -28,6 +31,13 @@ namespace mce {
 
 class ThreadPool {
  public:
+  /// A task's place in the ready queue: lower tiers run first, and within
+  /// a tier higher costs run first; equal keys run in submission order.
+  struct TaskKey {
+    uint32_t tier;
+    double cost;
+  };
+
   /// Starts `num_threads` workers (at least 1).
   explicit ThreadPool(size_t num_threads);
   /// Drains outstanding tasks, then joins the workers.
@@ -45,8 +55,9 @@ class ThreadPool {
   static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
   static size_t CurrentWorkerIndex();
 
-  /// Enqueues a task. Never blocks (unbounded queue). Thread-safe.
-  void Submit(std::function<void()> task);
+  /// Enqueues a task under `key`. Never blocks (unbounded queue).
+  /// Thread-safe.
+  void Submit(std::function<void()> task, TaskKey key = {});
 
   /// Blocks until every submitted task has finished executing.
   void Wait();
@@ -60,12 +71,26 @@ class ThreadPool {
   }
 
  private:
+  struct Entry {
+    TaskKey key;
+    uint64_t seq = 0;  // submission order: the tiebreak at equal keys
+    std::function<void()> fn;
+
+    /// std::push_heap order: the entry to run next is the greatest.
+    bool operator<(const Entry& other) const {
+      if (key.tier != other.key.tier) return key.tier > other.key.tier;
+      if (key.cost != other.key.cost) return key.cost < other.key.cost;
+      return seq > other.seq;
+    }
+  };
+
   void WorkerLoop(size_t worker_index);
 
   mutable std::mutex mutex_;
   std::condition_variable task_ready_;
   std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
+  std::vector<Entry> queue_;  // a heap; guarded by mutex_
+  uint64_t next_seq_ = 0;
   size_t active_ = 0;
   bool shutdown_ = false;
   // Cached queue-depth histogram handle, revalidated against the installed

@@ -3,10 +3,8 @@
 
 #include "exec/executor.h"
 
-#include <chrono>
 #include <cstdint>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,8 +12,6 @@
 
 #include "decision/decision_tree.h"
 #include "exec/cluster_executor.h"
-#include "exec/task_graph.h"
-#include "util/thread_pool.h"
 #include "gen/generators.h"
 #include "gen/social.h"
 #include "gen/special.h"
@@ -454,7 +450,7 @@ TEST(MakeExecutorTest, ResolveThreadCountHonorsExplicitRequests) {
 }
 
 // A max_block_cost of 1 batches nothing: every block is its own task and
-// the cost-ordered queue alone decides the order they run in. The
+// the pool's (level, cost) order alone decides the order they run in. The
 // emission, observer stream, and per-level stats must still be
 // byte-identical to the serial run.
 TEST(ShardIdentityTest, ForcedSplitMatchesSerialAcrossCorpusAndThreads) {
@@ -529,69 +525,6 @@ TEST(ShardIdentityTest, FallbackIgnoresSplitThreshold) {
         RunWith(g, options, decomp::ExecutorKind::kPooled, threads);
     ExpectIdenticalRuns(pooled, serial);
   }
-}
-
-TEST(CostOrderedQueueTest, DispatchesHighestCostFirstWithFifoTies) {
-  CostOrderedQueue queue;
-  std::vector<int> ran;
-  queue.Push(0, 1.0, [&ran] { ran.push_back(1); });
-  queue.Push(0, 5.0, [&ran] { ran.push_back(5); });
-  queue.Push(0, 3.0, [&ran] { ran.push_back(3); });
-  queue.Push(0, 5.0, [&ran] { ran.push_back(50); });  // tie: after the first 5
-  for (int i = 0; i < 4; ++i) queue.RunNext();
-  EXPECT_EQ(ran, (std::vector<int>{5, 50, 3, 1}));
-  queue.RunNext();  // empty pop is a tolerated no-op
-}
-
-// Delivery is level-ordered, so the queue runs every queued task of a
-// shallower level before any deeper one, however costly; within a level
-// the cost order and the emission-order tiebreak hold.
-TEST(CostOrderedQueueTest, DispatchesShallowestLevelFirst) {
-  CostOrderedQueue queue;
-  std::vector<int> ran;
-  queue.Push(1, 1000.0, [&ran] { ran.push_back(10); });
-  queue.Push(0, 1.0, [&ran] { ran.push_back(1); });
-  queue.Push(2, 9.0, [&ran] { ran.push_back(20); });
-  queue.Push(1, 1000.0, [&ran] { ran.push_back(11); });  // tie: after 10
-  queue.Push(0, 2.0, [&ran] { ran.push_back(2); });
-  queue.Push(0, 1.0, [&ran] { ran.push_back(3); });  // tie: after 1
-  for (int i = 0; i < 6; ++i) queue.RunNext();
-  EXPECT_EQ(ran, (std::vector<int>{2, 1, 3, 10, 11, 20}));
-}
-
-// Satellite: largest-predicted-first scheduling. A level whose giant task
-// is emitted last must still finish within a small factor of its critical
-// path — with FIFO dispatch the giant starts only after the small tasks
-// drain, pushing the makespan toward (small + giant); with cost-ordered
-// dispatch the giant starts immediately and the smalls fill the other
-// workers.
-TEST(CostOrderedQueueTest, GiantTaskEmittedLastFinishesNearCriticalPath) {
-  constexpr int kWorkers = 4;
-  constexpr auto kGiant = std::chrono::milliseconds(240);
-  constexpr auto kSmall = std::chrono::milliseconds(20);
-  constexpr int kSmallCount = 12;
-  // Critical path = the giant task; the smalls pack into the remaining
-  // three workers well inside its window.
-  ThreadPool pool(kWorkers);
-  CostOrderedQueue queue;
-  // Emission order: all smalls first, the giant last — the adversarial
-  // order that defeats FIFO.
-  for (int i = 0; i < kSmallCount; ++i) {
-    queue.Push(0, 1.0, [kSmall] { std::this_thread::sleep_for(kSmall); });
-    pool.Submit([&queue] { queue.RunNext(); });
-  }
-  queue.Push(0, 1000.0, [kGiant] { std::this_thread::sleep_for(kGiant); });
-  pool.Submit([&queue] { queue.RunNext(); });
-  const auto begin = std::chrono::steady_clock::now();
-  pool.Wait();
-  const auto elapsed = std::chrono::steady_clock::now() - begin;
-  // FIFO would need ceil(12/4)*20ms before the giant even starts
-  // (makespan >= 300ms); cost-ordered dispatch keeps the level within
-  // 1.2x the 240ms critical path. The bound leaves slack for scheduler
-  // jitter but stays below the FIFO floor.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed),
-            kGiant * 12 / 10)
-      << "giant-last level exceeded 1.2x its critical path";
 }
 
 }  // namespace

@@ -358,6 +358,31 @@ TEST(SpillObservabilityTest, SpillSpansAndCountersMatchRunStats) {
   EXPECT_EQ(final_snapshot.spill_bytes, mem.spill_bytes);
 }
 
+// The final heartbeat is sampled after the engine's Run returns, so the
+// gauges a finished run leaves behind must be its own totals: the tracked
+// peak of its MemoryStats, with every charge released.
+TEST(SpillObservabilityTest, FinalGaugesReportTheFinishedRunsMemory) {
+  const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  for (const auto& [kind, threads] :
+       {std::pair{decomp::ExecutorKind::kSerial, 1u},
+        std::pair{decomp::ExecutorKind::kPooled, 4u}}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    obs::ProgressEstimator progress;
+    decomp::FindMaxCliquesOptions options = SpillForced(40);
+    options.memory_budget_bytes = 64ull << 10;
+    options.executor = kind;
+    options.num_threads = threads;
+    options.progress = &progress;
+    const decomp::StreamingStats stats = decomp::FindMaxCliquesStreaming(
+        g, options, [](std::span<const NodeId>, uint32_t) {});
+    ASSERT_GT(stats.memory.peak_tracked_bytes, 0u);
+    const obs::GaugeSample gauges = progress.TakeSnapshot().gauges;
+    EXPECT_EQ(gauges.mem_peak_bytes, stats.memory.peak_tracked_bytes);
+    EXPECT_EQ(gauges.mem_charged_bytes, 0u);
+    EXPECT_EQ(gauges.queue_depth, 0u);
+  }
+}
+
 // A resident (no-spill, no-budget) run records none of the spill
 // instruments — the out-of-core machinery costs nothing when off.
 TEST(SpillObservabilityTest, ResidentRunRecordsNoSpillActivity) {

@@ -155,6 +155,32 @@ TEST(ProgressEstimatorTest, MarkCompleteIsIdempotent) {
   EXPECT_EQ(progress.Accounting().wall_seconds, wall);
 }
 
+// An executor detaches its gauge source when its run returns, before the
+// sampler writes the final heartbeat: the estimator keeps the source's
+// last sample, so that record still reports the finished run's readings.
+TEST(ProgressEstimatorTest, ClearedGaugeSourceLeavesItsLastSample) {
+  ProgressEstimator progress;
+  GaugeSample live;
+  live.queue_depth = 3;
+  live.mem_charged_bytes = 40;
+  live.mem_peak_bytes = 100;
+  progress.SetGaugeSource([&live] { return live; });
+  EXPECT_EQ(progress.TakeSnapshot().gauges.mem_peak_bytes, 100u);
+  live.queue_depth = 0;
+  live.mem_charged_bytes = 0;
+  live.mem_peak_bytes = 250;
+  progress.ClearGaugeSource();
+  const GaugeSample last = live;
+  live.mem_peak_bytes = 999;  // detached: no snapshot reads the source now
+  progress.MarkComplete();
+  for (int i = 0; i < 2; ++i) {
+    const GaugeSample gauges = progress.TakeSnapshot().gauges;
+    EXPECT_EQ(gauges.queue_depth, last.queue_depth);
+    EXPECT_EQ(gauges.mem_charged_bytes, last.mem_charged_bytes);
+    EXPECT_EQ(gauges.mem_peak_bytes, last.mem_peak_bytes);
+  }
+}
+
 // End-to-end: both executors drive the same estimator contract — every
 // registered unit retired, clique counts matching the actual result —
 // and they register the same predicted cost for the same input (the
