@@ -118,6 +118,25 @@ for run, peak in peaks.items():
 print(f"budgeted runs matched: {want} cliques; peak tracked bytes "
       + ", ".join(f"{run} {peak}" for run, peak in peaks.items()))
 EOF
+
+  # Deep unbudgeted leg: the same input at m 20 with the reduction prepass
+  # runs eight levels, each hub level checking its cliques on Lemma-1
+  # bitset rows (the last one the m-core fallback), and with no spill
+  # threshold its sinks charge per 4 KiB and settle when their tasks end,
+  # all under the sanitizers. Pooled@4 must write the serial walk's file.
+  echo "=== tier-1: ASan deep unbudgeted leg ==="
+  for run in pooled@4 serial@1; do
+    "$asan_build/tools/mce_cli" enumerate --input "$oocore_dir/fb.txt" \
+      --m 20 --reduce true --executor "${run%@*}" --threads "${run#*@}" \
+      --output "$oocore_dir/deep_$run.txt" >/dev/null
+  done
+  if ! cmp "$oocore_dir/deep_pooled@4.txt" "$oocore_dir/deep_serial@1.txt"; then
+    echo "deep unbudgeted pooled@4 output differs from serial" >&2
+    rm -rf "$oocore_dir"
+    exit 1
+  fi
+  echo "deep unbudgeted runs wrote identical output:" \
+       "$(wc -l <"$oocore_dir/deep_serial@1.txt") lines"
   rm -rf "$oocore_dir"
 fi
 

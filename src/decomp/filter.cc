@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/bitset.h"
+#include "util/check.h"
 
 namespace mce::decomp {
 
@@ -60,6 +62,59 @@ CliqueSet FilterContainedCliques(const CliqueSet& ch, const CliqueSet& cf) {
 bool IsMaximalInGraph(const Graph& g, const Clique& clique) {
   if (clique.empty()) return g.num_nodes() == 0;
   return CommonNeighbors(g, clique).empty();
+}
+
+MaximalityIndex MaximalityIndex::Build(const Graph& g,
+                                       std::vector<NodeId> ids) {
+  MaximalityIndex index;
+  const uint64_t words = (static_cast<uint64_t>(g.num_nodes()) + 63) / 64;
+  uint64_t adjacency_bytes = 0;
+  for (NodeId u : ids) adjacency_bytes += g.Degree(u) * sizeof(NodeId);
+  if (ids.size() * words * sizeof(uint64_t) > adjacency_bytes) return index;
+  std::sort(ids.begin(), ids.end());
+  MCE_DCHECK(std::adjacent_find(ids.begin(), ids.end()) == ids.end());
+  index.words_ = words;
+  index.rows_.assign(ids.size() * words, 0);
+  for (size_t r = 0; r < ids.size(); ++r) {
+    uint64_t* row = index.rows_.data() + r * words;
+    for (NodeId v : g.Neighbors(ids[r])) {
+      row[v >> 6] |= uint64_t{1} << (v & 63);
+    }
+  }
+  index.ids_ = std::move(ids);
+  return index;
+}
+
+const uint64_t* MaximalityIndex::Row(NodeId u) const {
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), u);
+  MCE_DCHECK(it != ids_.end() && *it == u);
+  return rows_.data() + static_cast<size_t>(it - ids_.begin()) * words_;
+}
+
+bool MaximalityIndex::IsMaximal(std::span<const NodeId> clique) const {
+  MCE_DCHECK(built());
+  // Rows exist only over a graph with nodes, any of which extends {}.
+  if (clique.empty()) return false;
+  // The members' rows, inline up to a size few hub-level cliques reach.
+  constexpr size_t kInlineMembers = 64;
+  const uint64_t* inline_rows[kInlineMembers];
+  std::vector<const uint64_t*> long_rows;
+  const uint64_t** rows = inline_rows;
+  if (clique.size() > kInlineMembers) {
+    long_rows.resize(clique.size());
+    rows = long_rows.data();
+  }
+  for (size_t i = 0; i < clique.size(); ++i) rows[i] = Row(clique[i]);
+  // A member is never in its own row, so a set bit in the AND is a node
+  // outside the clique adjacent to all of it.
+  for (size_t w = 0; w < words_; ++w) {
+    uint64_t common = rows[0][w];
+    for (size_t i = 1; common != 0 && i < clique.size(); ++i) {
+      common &= rows[i][w];
+    }
+    if (common != 0) return false;
+  }
+  return true;
 }
 
 CliqueSet FilterNonMaximal(const Graph& g, const CliqueSet& cliques) {

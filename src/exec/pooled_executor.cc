@@ -168,7 +168,7 @@ class PooledEngine {
         prep_.pipeline_graph().ResidentBytes();
     reporter_.budget().Charge(pipeline_graph_bytes);
     auto root = std::make_unique<LevelRun>();
-    root->scope = LevelScope{&original_, prep_.map(), 0, {}};
+    root->scope = LevelScope{&original_, prep_.map(), 0, {}, {}};
     root->graph = &prep_.pipeline_graph();
     root->spill.config = &spill_config_;
     root->spill.level = 0;
@@ -216,12 +216,13 @@ class PooledEngine {
     if (progress_ != nullptr) progress_->BeginLevel(level);
     if (parent != nullptr) {
       InducedSubgraph sub = Induce(*parent->graph, parent->cut.hubs);
-      lr->scope.to_original =
-          ComposeToOriginal(parent->scope.to_original, sub.to_parent);
+      lr->scope = ChildScope(parent->scope, sub.to_parent);
       lr->owned_graph = std::move(sub.graph);
       lr->graph = &lr->owned_graph;
       lr->graph_bytes = lr->owned_graph.ResidentBytes();
-      reporter_.budget().Charge(lr->graph_bytes);
+      // The Lemma-1 rows stay charged until MarkReadyIfAnalyzed drops them.
+      reporter_.budget().Charge(lr->graph_bytes +
+                                lr->scope.maximality.Bytes());
       std::lock_guard<std::mutex> lock(mu_);
       parent->child_induced = true;
       MaybeReleaseInputs(parent);
@@ -236,7 +237,7 @@ class PooledEngine {
       // set, so its decomposition is dispatched before this level's
       // blocks are built, overlapping the tail of this level's analysis.
       auto child = std::make_unique<LevelRun>();
-      child->scope = LevelScope{&original_, prep_.map(), level + 1, {}};
+      child->scope = LevelScope{&original_, prep_.map(), level + 1, {}, {}};
       child->spill.config = &spill_config_;
       child->spill.level = level + 1;
       LevelRun* child_ptr = child.get();
@@ -259,6 +260,7 @@ class PooledEngine {
                       [lr](std::span<const NodeId> c) {
                         lr->fallback_cliques->AppendRaw(c);
                       });
+      lr->fallback_cliques->Settle();
     } else {
       decomp::BuildBlocksStreaming(
           graph, lr->cut.feasible, blocks_options_,
@@ -363,10 +365,11 @@ class PooledEngine {
     lr->batch_cost = 0;
   }
 
-  /// BlockTask(level, i): RunBlockTask into the block's sink, then frees
-  /// the block, releases its emission charge and advances the level's
-  /// completion state. Runs on one of the engine's pool workers — queued,
-  /// or inline on its level's decompose worker — whose workspace it uses.
+  /// BlockTask(level, i): RunBlockTask into the block's sink, settles the
+  /// sink's charge, then frees the block, releases its emission charge and
+  /// advances the level's completion state. Runs on one of the engine's
+  /// pool workers — queued, or inline on its level's decompose worker —
+  /// whose workspace it uses.
   void BlockTask(LevelRun* lr, BlockExec* exec) {
     const size_t worker = ThreadPool::CurrentWorkerIndex();
     MCE_DCHECK_LT(worker, workspaces_.size());
@@ -377,6 +380,7 @@ class PooledEngine {
                                 [exec](std::span<const NodeId> c) {
                                   exec->cliques.AppendRaw(c);
                                 });
+    exec->cliques.Settle();
     // Delivery reads only the sink and the record, so the block goes now,
     // observed or not: the engine's live footprint stays near the serial
     // one-block-at-a-time profile.
@@ -393,12 +397,16 @@ class PooledEngine {
   }
 
   /// mu_ held. Marks the level ready once its decompose has emitted every
-  /// block and the last of them has finished; true on that transition.
+  /// block and the last of them has finished; true on that transition,
+  /// which also drops the level's Lemma-1 rows: no clique of the level is
+  /// checked after it.
   bool MarkReadyIfAnalyzed(LevelRun* lr) {
     if (!lr->blocks_final || lr->blocks_done != lr->execs.size()) {
       return false;
     }
     lr->ready = true;
+    reporter_.budget().Release(lr->scope.maximality.Bytes());
+    lr->scope.maximality = decomp::MaximalityIndex();
     return true;
   }
 

@@ -39,7 +39,7 @@ class SerialExecutor final : public Executor {
     ReducePrepass prep;
     prep.Run(g, options, reporter, emit, &out);
     // The level being walked: `g` is its Lemma-1 reference graph.
-    LevelScope scope{&g, prep.map(), 0, {}};
+    LevelScope scope{&g, prep.map(), 0, {}, {}};
     const Graph* current = &prep.pipeline_graph();
     // The serial walk never stalls or spills (its live set is already
     // O(graph + one block)), but it makes the same charges the pooled
@@ -91,23 +91,23 @@ class SerialExecutor final : public Executor {
       if (options.block_observer) options.block_observer(record);
     };
 
-    for (;;) {
+    for (uint32_t level = 0;; ++level) {
       // The level's DecomposeTask window covers the induce (levels >= 1),
       // CUT, the block growth and the level's analysis: the inline
       // BlockTask (or fallback) windows nest inside it on this thread, so
       // its span's self time and counters hold only the decompose's own
       // work.
       TaskWindow decompose_window(reporter);
-      if (progress != nullptr) progress->BeginLevel(scope.level);
-      if (scope.level > 0) {
+      if (progress != nullptr) progress->BeginLevel(level);
+      if (level > 0) {
         // Recursive step: continue on the hub-induced subgraph.
         InducedSubgraph sub = Induce(*current, hubs);
-        scope.to_original =
-            ComposeToOriginal(scope.to_original, sub.to_parent);
+        scope = ChildScope(scope, sub.to_parent);
         // Parent and child graphs overlap until the move below frees the
         // parent, so the child is charged before the parent is released.
+        // The level's Lemma-1 rows are charged until its analysis ends.
         const uint64_t next_graph_bytes = sub.graph.ResidentBytes();
-        budget.Charge(next_graph_bytes);
+        budget.Charge(next_graph_bytes + scope.maximality.Bytes());
         owned = std::move(sub.graph);
         budget.Release(level_graph_bytes);
         level_graph_bytes = next_graph_bytes;
@@ -125,12 +125,13 @@ class SerialExecutor final : public Executor {
         decomp::BuildBlocksStreaming(*current, cut.feasible, blocks_options,
                                      analyze_block);
       }
+      budget.Release(scope.maximality.Bytes());
+      scope.maximality = decomp::MaximalityIndex();
       reporter.Close(decompose_window,
                      MakeDecomposeSpan(scope.level, *current, cut));
       out.levels.push_back(reporter.FinishLevel(scope.level, 1));
       if (fallback || cut.hubs.empty()) break;
       hubs = std::move(cut.hubs);
-      ++scope.level;
     }
     // As on the pooled engine, nothing stays charged past the run, so the
     // final heartbeat reads the run's peak with nothing charged.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "decision/block_cost.h"
 #include "decision/features.h"
-#include "decomp/filter.h"
 #include "mce/storage.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -51,13 +51,25 @@ decomp::BlockAnalysisOptions AnalysisOptionsFor(
   return analysis_options;
 }
 
-std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
-                                      const std::vector<NodeId>& to_parent) {
-  if (to_original.empty()) return to_parent;
-  std::vector<NodeId> composed;
-  composed.reserve(to_parent.size());
-  for (NodeId v : to_parent) composed.push_back(to_original[v]);
-  return composed;
+LevelScope ChildScope(const LevelScope& parent,
+                      const std::vector<NodeId>& to_parent) {
+  std::vector<NodeId> to_original = to_parent;
+  if (!parent.to_original.empty()) {
+    for (NodeId& v : to_original) v = parent.to_original[v];
+  }
+  std::vector<NodeId> ids;
+  if (parent.expansion != nullptr && parent.expansion->active()) {
+    for (NodeId r : to_original) {
+      const std::span<const NodeId> twins = parent.expansion->ClassOf(r);
+      ids.insert(ids.end(), twins.begin(), twins.end());
+    }
+  } else {
+    ids = to_original;
+  }
+  decomp::MaximalityIndex maximality =
+      decomp::MaximalityIndex::Build(*parent.original, std::move(ids));
+  return LevelScope{parent.original, parent.expansion, parent.level + 1,
+                    std::move(to_original), std::move(maximality)};
 }
 
 bool MapExpandAndFilterClique(const LevelScope& scope,
@@ -81,7 +93,10 @@ bool MapExpandAndFilterClique(const LevelScope& scope,
   } else if (!scope.expansion->ExpandClique(*scratch, out)) {
     return false;
   }
-  return scope.level == 0 || decomp::IsMaximalInGraph(*scope.original, *out);
+  if (scope.level == 0) return true;
+  return scope.maximality.built()
+             ? scope.maximality.IsMaximal(*out)
+             : decomp::IsMaximalInGraph(*scope.original, *out);
 }
 
 namespace {

@@ -3,13 +3,15 @@
 // One FIND-MAX-CLIQUES run is a graph of two typed stages per recursion
 // level h:
 //
-//   DecomposeTask(h)  = induce G_h from the parent's hubs (h >= 1), CUT
-//                       (Algorithm 2), and BLOCKS (Algorithm 3). Emits one
-//                       BlockTask per block as the block finishes growing.
+//   DecomposeTask(h)  = induce G_h from the parent's hubs with its
+//                       LevelScope (h >= 1, ChildScope), CUT (Algorithm 2),
+//                       and BLOCKS (Algorithm 3). Emits one BlockTask per
+//                       block as the block finishes growing.
 //   BlockTask(h, i)   = BLOCK-ANALYSIS (Algorithm 4) of block i, each
 //                       clique mapped to original ids and, at h >= 1,
 //                       kept only if it passes the telescoped Lemma-1
-//                       maximality check (MapExpandAndFilterClique).
+//                       maximality check (MapExpandAndFilterClique), on
+//                       the level's bitset rows when it has them.
 //                       Level-0 cliques are maximal by construction. Both
 //                       executors run the one body, RunBlockTask; they
 //                       differ only in where the survivors go.
@@ -42,6 +44,7 @@
 #include "decomp/block_analysis.h"
 #include "decomp/blocks.h"
 #include "decomp/cut.h"
+#include "decomp/filter.h"
 #include "decomp/find_max_cliques.h"
 #include "graph/graph.h"
 #include "mce/clique.h"
@@ -81,32 +84,42 @@ decomp::BlocksOptions BlocksOptionsFor(
 decomp::BlockAnalysisOptions AnalysisOptionsFor(
     const decomp::FindMaxCliquesOptions& options);
 
-/// Composes the parent level's original-id mapping with the induced
-/// subgraph's to_parent: an empty `to_original` is the identity (level 0).
-std::vector<NodeId> ComposeToOriginal(const std::vector<NodeId>& to_original,
-                                      const std::vector<NodeId>& to_parent);
-
 /// What every analysis task of one recursion level reads: the original
 /// graph (the Lemma-1 reference), the reduction prepass's map (null when
-/// reduction is off), the level, and the level graph's ids in the pipeline
-/// graph (empty means identity, level 0). Both executors hold one per
-/// level.
+/// reduction is off), the level, the level graph's ids in the pipeline
+/// graph (empty means identity, level 0) and, at levels >= 1, the level's
+/// Lemma-1 rows. Both executors hold one per level.
 struct LevelScope {
   const Graph* original = nullptr;
   const reduce::ReductionMap* expansion = nullptr;
   uint32_t level = 0;
   std::vector<NodeId> to_original;
+  /// Built by ChildScope when the size rule admits the rows; the executors
+  /// charge its Bytes() to the run's budget and drop it once the level's
+  /// analysis ends.
+  decomp::MaximalityIndex maximality;
 };
+
+/// The scope of the level induced on `parent`'s hubs, `to_parent` being
+/// the induced graph's ids in the parent level graph: composes
+/// to_original through the parent's (empty there means identity, level
+/// 0) and builds the level's MaximalityIndex over the original ids its
+/// cliques can contain — its nodes through to_original, each expanded
+/// through its twin class under an active reduction. Both executors build
+/// every level >= 1 this way, right after Induce.
+LevelScope ChildScope(const LevelScope& parent,
+                      const std::vector<NodeId>& to_parent);
 
 /// The per-clique step of every BlockTask and FallbackTask: translates
 /// `level_ids` (ids of G_level) through scope.to_original; under an active
 /// reduction re-expands the result (held in *scratch) through the twin
 /// classes into original-graph ids, else sorts it; then applies the
 /// telescoped Lemma-1 filter against the original graph — a clique from
-/// level >= 1 is kept iff it is maximal there. Returns true and fills
-/// `out` (sorted original ids) when the clique survives; false when it
-/// fails the check or its expansion is covered by a trivial clique of the
-/// prepass (a reduction leak).
+/// level >= 1 is kept iff it is maximal there, checked on the level's
+/// bitset rows when it has them, else by IsMaximalInGraph. Returns true
+/// and fills `out` (sorted original ids) when the clique survives; false
+/// when it fails the check or its expansion is covered by a trivial
+/// clique of the prepass (a reduction leak).
 bool MapExpandAndFilterClique(const LevelScope& scope,
                               std::span<const NodeId> level_ids,
                               Clique* scratch, Clique* out);

@@ -6,7 +6,10 @@
 // so they are the natural spill point for out-of-core execution: every
 // sink charges its FlatCliques buffer to the run's MemoryBudget and, once
 // the level's resident bytes cross a threshold, flushes it to an unlinked
-// temp file in chunks, replaying the chunks in append order on read.
+// temp file in chunks, replaying the chunks in append order on read. With
+// a threshold every append charges its growth; without one nothing can
+// flush, so a sink charges once per kMinSpillChunkBytes of growth and once
+// more when its writer calls Settle().
 //
 // The contract that keeps emission byte-identical with spilling on or off:
 // ForEach replays exactly the cliques appended, in order, regardless of
@@ -82,7 +85,8 @@ class FlatCliques {
 /// flushing each sink's few-byte buffer on every append would grind the
 /// run into hundreds of thousands of tiny chunks. Sinks instead let their
 /// buffers grow to a useful chunk size; the extra residency is bounded by
-/// one minimum chunk per sink and stays budget-accounted.
+/// one minimum chunk per sink and stays budget-accounted. It is also the
+/// charging step of a sink whose level cannot spill.
 inline constexpr uint64_t kMinSpillChunkBytes = 4096;
 
 /// Run-wide spill configuration, owned by the engine and outliving every
@@ -93,7 +97,8 @@ struct SpillConfig {
   std::string dir;
   /// Per-level resident-byte ceiling across the level's sinks; a sink
   /// whose append pushes the level total past this flushes its own
-  /// buffer. 0 disables spilling (sinks still account).
+  /// buffer. 0 disables spilling (sinks still account, per
+  /// kMinSpillChunkBytes of growth and at Settle()).
   uint64_t threshold_bytes = 0;
   /// Charged/released with every resident-byte delta. Required.
   MemoryBudget* budget = nullptr;
@@ -112,24 +117,37 @@ struct SpillContext {
   std::atomic<uint64_t> resident_bytes{0};
 };
 
-/// Accounting + spilling clique buffer. Every append charges its
-/// resident-byte delta to the budget and the level's shared counter; once
-/// the level total crosses the threshold the sink flushes its own buffer
-/// as one chunk ([count][ids-size][ends...][ids...]) appended to a lazily
-/// created, immediately unlinked temp file. Spill I/O failure degrades to
-/// resident buffering with one warning. One writer, then one reader (see
-/// above). Destruction releases the residual charge.
+/// Accounting + spilling clique buffer. It charges its resident-byte
+/// growth to the budget and the level's shared counter: on every append
+/// when its level can spill, else once per kMinSpillChunkBytes of growth,
+/// with Settle() charging the rest. Once the level total crosses the
+/// threshold the sink flushes its own buffer as one chunk
+/// ([count][ids-size][ends...][ids...]) appended to a lazily created,
+/// immediately unlinked temp file. Spill I/O failure degrades to resident
+/// buffering with one warning. One writer, then one reader (see above).
+/// Destruction releases the residual charge.
 class CliqueSink {
  public:
   /// `ctx` (with ctx->config and its budget) must outlive the sink.
-  explicit CliqueSink(SpillContext* ctx) : ctx_(ctx) {}
+  explicit CliqueSink(SpillContext* ctx)
+      : ctx_(ctx), spills_(ctx->config->threshold_bytes > 0) {}
   ~CliqueSink();
   CliqueSink(const CliqueSink&) = delete;
   CliqueSink& operator=(const CliqueSink&) = delete;
 
   void AppendRaw(std::span<const NodeId> c) {
     buffer_.AppendRaw(c);
-    Account();
+    // Without a threshold nothing can flush, and charging every append
+    // costs more shared-counter traffic than the charge is worth.
+    if (spills_ || buffer_.ByteSize() - accounted_ >= kMinSpillChunkBytes) {
+      Account();
+    }
+  }
+  /// Charges the growth not yet accounted, so the budget and the level
+  /// counter hold the whole buffer. The writer calls it when its appends
+  /// end; with a threshold set there is never anything left to charge.
+  void Settle() {
+    if (buffer_.ByteSize() > accounted_) Account();
   }
   size_t size() const { return spilled_cliques_ + buffer_.size(); }
 
@@ -150,6 +168,7 @@ class CliqueSink {
   bool EnsureFile();
 
   SpillContext* ctx_;
+  const bool spills_;  // the level has a spill threshold
   FlatCliques buffer_;
   uint64_t accounted_ = 0;  // bytes currently charged for buffer_
   std::vector<Chunk> chunks_;

@@ -11,10 +11,14 @@
 #include <gtest/gtest.h>
 
 #include "decision/decision_tree.h"
+#include "decomp/cut.h"
 #include "exec/cluster_executor.h"
+#include "exec/task_graph.h"
 #include "gen/generators.h"
 #include "gen/social.h"
 #include "gen/special.h"
+#include "graph/subgraph.h"
+#include "mce/naive.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -126,6 +130,67 @@ TEST(ExecutorIdentityTest, SocialStandInMatchesAcrossExecutors) {
   for (uint32_t threads : {2u, 8u}) {
     ExpectIdenticalRuns(
         RunWith(g, options, decomp::ExecutorKind::kPooled, threads), serial);
+  }
+}
+
+/// Whether each hub level of `g` at block bound `m` gets its Lemma-1
+/// rows, walking the level chain as the executors do (ChildScope right
+/// after each Induce), the m-core fallback level included.
+std::vector<bool> RowsPerHubLevel(const Graph& g, uint32_t m) {
+  std::vector<bool> built;
+  LevelScope scope{&g, nullptr, 0, {}, {}};
+  Graph level = g;
+  for (;;) {
+    const decomp::CutResult cut = decomp::Cut(level, m);
+    if (cut.feasible.empty() || cut.hubs.empty()) break;
+    InducedSubgraph sub = Induce(level, cut.hubs);
+    scope = ChildScope(scope, sub.to_parent);
+    built.push_back(scope.maximality.built());
+    level = std::move(sub.graph);
+  }
+  return built;
+}
+
+// The Lemma-1 rows change no emitted byte, built or declined. facebook
+// 0.02 at m 20 builds them on all seven hub levels, the last one the m-core
+// fallback; on a sparse-hub BA graph the size rule declines them (hub rows
+// of 47 words against hub degrees mostly under 94) and the merge path
+// runs. On both, with and without the reduction prepass, serial and
+// pooled@1/2/4 emit identically and the clique set is the naive
+// reference's.
+TEST(ExecutorIdentityTest, LemmaOneRowsMatchNaiveWhetherBuiltOrDeclined) {
+  Rng rng(26);
+  const Graph facebook = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
+  const Graph sparse = gen::BarabasiAlbert(3000, 3, &rng);
+  EXPECT_EQ(RowsPerHubLevel(facebook, 20), std::vector<bool>(7, true));
+  const std::vector<bool> sparse_rows = RowsPerHubLevel(sparse, 10);
+  ASSERT_FALSE(sparse_rows.empty());
+  EXPECT_FALSE(sparse_rows[0]);
+  for (const auto& [g, m] :
+       {std::pair{&facebook, 20u}, std::pair{&sparse, 10u}}) {
+    SCOPED_TRACE(testing::Message() << "n " << g->num_nodes());
+    CliqueSet want = NaiveMceSet(*g);
+    for (bool reduce : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "reduce " << reduce);
+      decomp::FindMaxCliquesOptions options;
+      options.max_block_size = m;
+      options.reduce = reduce;
+      const Captured serial =
+          RunWith(*g, options, decomp::ExecutorKind::kSerial, 1);
+      CliqueSet got;
+      uint64_t hub_cliques = 0;
+      for (const auto& [clique, level] : serial.emissions) {
+        got.Add(clique);
+        hub_cliques += level > 0 ? 1 : 0;
+      }
+      EXPECT_GT(hub_cliques, 0u);
+      mce::test::ExpectSameCliques(got, want);
+      for (uint32_t threads : {1u, 2u, 4u}) {
+        ExpectIdenticalRuns(
+            RunWith(*g, options, decomp::ExecutorKind::kPooled, threads),
+            serial);
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -360,16 +361,24 @@ TEST(SpillObservabilityTest, SpillSpansAndCountersMatchRunStats) {
 
 // The final heartbeat is sampled after the engine's Run returns, so the
 // gauges a finished run leaves behind must be its own totals: the tracked
-// peak of its MemoryStats, with every charge released.
+// peak of its MemoryStats, with every charge released. The unbudgeted
+// pooled run's sinks cannot spill and charge per minimum chunk, settling
+// the rest when their tasks end.
 TEST(SpillObservabilityTest, FinalGaugesReportTheFinishedRunsMemory) {
   const Graph g = gen::GenerateSocialNetwork(gen::FacebookConfig(0.02));
-  for (const auto& [kind, threads] :
-       {std::pair{decomp::ExecutorKind::kSerial, 1u},
-        std::pair{decomp::ExecutorKind::kPooled, 4u}}) {
-    SCOPED_TRACE(testing::Message() << "threads " << threads);
+  for (const auto& [kind, threads, budgeted] :
+       {std::tuple{decomp::ExecutorKind::kSerial, 1u, true},
+        std::tuple{decomp::ExecutorKind::kPooled, 4u, true},
+        std::tuple{decomp::ExecutorKind::kPooled, 4u, false}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "threads " << threads << " budgeted " << budgeted);
     obs::ProgressEstimator progress;
-    decomp::FindMaxCliquesOptions options = SpillForced(40);
-    options.memory_budget_bytes = 64ull << 10;
+    decomp::FindMaxCliquesOptions options;
+    options.max_block_size = 40;
+    if (budgeted) {
+      options = SpillForced(40);
+      options.memory_budget_bytes = 64ull << 10;
+    }
     options.executor = kind;
     options.num_threads = threads;
     options.progress = &progress;

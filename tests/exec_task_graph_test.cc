@@ -84,22 +84,28 @@ TEST(PlanBlockTest, MatchesCostModelAndAnalyzeBlockClassification) {
   EXPECT_GT(seen[2], 0u);
 }
 
-TEST(ComposeToOriginalTest, EmptyBaseIsIdentity) {
+TEST(ChildScopeTest, LevelOneMapsThroughToParent) {
+  const Graph g = gen::Complete(10);
   const std::vector<NodeId> to_parent = {4, 2, 9};
-  EXPECT_EQ(ComposeToOriginal({}, to_parent), to_parent);
+  const LevelScope level1 =
+      ChildScope(LevelScope{&g, nullptr, 0, {}, {}}, to_parent);
+  EXPECT_EQ(level1.level, 1u);
+  EXPECT_EQ(level1.to_original, to_parent);
 }
 
-TEST(ComposeToOriginalTest, ComposesThroughParentIds) {
-  // Parent node i is original node base[i]; composing maps level ids all
-  // the way back to original ids.
-  const std::vector<NodeId> base = {10, 20, 30, 40};
-  const std::vector<NodeId> to_parent = {3, 1};
-  EXPECT_EQ(ComposeToOriginal(base, to_parent), (std::vector<NodeId>{40, 20}));
+TEST(ChildScopeTest, ComposesThroughParentIds) {
+  // Parent node i is original node parent.to_original[i]; composing maps
+  // level ids all the way back to original ids.
+  const Graph g = gen::Complete(50);
+  const LevelScope parent{&g, nullptr, 1, {10, 20, 30, 40}, {}};
+  const LevelScope child = ChildScope(parent, {3, 1});
+  EXPECT_EQ(child.level, 2u);
+  EXPECT_EQ(child.to_original, (std::vector<NodeId>{40, 20}));
 }
 
 TEST(MapExpandAndFilterCliqueTest, LevelZeroSortsAndAlwaysKeeps) {
   Graph triangle = gen::Complete(3);
-  const LevelScope scope{&triangle, nullptr, 0, {}};
+  const LevelScope scope{&triangle, nullptr, 0, {}, {}};
   Clique scratch;
   Clique out;
   const std::vector<NodeId> ids = {2, 0};
@@ -109,18 +115,33 @@ TEST(MapExpandAndFilterCliqueTest, LevelZeroSortsAndAlwaysKeeps) {
   EXPECT_EQ(out, (Clique{0, 2}));
 }
 
+// Level 1 as the executors build it: its rows (3 rows of one word, 24 B,
+// against 4 * 6 B of adjacency) are admitted, and the per-clique step
+// gives the same answers with and without them.
 TEST(MapExpandAndFilterCliqueTest, DeeperLevelsApplyLemmaOne) {
   Graph triangle = gen::Complete(3);
-  const LevelScope scope{&triangle, nullptr, 1, {2, 0, 1}};
-  Clique scratch;
-  Clique out;
-  // Level ids {0, 1} -> original {2, 0}: extendable by node 1 -> dropped.
-  EXPECT_FALSE(MapExpandAndFilterClique(scope, std::vector<NodeId>{0, 1},
-                                        &scratch, &out));
-  // The full triangle survives, translated and sorted.
-  EXPECT_TRUE(MapExpandAndFilterClique(scope, std::vector<NodeId>{1, 2, 0},
-                                       &scratch, &out));
-  EXPECT_EQ(out, (Clique{0, 1, 2}));
+  const LevelScope scope =
+      ChildScope(LevelScope{&triangle, nullptr, 0, {}, {}}, {2, 0, 1});
+  EXPECT_EQ(scope.level, 1u);
+  EXPECT_EQ(scope.to_original, (std::vector<NodeId>{2, 0, 1}));
+  ASSERT_TRUE(scope.maximality.built());
+  EXPECT_EQ(scope.maximality.Bytes(),
+            3 * sizeof(uint64_t) + 3 * sizeof(NodeId));
+  LevelScope merge_path = scope;
+  merge_path.maximality = decomp::MaximalityIndex();
+  const LevelScope* const paths[] = {&scope, &merge_path};
+  for (const LevelScope* s : paths) {
+    SCOPED_TRACE(s->maximality.built() ? "rows" : "merge");
+    Clique scratch;
+    Clique out;
+    // Level ids {0, 1} -> original {2, 0}: extendable by node 1 -> dropped.
+    EXPECT_FALSE(MapExpandAndFilterClique(*s, std::vector<NodeId>{0, 1},
+                                          &scratch, &out));
+    // The full triangle survives, translated and sorted.
+    EXPECT_TRUE(MapExpandAndFilterClique(*s, std::vector<NodeId>{1, 2, 0},
+                                         &scratch, &out));
+    EXPECT_EQ(out, (Clique{0, 1, 2}));
+  }
 }
 
 TEST(BuildBlocksStreamingTest, EmissionOrderMatchesBatchBuild) {
@@ -154,7 +175,9 @@ TEST(RunBlockTaskTest, RecordKeepAndSpanMatchTheBlockAndPlan) {
   const uint32_t m = 40;
   const decomp::CutResult cut0 = decomp::Cut(g, m);
   const InducedSubgraph level1 = Induce(g, cut0.hubs);
-  const LevelScope scope{&g, nullptr, 1, level1.to_parent};
+  const LevelScope scope =
+      ChildScope(LevelScope{&g, nullptr, 0, {}, {}}, level1.to_parent);
+  ASSERT_TRUE(scope.maximality.built());
   decomp::BlocksOptions blocks_options;
   blocks_options.max_block_size = m;
   const std::vector<decomp::Block> blocks = decomp::BuildBlocks(

@@ -102,6 +102,64 @@ TEST(CliqueSinkTest, AccountingReleasesOnFlushAndDestruction) {
   EXPECT_GT(budget.peak(), 0u);
 }
 
+// Without a threshold nothing can flush, so a sink charges its growth
+// once per kMinSpillChunkBytes: between appends the budget and the level
+// counter trail the payload by less than that, Settle() charges the rest,
+// every byte is charged exactly once, and destruction returns both to 0.
+TEST(CliqueSinkTest, WithoutThresholdChargesPerMinimumChunkAndOnSettle) {
+  const auto cliques = TestCliques(2000);
+  MemoryBudget budget;
+  SpillConfig config;
+  config.budget = &budget;
+  SpillContext ctx;
+  ctx.config = &config;
+  FlatCliques payload;
+  {
+    CliqueSink sink(&ctx);
+    uint64_t deferred = 0;
+    for (const auto& c : cliques) {
+      sink.AppendRaw(c);
+      payload.AppendRaw(c);
+      ASSERT_LE(budget.charged(), payload.ByteSize());
+      EXPECT_LT(payload.ByteSize() - budget.charged(), kMinSpillChunkBytes);
+      EXPECT_EQ(ctx.resident_bytes.load(), budget.charged());
+      deferred += budget.charged() < payload.ByteSize() ? 1 : 0;
+    }
+    EXPECT_GT(deferred, cliques.size() / 2);
+    sink.Settle();
+    EXPECT_EQ(budget.charged(), payload.ByteSize());
+    EXPECT_EQ(ctx.resident_bytes.load(), payload.ByteSize());
+    sink.Settle();  // nothing left to charge
+    EXPECT_EQ(budget.total_charged(), payload.ByteSize());
+    EXPECT_EQ(budget.peak(), payload.ByteSize());
+    EXPECT_EQ(Replay(sink), cliques);
+  }
+  EXPECT_EQ(budget.charged(), 0u);
+  EXPECT_EQ(ctx.resident_bytes.load(), 0u);
+}
+
+// A level that can spill still charges every append: with a threshold
+// the run never reaches, the budget holds the whole payload after each one.
+TEST(CliqueSinkTest, WithThresholdChargesEveryAppend) {
+  const auto cliques = TestCliques(300);
+  MemoryBudget budget;
+  SpillConfig config;
+  config.threshold_bytes = 1ull << 20;
+  config.budget = &budget;
+  SpillContext ctx;
+  ctx.config = &config;
+  FlatCliques payload;
+  CliqueSink sink(&ctx);
+  for (const auto& c : cliques) {
+    sink.AppendRaw(c);
+    payload.AppendRaw(c);
+    ASSERT_EQ(budget.charged(), payload.ByteSize());
+    ASSERT_EQ(ctx.resident_bytes.load(), payload.ByteSize());
+  }
+  sink.Settle();
+  EXPECT_EQ(budget.total_charged(), payload.ByteSize());
+}
+
 TEST(CliqueSinkTest, EmptyCliquesSurviveSpilling) {
   MemoryBudget budget;
   SpillConfig config;
