@@ -137,6 +137,37 @@ EOF
   fi
   echo "deep unbudgeted runs wrote identical output:" \
        "$(wc -l <"$oocore_dir/deep_serial@1.txt") lines"
+
+  # Cross-emission-order check: the default m without the reduction
+  # emits the same clique set in another order, so this run and the deep
+  # one share only the collector that orders the result. Its file must
+  # equal the deep serial run's, one strictly increasing tuple of
+  # strictly increasing ids per line.
+  "$asan_build/tools/mce_cli" enumerate --input "$oocore_dir/fb.txt" \
+    --reduce false --executor pooled --threads 4 \
+    --output "$oocore_dir/shallow_pooled@4.txt" >/dev/null
+  if ! cmp "$oocore_dir/shallow_pooled@4.txt" \
+           "$oocore_dir/deep_serial@1.txt"; then
+    echo "default-m pooled@4 output differs from the deep serial run" >&2
+    rm -rf "$oocore_dir"
+    exit 1
+  fi
+  python3 - "$oocore_dir/shallow_pooled@4.txt" <<'EOF' || { rm -rf "$oocore_dir"; exit 1; }
+import sys
+previous = None
+lines = 0
+for lines, line in enumerate(open(sys.argv[1]), 1):
+    clique = tuple(int(v) for v in line.split())
+    if any(a >= b for a, b in zip(clique, clique[1:])):
+        sys.exit(f"line {lines}: ids not strictly increasing: {line!r}")
+    if previous is not None and clique <= previous:
+        sys.exit(f"line {lines}: not after the line before it: {line!r}")
+    previous = clique
+if lines == 0:
+    sys.exit("default-m pooled@4 output is empty")
+print(f"default-m pooled@4 output matched the deep run: {lines} lines, "
+      "strictly increasing")
+EOF
   rm -rf "$oocore_dir"
 fi
 

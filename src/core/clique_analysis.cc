@@ -16,13 +16,18 @@ std::vector<uint64_t> CliqueSizeHistogram(const CliqueSet& cliques) {
 std::vector<size_t> LargestCliqueIndices(const CliqueSet& cliques, size_t k) {
   std::vector<size_t> order(cliques.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&cliques](size_t a, size_t b) {
-    const Clique& ca = cliques.cliques()[a];
-    const Clique& cb = cliques.cliques()[b];
-    if (ca.size() != cb.size()) return ca.size() > cb.size();
-    return ca < cb;
-  });
-  order.resize(std::min(k, order.size()));
+  const size_t take = std::min(k, order.size());
+  // The index tie-break makes the order total, so the first `take` are
+  // exactly those of a full sort.
+  std::partial_sort(order.begin(), order.begin() + take, order.end(),
+                    [&cliques](size_t a, size_t b) {
+                      const Clique& ca = cliques.cliques()[a];
+                      const Clique& cb = cliques.cliques()[b];
+                      if (ca.size() != cb.size()) return ca.size() > cb.size();
+                      if (const auto c = ca <=> cb; c != 0) return c < 0;
+                      return a < b;
+                    });
+  order.resize(take);
   return order;
 }
 

@@ -19,8 +19,9 @@ namespace mce {
 std::vector<uint64_t> CliqueSizeHistogram(const CliqueSet& cliques);
 
 /// Indices of the `k` largest cliques, largest first; ties broken by
-/// lexicographic clique content for determinism. Returns fewer when the
-/// collection is smaller.
+/// lexicographic clique content, then by index, so the result is the
+/// first `k` of a full sort. Returns fewer when the collection is
+/// smaller. Costs O(n log k): a partial sort, not a full one.
 std::vector<size_t> LargestCliqueIndices(const CliqueSet& cliques, size_t k);
 
 /// counts[v] = number of cliques containing node v. `num_nodes` sizes the

@@ -1,9 +1,9 @@
 #include "core/run_stats.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
+#include "core/clique_analysis.h"
 #include "util/check.h"
 
 namespace mce {
@@ -108,23 +108,13 @@ RunStats ComputeRunStats(const decomp::FindMaxCliquesResult& result) {
 
 double HubShareOfLargestCliques(const decomp::FindMaxCliquesResult& result,
                                 size_t k) {
-  const size_t n = result.cliques.size();
-  if (n == 0 || k == 0) return 0.0;
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  // Largest first; ties by clique content for determinism.
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const auto& ca = result.cliques.cliques()[a];
-    const auto& cb = result.cliques.cliques()[b];
-    if (ca.size() != cb.size()) return ca.size() > cb.size();
-    return ca < cb;
-  });
-  const size_t take = std::min(k, n);
+  const std::vector<size_t> top = LargestCliqueIndices(result.cliques, k);
+  if (top.empty()) return 0.0;
   size_t hub = 0;
-  for (size_t i = 0; i < take; ++i) {
-    if (result.origin_level[order[i]] >= 1) ++hub;
+  for (size_t i : top) {
+    if (result.origin_level[i] >= 1) ++hub;
   }
-  return static_cast<double>(hub) / static_cast<double>(take);
+  return static_cast<double>(hub) / static_cast<double>(top.size());
 }
 
 }  // namespace mce

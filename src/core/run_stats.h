@@ -67,9 +67,10 @@ RunStats ComputeRunStats(const decomp::FindMaxCliquesResult& result);
 std::string RunSummaryLine(const RunStats& stats,
                            const decomp::StreamingStats& result);
 
-/// Among the `k` largest cliques (ties broken toward including larger
-/// origin-level-0 cliques deterministically), the fraction that are
-/// hub-only — Figure 11's gray share. Returns 0 when there are no cliques.
+/// Among the `k` largest cliques (LargestCliqueIndices: ties broken by
+/// clique content, then by index), the fraction that are hub-only (origin
+/// level >= 1) — Figure 11's gray share. Returns 0 when there are no
+/// cliques or `k` is 0.
 double HubShareOfLargestCliques(const decomp::FindMaxCliquesResult& result,
                                 size_t k);
 

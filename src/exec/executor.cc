@@ -1,8 +1,10 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <bit>
+#include <compare>
+#include <cstdint>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -38,25 +40,80 @@ std::unique_ptr<Executor> MakeExecutor(
   return threads > 1 ? MakePooledExecutor(threads) : MakeSerialExecutor();
 }
 
+namespace {
+
+// The collector buckets cliques by their smallest id shifted right until
+// at most 2^kBucketBits buckets remain.
+constexpr int kBucketBits = 12;
+
+// A clique waiting in its bucket: its leading ids packed into `key`, and
+// its [size, level, ids...] record in the bucket's arena.
+struct KeyedClique {
+  uint64_t key;
+  const uint32_t* record;
+};
+
+// The (Clique, level) pair order: ids lexicographically (a prefix first),
+// then the level. Equal keys share their packed leading ids.
+bool Before(const KeyedClique& a, const KeyedClique& b) {
+  if (a.key != b.key) return a.key < b.key;
+  const uint32_t* ia = a.record + 2;
+  const uint32_t* ib = b.record + 2;
+  const auto ids = std::lexicographical_compare_three_way(
+      ia, ia + a.record[0], ib, ib + b.record[0]);
+  if (ids != 0) return ids < 0;
+  return a.record[1] < b.record[1];
+}
+
+}  // namespace
+
 decomp::FindMaxCliquesResult CollectToResult(
     Executor& executor, const Graph& g,
     const decomp::FindMaxCliquesOptions& options) {
-  std::vector<std::pair<Clique, uint32_t>> found;
+  const NodeId n = g.num_nodes();
+  // A packed id is id + 1 (0 past the clique's end), so it needs
+  // bit_width(n) bits.
+  const int id_bits = std::max(1, static_cast<int>(std::bit_width(n)));
+  const uint32_t packed_ids = 64 / id_bits;
+  const int shift = std::max(0, id_bits - kBucketBits);
+  std::vector<std::vector<uint32_t>> buckets((size_t{n} >> shift) + 1);
+  size_t total = 0;
   decomp::FindMaxCliquesResult out;
   static_cast<decomp::StreamingStats&>(out) = executor.Run(
-      g, options, [&found](std::span<const NodeId> clique, uint32_t level) {
-        found.emplace_back(Clique(clique.begin(), clique.end()), level);
+      g, options, [&](std::span<const NodeId> clique, uint32_t level) {
+        // The LeveledCliqueCallback contract: every clique arrives sorted,
+        // so clique[0] is its smallest id.
+        MCE_DCHECK(std::is_sorted(clique.begin(), clique.end()));
+        MCE_DCHECK(clique.empty() || clique.back() < n);
+        std::vector<uint32_t>& arena =
+            buckets[clique.empty() ? 0 : clique[0] >> shift];
+        arena.push_back(static_cast<uint32_t>(clique.size()));
+        arena.push_back(level);
+        arena.insert(arena.end(), clique.begin(), clique.end());
+        ++total;
       });
-  std::sort(found.begin(), found.end());
 
   std::vector<Clique>& cliques = out.cliques.mutable_cliques();
-  cliques.reserve(found.size());
-  out.origin_level.reserve(found.size());
-  for (auto& [clique, origin] : found) {
-    // The LeveledCliqueCallback contract: every clique arrives sorted.
-    MCE_DCHECK(std::is_sorted(clique.begin(), clique.end()));
-    out.origin_level.push_back(origin);
-    cliques.push_back(std::move(clique));
+  cliques.reserve(total);
+  out.origin_level.reserve(total);
+  std::vector<KeyedClique> order;
+  for (std::vector<uint32_t>& arena : buckets) {
+    order.clear();
+    for (size_t at = 0; at < arena.size(); at += 2 + arena[at]) {
+      const uint32_t* record = arena.data() + at;
+      uint64_t key = 0;
+      for (uint32_t i = 0; i < packed_ids; ++i) {
+        key = (key << id_bits) |
+              (i < record[0] ? uint64_t{record[2 + i]} + 1 : 0);
+      }
+      order.push_back({key, record});
+    }
+    std::sort(order.begin(), order.end(), Before);
+    for (const KeyedClique& c : order) {
+      cliques.emplace_back(c.record + 2, c.record + 2 + c.record[0]);
+      out.origin_level.push_back(c.record[1]);
+    }
+    std::vector<uint32_t>().swap(arena);
   }
   return out;
 }

@@ -55,9 +55,19 @@ std::unique_ptr<Executor> MakeExecutor(
 /// 0 means one worker per hardware thread; otherwise the request stands.
 size_t ResolveThreadCount(uint32_t requested);
 
-/// Runs `executor` and assembles the batch result: cliques canonicalized
-/// and sorted with their origin levels, plus the streaming stats. Shared
-/// by decomp::FindMaxCliques and MaxCliqueFinder::Find.
+/// Runs `executor` and assembles the batch result: every emitted clique
+/// with its origin level, in (clique, level) order (ids lexicographically,
+/// a clique before its extensions, then the level), plus the streaming
+/// stats. Shared by decomp::FindMaxCliques and MaxCliqueFinder::Find.
+///
+/// No heap object is sorted. While the run streams, each clique is
+/// appended as [size, level, ids...] to a flat arena picked by its
+/// smallest id shifted right to at most 4,096 buckets. Afterwards the
+/// buckets are drained in id order: each one's cliques are sorted as
+/// 16-byte records (their leading ids packed into a uint64 key, plus a
+/// pointer into the arena), built into the reserved result, and the
+/// bucket is freed. The peak is the result, the buckets not yet drained
+/// and the largest bucket's records.
 decomp::FindMaxCliquesResult CollectToResult(
     Executor& executor, const Graph& g,
     const decomp::FindMaxCliquesOptions& options);

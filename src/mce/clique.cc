@@ -24,7 +24,10 @@ void CliqueSet::Merge(CliqueSet&& other) {
 }
 
 void CliqueSet::Canonicalize() {
-  std::sort(cliques_.begin(), cliques_.end());
+  // Batch results arrive sorted; checking is a linear pass.
+  if (!std::is_sorted(cliques_.begin(), cliques_.end())) {
+    std::sort(cliques_.begin(), cliques_.end());
+  }
   cliques_.erase(std::unique(cliques_.begin(), cliques_.end()),
                  cliques_.end());
 }

@@ -33,7 +33,8 @@ class CliqueSet {
   /// Moves all cliques out of `other` into this set.
   void Merge(CliqueSet&& other);
 
-  /// Sorts the collection lexicographically and removes duplicates.
+  /// Sorts the collection lexicographically and removes duplicates. An
+  /// already sorted collection (every batch result) skips the sort.
   void Canonicalize();
 
   size_t size() const { return cliques_.size(); }

@@ -1,10 +1,15 @@
 #include "core/clique_analysis.h"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "gen/special.h"
 #include "mce/naive.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace mce {
 namespace {
@@ -45,6 +50,36 @@ TEST(LargestCliqueIndicesTest, OrdersBySizeThenContent) {
   // Asking for more than exists returns everything.
   EXPECT_EQ(LargestCliqueIndices(cs, 100).size(), 4u);
   EXPECT_TRUE(LargestCliqueIndices(cs, 0).empty());
+}
+
+TEST(LargestCliqueIndicesTest, EqualsFullSortPrefixUnderSizeTies) {
+  // Three sizes over 400 cliques, every one repeated once: sizes tie
+  // everywhere, and so does content, which only the index then orders.
+  Rng rng(41);
+  CliqueSet cs;
+  for (int i = 0; i < 200; ++i) {
+    const size_t size = 2 + rng.NextBounded(3);
+    std::vector<uint64_t> ids = rng.SampleWithoutReplacement(12, size);
+    const Clique c(ids.begin(), ids.end());
+    cs.Add(c);
+    cs.Add(c);
+  }
+  std::vector<size_t> full(cs.size());
+  std::iota(full.begin(), full.end(), 0);
+  std::sort(full.begin(), full.end(), [&cs](size_t a, size_t b) {
+    const Clique& ca = cs.cliques()[a];
+    const Clique& cb = cs.cliques()[b];
+    if (ca.size() != cb.size()) return ca.size() > cb.size();
+    if (ca != cb) return ca < cb;
+    return a < b;
+  });
+  for (size_t k : {size_t{1}, size_t{7}, size_t{50}, size_t{399},
+                   size_t{400}, size_t{1000}}) {
+    SCOPED_TRACE(k);
+    const std::vector<size_t> want(full.begin(),
+                                   full.begin() + std::min(k, full.size()));
+    EXPECT_EQ(LargestCliqueIndices(cs, k), want);
+  }
 }
 
 TEST(PerNodeCliqueCountsTest, CountsMembership) {

@@ -114,6 +114,21 @@ TEST(HubShareTest, LargestCliquesDominatedByHubs) {
   EXPECT_DOUBLE_EQ(HubShareOfLargestCliques(r, 5), 0.4);
 }
 
+TEST(HubShareTest, SizeTiesBreakByContentNotLevel) {
+  // Three cliques of size 3: the top 2 by content are {0,1,2} and
+  // {0,1,5}, both hub-only, although a feasible clique ties on size.
+  decomp::FindMaxCliquesResult r = MakeResult({
+      {{4, 6, 7}, 0},
+      {{0, 1, 5}, 2},
+      {{0, 1, 2}, 1},
+      {{8, 9}, 0},
+  });
+  EXPECT_DOUBLE_EQ(HubShareOfLargestCliques(r, 1), 1.0);
+  EXPECT_DOUBLE_EQ(HubShareOfLargestCliques(r, 2), 1.0);
+  EXPECT_DOUBLE_EQ(HubShareOfLargestCliques(r, 3), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(HubShareOfLargestCliques(r, 4), 0.5);
+}
+
 TEST(HubShareTest, KLargerThanCollection) {
   decomp::FindMaxCliquesResult r = MakeResult({{{0, 1}, 1}});
   EXPECT_DOUBLE_EQ(HubShareOfLargestCliques(r, 200), 1.0);

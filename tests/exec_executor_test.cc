@@ -3,6 +3,7 @@
 
 #include "exec/executor.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "gen/generators.h"
 #include "gen/social.h"
 #include "gen/special.h"
+#include "graph/builder.h"
 #include "graph/subgraph.h"
 #include "mce/naive.h"
 #include "test_util.h"
@@ -590,6 +592,212 @@ TEST(ShardIdentityTest, FallbackIgnoresSplitThreshold) {
         RunWith(g, options, decomp::ExecutorKind::kPooled, threads);
     ExpectIdenticalRuns(pooled, serial);
   }
+}
+
+// CollectToResult's order is exactly that of sorting the emitted
+// (Clique, level) pairs, in whatever order they were emitted.
+using Emission = std::vector<std::pair<Clique, uint32_t>>;
+
+// Replays a fixed emission; the graph and options are ignored.
+class ScriptedExecutor final : public Executor {
+ public:
+  explicit ScriptedExecutor(Emission script) : script_(std::move(script)) {}
+
+  decomp::StreamingStats Run(const Graph&,
+                             const decomp::FindMaxCliquesOptions&,
+                             const decomp::LeveledCliqueCallback& emit)
+      override {
+    for (const auto& [clique, level] : script_) emit(clique, level);
+    return {};
+  }
+
+ private:
+  Emission script_;
+};
+
+// Runs `inner` and records its emission on the way to the collector.
+class RecordingExecutor final : public Executor {
+ public:
+  explicit RecordingExecutor(Executor& inner) : inner_(inner) {}
+
+  decomp::StreamingStats Run(const Graph& g,
+                             const decomp::FindMaxCliquesOptions& options,
+                             const decomp::LeveledCliqueCallback& emit)
+      override {
+    return inner_.Run(
+        g, options, [&](std::span<const NodeId> c, uint32_t level) {
+          emitted_.emplace_back(Clique(c.begin(), c.end()), level);
+          emit(c, level);
+        });
+  }
+
+  const Emission& emitted() const { return emitted_; }
+
+ private:
+  Executor& inner_;
+  Emission emitted_;
+};
+
+// The oracle: the pair sort of `emitted`, compared element for element
+// with no canonicalization.
+void ExpectPairSortOrder(const decomp::FindMaxCliquesResult& got,
+                         Emission emitted) {
+  std::sort(emitted.begin(), emitted.end());
+  ASSERT_EQ(got.cliques.size(), emitted.size());
+  ASSERT_EQ(got.origin_level.size(), emitted.size());
+  for (size_t i = 0; i < emitted.size(); ++i) {
+    ASSERT_EQ(got.cliques.cliques()[i], emitted[i].first) << "at " << i;
+    ASSERT_EQ(got.origin_level[i], emitted[i].second) << "at " << i;
+  }
+}
+
+// Collects `script` over an edgeless n-node graph as given, reversed and
+// shuffled.
+void ExpectCollectedInPairOrder(NodeId n, Emission script) {
+  const Graph g = GraphBuilder(n).Build();
+  Rng rng(n + 7);
+  for (const char* pass : {"as given", "reversed", "shuffled"}) {
+    SCOPED_TRACE(testing::Message() << "n " << n << ", emission " << pass);
+    if (pass[0] == 'r') std::reverse(script.begin(), script.end());
+    if (pass[0] == 's') rng.Shuffle(&script);
+    ScriptedExecutor scripted(script);
+    ExpectPairSortOrder(CollectToResult(scripted, g, {}), script);
+  }
+}
+
+constexpr NodeId kCollectorSizes[] = {1, 2, 4095, 4096, 4097, 8192};
+
+TEST(CollectToResultTest, EmptyGraphYieldsTheEmptyClique) {
+  ExpectCollectedInPairOrder(0, {{Clique{}, 0}});
+}
+
+TEST(CollectToResultTest, IdsAtBucketEdgesAndTheLastId) {
+  for (NodeId n : kCollectorSizes) {
+    // Bucket boundaries for shifts 0, 1 and 2, the middle and the top.
+    std::vector<NodeId> ids = {0, n / 2 - 1, n / 2, n - 2, n - 1};
+    for (NodeId shift : {0u, 1u, 2u}) {
+      for (NodeId bucket : {1u, 2u, 1023u, 2047u, 2048u}) {
+        ids.push_back((bucket << shift) - 1);
+        ids.push_back(bucket << shift);
+      }
+    }
+    std::erase_if(ids, [n](NodeId v) { return v >= n; });
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    Emission script;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      script.push_back({{ids[i]}, 0});
+      if (i + 1 < ids.size()) script.push_back({{ids[i], ids[i + 1]}, 1});
+      if (ids[i] != n - 1) script.push_back({{ids[i], n - 1}, 2});
+    }
+    ExpectCollectedInPairOrder(n, script);
+  }
+}
+
+TEST(CollectToResultTest, LongCliquesSharingThePackedPrefix) {
+  // 8,192 nodes pack 4 leading ids per key, 4,097 pack 4, 4,095 pack 5:
+  // these cliques tie on every packed id and differ only past them.
+  for (NodeId n : {4095u, 4097u, 8192u}) {
+    const Clique head = {3, 700, 701, 4000, 4001};
+    Emission script;
+    for (NodeId tail : {4050u, 4051u, 4093u}) {
+      Clique c = head;
+      c.push_back(tail);
+      script.push_back({c, 0});
+      c.push_back(tail + 1);
+      script.push_back({c, 1});
+    }
+    script.push_back({head, 0});
+    script.push_back({{3, 700, 701, 4000}, 0});
+    ExpectCollectedInPairOrder(n, script);
+  }
+}
+
+TEST(CollectToResultTest, PrefixCliquesAndOneCliqueUnderTwoLevels) {
+  for (NodeId n : kCollectorSizes) {
+    const NodeId top = n - 1;
+    Emission script = {{{0}, 0}, {{0}, 2}};
+    if (n > 2) {
+      // {0} is a prefix of {0, 1} and {0, top}, {0, 1} of {0, 1, top};
+      // {0} and {0, 1, top} each come under two levels.
+      script.push_back({{0, top}, 1});
+      script.push_back({{0, 1}, 0});
+      script.push_back({{0, 1, top}, 3});
+      script.push_back({{0, 1, top}, 1});
+      script.push_back({{1, top}, 0});
+    }
+    ExpectCollectedInPairOrder(n, script);
+  }
+}
+
+TEST(CollectToResultTest, OneIdSmallestInEveryClique) {
+  // Every clique contains id 0, so one bucket holds them all.
+  Rng rng(17);
+  for (NodeId n : {4097u, 8192u}) {
+    Emission script;
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t size = rng.NextBounded(9);
+      std::vector<uint64_t> picked = rng.SampleWithoutReplacement(n - 1, size);
+      Clique c = {0};
+      for (uint64_t v : picked) c.push_back(static_cast<NodeId>(v + 1));
+      std::sort(c.begin(), c.end());
+      script.push_back({c, static_cast<uint32_t>(rng.NextBounded(3))});
+      if (i % 5 == 0) script.push_back({c, 3});
+    }
+    ExpectCollectedInPairOrder(n, script);
+  }
+}
+
+TEST(CollectToResultTest, RandomCliquesWithTheirRelatives) {
+  Rng rng(23);
+  for (NodeId n : kCollectorSizes) {
+    Emission script;
+    for (int i = 0; i < 1000; ++i) {
+      const uint64_t size = 1 + rng.NextBounded(std::min<NodeId>(n, 12));
+      std::vector<uint64_t> picked = rng.SampleWithoutReplacement(n, size);
+      Clique c(picked.begin(), picked.end());
+      std::sort(c.begin(), c.end());
+      const uint32_t level = static_cast<uint32_t>(rng.NextBounded(4));
+      script.push_back({c, level});
+      // A prefix, an extension and the same clique one level deeper.
+      if (c.size() > 1) script.push_back({Clique(c.begin(), c.end() - 1), 0});
+      if (c.back() + 1 < n) {
+        Clique longer = c;
+        longer.push_back(c.back() + 1);
+        script.push_back({longer, level});
+      }
+      script.push_back({c, level + 1});
+    }
+    ExpectCollectedInPairOrder(n, script);
+  }
+}
+
+// Every engine, collected: the result is the pair sort of the emission it
+// streamed, on a graph large enough (n > 4,096) that a bucket spans
+// several smallest ids.
+TEST(CollectToResultTest, EveryExecutorCollectsItsEmissionInPairOrder) {
+  Rng rng(29);
+  const Graph g = gen::BarabasiAlbert(5000, 4, &rng);
+  ASSERT_GT(g.num_nodes(), 4096u);
+  decomp::FindMaxCliquesOptions options;
+  options.max_block_size = 20;
+  auto check = [&](const char* name, Executor& engine) {
+    SCOPED_TRACE(name);
+    RecordingExecutor recorder(engine);
+    const decomp::FindMaxCliquesResult result =
+        CollectToResult(recorder, g, options);
+    ASSERT_GT(recorder.emitted().size(), 0u);
+    EXPECT_GT(result.levels.size(), 1u);
+    ExpectPairSortOrder(result, recorder.emitted());
+  };
+  std::unique_ptr<Executor> serial = MakeSerialExecutor();
+  check("serial", *serial);
+  std::unique_ptr<Executor> pooled = MakePooledExecutor(4);
+  check("pooled@4", *pooled);
+  dist::ClusterConfig config;
+  config.num_workers = 4;
+  SimulatedClusterExecutor cluster(config, MakePooledExecutor(4));
+  check("cluster", cluster);
 }
 
 }  // namespace

@@ -67,6 +67,12 @@ TEST(CliqueSetTest, CanonicalizeSortsAndDedups) {
   ASSERT_EQ(cs.size(), 2u);
   EXPECT_EQ(cs.cliques()[0], (Clique{0}));
   EXPECT_EQ(cs.cliques()[1], (Clique{1, 2}));
+  // Already sorted: the sort is skipped, the duplicates still go.
+  cs.Add(Clique{1, 2});
+  cs.Add(Clique{3});
+  cs.Add(Clique{3});
+  cs.Canonicalize();
+  EXPECT_EQ(cs.cliques(), (std::vector<Clique>{{0}, {1, 2}, {3}}));
 }
 
 TEST(CliqueSetTest, MergeMovesAll) {
