@@ -168,6 +168,53 @@ if lines == 0:
 print(f"default-m pooled@4 output matched the deep run: {lines} lines, "
       "strictly increasing")
 EOF
+
+  # Text-reader leg: the edge list rewritten three ways must enumerate to
+  # the original's file, as must its .mcsr (heap and mmapped): CRLF line
+  # ends with tab separators; '#'/'%' comments and blank lines interleaved,
+  # a comment longer than the reader's 1 MiB buffer among them, so lines
+  # straddle its reads under the sanitizers; the lines shuffled with every
+  # edge also written reversed.
+  echo "=== tier-1: ASan text-reader leg ==="
+  python3 - "$oocore_dir" <<'EOF' || { rm -rf "$oocore_dir"; exit 1; }
+import random, sys
+work = sys.argv[1]
+lines = open(f"{work}/fb.txt").read().splitlines()
+rng = random.Random(28)
+with open(f"{work}/fb_crlf.txt", "w", newline="") as out:
+    out.writelines(line.replace(" ", "\t") + "\r\n" for line in lines)
+with open(f"{work}/fb_comments.txt", "w", newline="") as out:
+    for i, line in enumerate(lines):
+        if i == len(lines) // 2:
+            out.write("#" + "c" * (3 << 19) + "\n")
+        if rng.random() < 0.3:
+            out.write(rng.choice("#%") + "x" * rng.randrange(1200) + "\n")
+        if rng.random() < 0.1:
+            out.write(rng.choice(["", " ", "\t", " \t "]) + "\n")
+        out.write(line + "\n")
+pairs = [line.split() for line in lines]
+edges = [f"{u} {v}" for u, v in pairs] + [f"{v} {u}" for u, v in pairs]
+rng.shuffle(edges)
+with open(f"{work}/fb_shuffled.txt", "w") as out:
+    out.writelines(edge + "\n" for edge in edges)
+EOF
+  reader_runs=(fb.txt fb_crlf.txt fb_comments.txt fb_shuffled.txt fb.mcsr)
+  for input in "${reader_runs[@]}"; do
+    "$asan_build/tools/mce_cli" enumerate --input "$oocore_dir/$input" \
+      --output "$oocore_dir/cliques_$input" >/dev/null
+  done
+  "$asan_build/tools/mce_cli" enumerate --input "$oocore_dir/fb.mcsr" \
+    --mmap-graph true --output "$oocore_dir/cliques_mmap" >/dev/null
+  for out in "${reader_runs[@]/#/cliques_}" cliques_mmap; do
+    if ! cmp "$oocore_dir/$out" "$oocore_dir/cliques_fb.txt"; then
+      echo "text-reader leg: $out differs from the original's output" >&2
+      rm -rf "$oocore_dir"
+      exit 1
+    fi
+  done
+  echo "text-reader runs wrote identical output:" \
+       "$(wc -l <"$oocore_dir/cliques_fb.txt") lines;" \
+       "commented variant $(wc -c <"$oocore_dir/fb_comments.txt") bytes"
   rm -rf "$oocore_dir"
 fi
 

@@ -29,7 +29,7 @@ class GraphBuilder {
 
   /// Records an undirected edge {u, v}. Self-loops are dropped silently
   /// (cliques are defined on simple graphs); duplicates are deduplicated
-  /// at Build time.
+  /// at Build time. Neither endpoint may be kInvalidNode (checked).
   void AddEdge(NodeId u, NodeId v);
 
   /// True if {u, v} was added before. O(edges) — intended for generators
@@ -40,8 +40,9 @@ class GraphBuilder {
   NodeId num_nodes() const { return num_nodes_; }
   size_t num_recorded_edges() const { return edges_.size(); }
 
-  /// Sorts, deduplicates, and builds the CSR graph. The builder is left
-  /// empty and reusable.
+  /// Deduplicates and builds the CSR graph through a counting sort by
+  /// smaller endpoint, in O(n + m + sorting each node's larger
+  /// neighbors). The builder is left empty and reusable.
   Graph Build();
 
  private:

@@ -1,12 +1,13 @@
 #include "graph/io.h"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
-#include <unordered_set>
 
 #include "graph/builder.h"
+#include "graph/storage.h"
 
 namespace mce {
 
@@ -14,62 +15,198 @@ namespace {
 
 constexpr uint64_t kBinaryMagic = 0x4d43454752463031ULL;  // "MCEGRF01"
 
-bool IsCommentOrBlank(const std::string& line) {
-  for (char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') continue;
-    return c == '#' || c == '%';
-  }
-  return true;  // blank
-}
+/// Bytes per read of the text readers' buffer. A line longer than the
+/// buffer doubles it until the line fits, so the buffer is bounded by the
+/// longest line, never by the file.
+constexpr size_t kTextBufferBytes = size_t{1} << 20;
 
-/// True when `ss` still holds a non-whitespace token after the expected
-/// fields were extracted — a malformed line that must be rejected rather
-/// than silently truncated (e.g. "0 1.5" parses ids 0 and 1, leaving ".5").
-bool HasTrailingGarbage(std::istringstream& ss) {
-  std::string rest;
-  return static_cast<bool>(ss >> rest);
+/// Whitespace as `std::istream >>` skips it in the "C" locale.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// One line's fields, extracted by the rules of `std::istream >>` in the
+/// "C" locale: each extraction first skips whitespace. Numbers go through
+/// std::from_chars, tokens are views into the line.
+class LineCursor {
+ public:
+  LineCursor() = default;
+  explicit LineCursor(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// As `>> std::string`: the next run of non-whitespace bytes. False when
+  /// only whitespace is left.
+  bool Token(std::string_view* out) {
+    SkipSpace();
+    const char* start = p_;
+    while (p_ != end_ && !IsSpace(*p_)) ++p_;
+    *out = std::string_view(start, static_cast<size_t>(p_ - start));
+    return p_ != start;
+  }
+
+  /// As `>> uint64_t`: an optional sign, then decimal digits up to the first
+  /// other byte, whatever it is ("1-2" is 1, then -2); '-' negates modulo
+  /// 2^64. False when no digit follows or the value overflows.
+  bool Number(uint64_t* out) {
+    SkipSpace();
+    const bool negative = p_ != end_ && *p_ == '-';
+    if (p_ != end_ && (negative || *p_ == '+')) ++p_;
+    const auto [next, error] = std::from_chars(p_, end_, *out);
+    if (error != std::errc()) return false;
+    p_ = next;
+    if (negative) *out = 0 - *out;
+    return true;
+  }
+
+  /// True when only whitespace is left.
+  bool AtEnd() {
+    SkipSpace();
+    return p_ == end_;
+  }
+
+ private:
+  void SkipSpace() {
+    while (p_ != end_ && IsSpace(*p_)) ++p_;
+  }
+
+  const char* p_ = nullptr;
+  const char* end_ = nullptr;
+};
+
+/// The records of a text graph file: its lines, split as std::getline
+/// splits them (a last line without '\n' still counts), minus blank and
+/// comment lines. The file is read through one buffer of kTextBufferBytes;
+/// the partial line at its end is carried to the front for the next read.
+class TextRecords {
+ public:
+  explicit TextRecords(const std::string& path)
+      : path_(path), in_(path), buffer_(kTextBufferBytes) {}
+
+  bool is_open() const { return static_cast<bool>(in_); }
+  /// True once a read failed (as opposed to reaching the end of the file).
+  bool read_error() const { return in_.bad(); }
+
+  /// Moves to the next line that is neither blank nor a comment. False at
+  /// the end of the file or after a read error.
+  bool Next(LineCursor* record) {
+    std::string_view line;
+    while (NextLine(&line)) {
+      ++line_no_;
+      if (!IsCommentOrBlank(line)) {
+        *record = LineCursor(line);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// "<path>:<line>: <what>", naming the current record.
+  std::string At(const char* what) const {
+    return path_ + ":" + std::to_string(line_no_) + ": " + what;
+  }
+
+ private:
+  /// A comment's first byte past spaces, tabs and CRs is '#' or '%'; a
+  /// blank line has none. A line of '\v' or '\f' is neither: it is parsed,
+  /// and rejected.
+  static bool IsCommentOrBlank(std::string_view line) {
+    for (char c : line) {
+      if (c == ' ' || c == '\t' || c == '\r') continue;
+      return c == '#' || c == '%';
+    }
+    return true;
+  }
+
+  /// The next line without its '\n', a view into the buffer valid until
+  /// the next call.
+  bool NextLine(std::string_view* line) {
+    for (;;) {
+      const char* base = buffer_.data();
+      if (const void* nl = std::memchr(base + scan_, '\n', end_ - scan_)) {
+        const size_t at =
+            static_cast<size_t>(static_cast<const char*>(nl) - base);
+        *line = std::string_view(base + begin_, at - begin_);
+        begin_ = scan_ = at + 1;
+        return true;
+      }
+      scan_ = end_;
+      if (at_eof_) {
+        if (begin_ == end_) return false;
+        *line = std::string_view(base + begin_, end_ - begin_);
+        begin_ = scan_ = end_;
+        return true;
+      }
+      Refill();
+    }
+  }
+
+  /// Moves the partial line to the front, doubles the buffer if the line
+  /// fills it, and reads behind it. A short read is the end of the file or
+  /// a read error.
+  void Refill() {
+    const size_t carried = end_ - begin_;
+    std::memmove(buffer_.data(), buffer_.data() + begin_, carried);
+    begin_ = 0;
+    scan_ = end_ = carried;
+    if (end_ == buffer_.size()) buffer_.resize(2 * buffer_.size());
+    in_.read(buffer_.data() + end_,
+             static_cast<std::streamsize>(buffer_.size() - end_));
+    end_ += static_cast<size_t>(in_.gcount());
+    at_eof_ = !in_;
+  }
+
+  const std::string path_;
+  std::ifstream in_;
+  std::vector<char> buffer_;
+  size_t begin_ = 0;  // start of the current line
+  size_t scan_ = 0;   // [begin_, scan_) holds no '\n'
+  size_t end_ = 0;    // bytes read into the buffer
+  bool at_eof_ = false;
+  size_t line_no_ = 0;
+};
+
+/// Bytes from `in`'s position to the end of its file; the position is kept.
+uint64_t RemainingBytes(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return end > here ? static_cast<uint64_t>(end - here) : 0;
 }
 
 }  // namespace
 
-NodeId LabelInterner::Intern(const std::string& label) {
-  auto [it, inserted] =
-      index_.emplace(label, static_cast<NodeId>(labels_.size()));
-  if (inserted) labels_.push_back(label);
-  return it->second;
+NodeId LabelInterner::Intern(std::string_view label) {
+  if (auto it = index_.find(label); it != index_.end()) return it->second;
+  const auto id = static_cast<NodeId>(labels_.size());
+  index_.emplace(label, id);
+  labels_.emplace_back(label);
+  return id;
 }
 
-NodeId LabelInterner::Lookup(const std::string& label) const {
+NodeId LabelInterner::Lookup(std::string_view label) const {
   auto it = index_.find(label);
   return it == index_.end() ? kInvalidNode : it->second;
 }
 
 Result<Graph> ReadEdgeList(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
+  TextRecords text(path);
+  if (!text.is_open()) return Status::IoError("cannot open " + path);
   GraphBuilder builder;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) continue;
-    std::istringstream ss(line);
+  LineCursor line;
+  while (text.Next(&line)) {
     uint64_t u = 0, v = 0;
-    if (!(ss >> u >> v)) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": expected 'u v'");
+    if (!line.Number(&u) || !line.Number(&v)) {
+      return Status::InvalidArgument(text.At("expected 'u v'"));
     }
-    if (HasTrailingGarbage(ss)) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": trailing tokens after 'u v'");
+    if (!line.AtEnd()) {
+      return Status::InvalidArgument(text.At("trailing tokens after 'u v'"));
     }
-    if (u > kInvalidNode - 1 || v > kInvalidNode - 1) {
-      return Status::OutOfRange(path + ":" + std::to_string(line_no) +
-                                ": node id exceeds 32-bit range");
+    // The largest id leaves the node count below kInvalidNode.
+    if (u >= kInvalidNode - 1 || v >= kInvalidNode - 1) {
+      return Status::OutOfRange(text.At("node id exceeds 32-bit range"));
     }
     builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
-  if (in.bad()) return Status::IoError("read error on " + path);
+  if (text.read_error()) return Status::IoError("read error on " + path);
   return builder.Build();
 }
 
@@ -87,41 +224,35 @@ Status WriteEdgeList(const Graph& g, const std::string& path) {
 }
 
 Result<LabeledGraph> ReadTriples(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
+  TextRecords text(path);
+  if (!text.is_open()) return Status::IoError("cannot open " + path);
   LabelInterner nodes;
-  std::unordered_set<std::string> edge_label_set;
-  std::vector<std::string> edge_labels;
+  LabelInterner edge_labels;
   GraphBuilder builder;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) continue;
-    std::istringstream ss(line);
-    std::string n1, e, n2;
-    if (!(ss >> n1 >> e >> n2)) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": expected '<n1> <e> <n2>'");
+  LineCursor line;
+  while (text.Next(&line)) {
+    std::string_view n1, e, n2;
+    if (!line.Token(&n1) || !line.Token(&e) || !line.Token(&n2)) {
+      return Status::InvalidArgument(text.At("expected '<n1> <e> <n2>'"));
     }
-    if (HasTrailingGarbage(ss)) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": trailing tokens after '<n1> <e> <n2>'");
+    if (!line.AtEnd()) {
+      return Status::InvalidArgument(
+          text.At("trailing tokens after '<n1> <e> <n2>'"));
     }
     // Intern in textual order (argument evaluation order is unspecified).
     const NodeId id1 = nodes.Intern(n1);
     const NodeId id2 = nodes.Intern(n2);
     builder.AddEdge(id1, id2);
-    if (edge_label_set.insert(e).second) edge_labels.push_back(e);
+    edge_labels.Intern(e);
   }
-  if (in.bad()) return Status::IoError("read error on " + path);
-  // Interning may have seen isolated... every label came from an edge, but a
-  // self-loop line still interns its label; make the graph cover all of them.
+  if (text.read_error()) return Status::IoError("read error on " + path);
+  // A self-loop line interns its label but adds no edge: make the graph
+  // cover every label.
   builder.ReserveNodes(static_cast<NodeId>(nodes.size()));
   LabeledGraph out;
   out.graph = builder.Build();
   out.labels = nodes.labels();
-  out.edge_labels = std::move(edge_labels);
+  out.edge_labels = edge_labels.labels();
   return out;
 }
 
@@ -213,7 +344,12 @@ Result<Graph> ReadBinary(const std::string& path) {
   if (!in || magic != kBinaryMagic) {
     return Status::InvalidArgument(path + ": not an mce binary graph");
   }
-  if (n > kInvalidNode) {
+  // The file must hold the m edges the header claims before anything is
+  // sized by m (compared by division, so no m can overflow).
+  if (m > RemainingBytes(in) / (2 * sizeof(NodeId))) {
+    return Status::IoError(path + ": truncated edge section");
+  }
+  if (n >= kInvalidNode) {
     return Status::OutOfRange(path + ": node count exceeds 32-bit range");
   }
   GraphBuilder builder(static_cast<NodeId>(n));
@@ -263,9 +399,8 @@ Result<Graph> ReadCsrBinary(const std::string& path) {
   if (!in || magic != kCsrBinaryMagic) {
     return Status::InvalidArgument(path + ": not an MCECSR02 graph file");
   }
-  if (n > kInvalidNode) {
-    return Status::OutOfRange(path + ": node count exceeds 32-bit range");
-  }
+  MCE_RETURN_NOT_OK(
+      CheckCsrHeader(path, n, m, 4 * sizeof(uint64_t) + RemainingBytes(in)));
   std::vector<uint64_t> offsets(n + 1);
   in.read(reinterpret_cast<char*>(offsets.data()),
           static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));

@@ -10,7 +10,9 @@
 #ifndef MCE_GRAPH_IO_H_
 #define MCE_GRAPH_IO_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -29,26 +31,36 @@ struct LabeledGraph {
   std::vector<std::string> edge_labels;
 };
 
-/// Interns string labels into dense node ids, first-seen order.
+/// Interns string labels into dense node ids, first-seen order. A label is
+/// copied only when it is first interned.
 class LabelInterner {
  public:
   /// Returns the id of `label`, assigning the next free id when new.
-  NodeId Intern(const std::string& label);
+  NodeId Intern(std::string_view label);
 
   /// Returns the id of `label` or kInvalidNode when unknown.
-  NodeId Lookup(const std::string& label) const;
+  NodeId Lookup(std::string_view label) const;
 
   size_t size() const { return labels_.size(); }
   const std::vector<std::string>& labels() const { return labels_; }
 
  private:
-  std::unordered_map<std::string, NodeId> index_;
+  /// Hashes std::string and std::string_view alike, so lookups take views.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::unordered_map<std::string, NodeId, Hash, std::equal_to<>> index_;
   std::vector<std::string> labels_;
 };
 
 /// Reads a whitespace-separated numeric edge list ("u v" per line).
 /// Lines starting with '#' or '%' are comments. Node ids are used as given
-/// (the graph covers [0, max id]).
+/// (the graph covers [0, max id]); an id above 4,294,967,293 is OutOfRange.
+/// The grammar, exactly, is in README.md ("Input formats").
 Result<Graph> ReadEdgeList(const std::string& path);
 
 /// Writes "u v" lines, one per undirected edge.
@@ -64,6 +76,9 @@ Status WriteTriples(const LabeledGraph& g, const std::string& path);
 
 /// Compact binary format: header (magic, node count, edge count) followed
 /// by the edge pairs. Fast path for benchmark reruns on large graphs.
+/// ReadBinary checks the edge count against the file's length before it
+/// reserves for it (IoError when short); a node count of kInvalidNode or
+/// more is OutOfRange.
 Status WriteBinary(const Graph& g, const std::string& path);
 Result<Graph> ReadBinary(const std::string& path);
 
@@ -73,8 +88,11 @@ Result<Graph> ReadBinary(const std::string& path);
 /// larger than RAM without heap-materializing the CSR.
 Status WriteCsrBinary(const Graph& g, const std::string& path);
 
-/// Reads an MCECSR02 file into an owned (heap) graph. Revalidates per-row
-/// invariants in debug builds via Graph::FromSortedCsr.
+/// Reads an MCECSR02 file into an owned (heap) graph: the header is checked
+/// against the file's size (CheckCsrHeader in graph/storage.h) before
+/// anything is allocated, offsets and neighbor ids are range-checked, and
+/// per-row invariants are revalidated in debug builds via
+/// Graph::FromSortedCsr.
 Result<Graph> ReadCsrBinary(const std::string& path);
 
 /// Opens an MCECSR02 file as a zero-copy mmap-backed graph. The returned

@@ -25,6 +25,30 @@ std::string Errno(const std::string& what) {
 
 }  // namespace
 
+Status CheckCsrHeader(const std::string& path, uint64_t n, uint64_t m,
+                      uint64_t file_len) {
+  // Compared by division, so no header value can overflow the check.
+  constexpr uint64_t kEdgeBytes = 2 * sizeof(NodeId);
+  bool fits = file_len >= sizeof(CsrHeader);
+  if (fits) {
+    const uint64_t body = file_len - sizeof(CsrHeader);
+    fits = n < body / sizeof(uint64_t);  // room for the n + 1 offsets
+    if (fits) {
+      const uint64_t rest = body - (n + 1) * sizeof(uint64_t);
+      fits = rest % kEdgeBytes == 0 && rest / kEdgeBytes == m;
+    }
+  }
+  if (!fits) {
+    return Status::IoError(path + ": file size " + std::to_string(file_len) +
+                           " does not match header (" + std::to_string(n) +
+                           " nodes, " + std::to_string(m) + " edges)");
+  }
+  if (n >= kInvalidNode) {
+    return Status::OutOfRange(path + ": node count exceeds NodeId range");
+  }
+  return Status::OK();
+}
+
 Result<std::shared_ptr<const GraphStorage>> MmapCsrStorage::Open(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -56,18 +80,10 @@ Result<std::shared_ptr<const GraphStorage>> MmapCsrStorage::Open(
   if (header.magic != kCsrBinaryMagic) {
     return Status::InvalidArgument(path + ": not an MCECSR02 graph file");
   }
-  if (header.num_nodes > kInvalidNode) {
-    return Status::OutOfRange(path + ": node count exceeds NodeId range");
-  }
+  MCE_RETURN_NOT_OK(
+      CheckCsrHeader(path, header.num_nodes, header.num_edges, file_len));
   const uint64_t n = header.num_nodes;
   const uint64_t entries = 2 * header.num_edges;
-  const uint64_t expected =
-      sizeof(CsrHeader) + (n + 1) * sizeof(uint64_t) + entries * sizeof(NodeId);
-  if (file_len != expected) {
-    return Status::IoError(path + ": file size " + std::to_string(file_len) +
-                           " does not match header (expected " +
-                           std::to_string(expected) + ")");
-  }
   const auto* offsets =
       reinterpret_cast<const uint64_t*>(static_cast<const char*>(map) +
                                         sizeof(CsrHeader));

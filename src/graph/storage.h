@@ -29,11 +29,11 @@
 //
 // Both arrays start naturally aligned (32 is a multiple of 8, and
 // 32 + 8(n+1) is a multiple of 4), so the mapped file is directly usable
-// as the two spans with no translation. Open() validates the header, the
-// file size, and the offset endpoints; per-row invariants (sortedness,
-// symmetry, no self-loops) are trusted from the writer — use
-// ReadCsrBinary() from graph/io.h for a heap copy that revalidates them in
-// debug builds.
+// as the two spans with no translation. Open() validates the header
+// against the file's exact size before it reads an offset, then the offset
+// endpoints; per-row invariants (sortedness, symmetry, no self-loops) are
+// trusted from the writer — use ReadCsrBinary() from graph/io.h for a heap
+// copy that revalidates them in debug builds.
 
 #ifndef MCE_GRAPH_STORAGE_H_
 #define MCE_GRAPH_STORAGE_H_
@@ -95,10 +95,10 @@ class OwnedCsrStorage final : public GraphStorage {
 /// the storage object; the file descriptor is closed right after mmap.
 class MmapCsrStorage final : public GraphStorage {
  public:
-  /// Maps `path` and validates magic, version, file size, and offset
-  /// endpoints. Errors: IoError (open/stat/mmap failure, short file),
-  /// InvalidArgument (bad magic, inconsistent header), OutOfRange
-  /// (node count exceeds NodeId).
+  /// Maps `path` and validates magic, version, file size (CheckCsrHeader),
+  /// and offset endpoints. Errors: IoError (open/stat/mmap failure, a file
+  /// size other than the header's), InvalidArgument (bad magic,
+  /// inconsistent offsets), OutOfRange (n is kInvalidNode or more).
   static Result<std::shared_ptr<const GraphStorage>> Open(
       const std::string& path);
 
@@ -121,6 +121,14 @@ class MmapCsrStorage final : public GraphStorage {
 /// Magic for the MCECSR02 CSR format ("MCECSR02" as a big-endian number,
 /// mirroring kBinaryMagic in graph/io.cc for the edge-pair format).
 inline constexpr uint64_t kCsrBinaryMagic = 0x4d43454353523032ULL;
+
+/// Checks an MCECSR02 header's node count `n` and edge count `m` against
+/// the length of its file before anything is sized by them: the file must
+/// hold exactly the header, n + 1 offsets and 2m neighbor ids (IoError
+/// otherwise), and n must be below kInvalidNode (OutOfRange). Both CSR
+/// readers call it.
+Status CheckCsrHeader(const std::string& path, uint64_t n, uint64_t m,
+                      uint64_t file_len);
 
 /// The shared zero-node storage every default-constructed or moved-from
 /// Graph points at (offsets = {0}). Leaked singleton, safe at any point of

@@ -84,6 +84,12 @@ TEST(GraphBuilderTest, BuilderIsReusableAfterBuild) {
   EXPECT_FALSE(g2.HasEdge(0, 1));
 }
 
+TEST(GraphBuilderDeathTest, RejectsKInvalidNodeEndpoints) {
+  GraphBuilder b;
+  EXPECT_DEATH(b.AddEdge(0, kInvalidNode), "Check failed");
+  EXPECT_DEATH(b.AddEdge(kInvalidNode, 1), "Check failed");
+}
+
 TEST(GraphTest, NeighborsAreSortedAndDuplicateFree) {
   GraphBuilder b;
   b.AddEdge(3, 1);

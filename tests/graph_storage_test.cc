@@ -86,6 +86,44 @@ TEST(GraphStorageTest, MmapRejectsTruncatedFile) {
   std::remove(path.c_str());
 }
 
+/// An MCECSR02 file of the given header words, then `tail`.
+void WriteCsrHeader(const std::string& path, uint64_t n, uint64_t m,
+                    const std::vector<uint64_t>& tail) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::vector<uint64_t> words = {kCsrBinaryMagic, n, m, 0};
+  words.insert(words.end(), tail.begin(), tail.end());
+  out.write(reinterpret_cast<const char*>(words.data()),
+            static_cast<std::streamsize>(words.size() * sizeof(uint64_t)));
+}
+
+// Header counts the file cannot hold are I/O errors, found before anything
+// is allocated or read by them: a 2^32 - 1 node header would otherwise
+// have 32 GiB of offsets zeroed, and 2^62 edges make a byte count
+// (2 * 2^62 * 4) that wraps to 0 and matches a short file.
+TEST(GraphStorageTest, HeadersLargerThanTheFileAreIoErrors) {
+  const std::string path = TempPath("oversized.mcsr");
+  WriteCsrHeader(path, uint64_t{kInvalidNode}, 0, {});
+  EXPECT_EQ(ReadCsrBinary(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(OpenMmapGraph(path).status().code(), StatusCode::kIoError);
+
+  WriteCsrHeader(path, 1, uint64_t{1} << 62, {0, uint64_t{1} << 63});
+  EXPECT_EQ(OpenMmapGraph(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadCsrBinary(path).status().code(), StatusCode::kIoError);
+
+  // One offset short, with the edge count whose 8m wraps around to that
+  // shortfall.
+  WriteCsrHeader(path, 1, (uint64_t{1} << 61) - 1, {0});
+  EXPECT_EQ(OpenMmapGraph(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadCsrBinary(path).status().code(), StatusCode::kIoError);
+
+  // A valid file plus one stray byte no longer matches its header either.
+  ASSERT_TRUE(WriteCsrBinary(test::PathGraph(4), path).ok());
+  std::ofstream(path, std::ios::binary | std::ios::app).put('\0');
+  EXPECT_EQ(OpenMmapGraph(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadCsrBinary(path).status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
 TEST(GraphStorageTest, CopiesShareStorage) {
   const Graph g = test::Figure1Graph();
   const Graph copy = g;  // NOLINT(performance-unnecessary-copy-initialization)
